@@ -26,11 +26,11 @@ from .engine import (
 from .adversary import (
     CrashEvent,
     CrashPlan,
-    exhaustive_enumerator,
-    none_adversary,
-    random_adversary,
-    scripted,
-    worst_case_heuristic,
+    NoneAdversary,
+    PlanSpace,
+    RandomAdversary,
+    ScriptedAdversary,
+    WorstCaseAdversary,
 )
 from .harness import check_execution, message_bound, verify_exhaustive
 from .protocol import ProtocolViolation
@@ -51,11 +51,11 @@ __all__ = [
     "run_simulation",
     "CrashEvent",
     "CrashPlan",
-    "exhaustive_enumerator",
-    "none_adversary",
-    "random_adversary",
-    "scripted",
-    "worst_case_heuristic",
+    "NoneAdversary",
+    "PlanSpace",
+    "RandomAdversary",
+    "ScriptedAdversary",
+    "WorstCaseAdversary",
     "check_execution",
     "message_bound",
     "verify_exhaustive",

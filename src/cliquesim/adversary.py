@@ -27,11 +27,6 @@ __all__ = [
     "RandomAdversary",
     "WorstCaseAdversary",
     "PlanSpace",
-    "none_adversary",
-    "scripted",
-    "random_adversary",
-    "worst_case_heuristic",
-    "exhaustive_enumerator",
     "parse_plan_file",
     "format_plan",
 ]
@@ -145,24 +140,6 @@ class WorstCaseAdversary:
         return None
 
 
-def none_adversary(budget: int = 0) -> NoneAdversary:
-    return NoneAdversary(budget)
-
-
-def scripted(plan: CrashPlan) -> ScriptedAdversary:
-    return ScriptedAdversary(plan)
-
-
-def random_adversary(
-    seed: int, budget: int, crash_probability: float = 0.05
-) -> RandomAdversary:
-    return RandomAdversary(seed, budget, crash_probability)
-
-
-def worst_case_heuristic(budget: int) -> WorstCaseAdversary:
-    return WorstCaseAdversary(budget)
-
-
 class PlanSpace(Sequence):
     """Every crash schedule with up to f crashers, crash rounds in
     [1, horizon], and per-crasher delivery subsets over the other n-1 nodes.
@@ -223,13 +200,6 @@ class PlanSpace(Sequence):
     def __iter__(self) -> Iterator[CrashPlan]:
         for i in range(self._total):
             yield self[i]
-
-
-def exhaustive_enumerator(
-    n: int, f: int, horizon: int = ENUM_MAX_HORIZON
-) -> PlanSpace:
-    """All crash plans within the tractability caps (n<=4, f<=3, horizon<=14)."""
-    return PlanSpace(n, f, horizon)
 
 
 def format_plan(plan: CrashPlan) -> str:

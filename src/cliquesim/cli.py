@@ -18,15 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import (
-    none_adversary,
+    CrashPlan,
+    NoneAdversary,
+    RandomAdversary,
+    ScriptedAdversary,
+    WorstCaseAdversary,
+    format_plan,
     parse_plan_file,
-    random_adversary,
-    scripted,
-    worst_case_heuristic,
 )
 from .degseq import DegreeSequence, erdos_gallai, havel_hakimi
-from .engine import ConfigError, SimConfig, run_simulation
-from .harness import check_execution, verify_exhaustive
+from .engine import AdversaryError, ConfigError, SimConfig, run_simulation
+from .harness import check_execution, verdict, verify_exhaustive
 from .trace import TraceError, read_trace, replay_trace, write_trace
 
 REPORT_COLUMNS = [
@@ -70,28 +72,23 @@ def _resolve_degrees(args, n: int) -> tuple[int, ...]:
     return degrees
 
 
-def _build_adversary(name: str, f: int, seed: int, args) -> object:
+def _build_adversary(name: str, f: int, seed: int, args) -> tuple[object, str]:
+    """Return the adversary and the description a trace header records."""
     if name == "none":
-        return none_adversary()
+        return NoneAdversary(), "none"
     if name == "random":
-        return random_adversary(seed, f, args.crash_prob)
+        return (
+            RandomAdversary(seed, f, args.crash_prob),
+            f"random:f={f}:seed={seed}:p={args.crash_prob}",
+        )
     if name == "worst":
-        return worst_case_heuristic(f)
+        return WorstCaseAdversary(f), f"worst:f={f}"
     if name == "scripted":
         if args.plan_file is None:
             raise ConfigError("--adversary scripted requires --plan-file")
-        return scripted(parse_plan_file(Path(args.plan_file).read_text()))
+        plan = parse_plan_file(Path(args.plan_file).read_text())
+        return ScriptedAdversary(plan), f"scripted:{args.plan_file}"
     raise ConfigError(f"unknown adversary {name!r}")
-
-
-def _adversary_desc(name: str, f: int, seed: int, args) -> str:
-    if name == "random":
-        return f"random:f={f}:seed={seed}:p={args.crash_prob}"
-    if name == "worst":
-        return f"worst:f={f}"
-    if name == "scripted":
-        return f"scripted:{args.plan_file}"
-    return "none"
 
 
 # -- commands ---------------------------------------------------------------
@@ -126,12 +123,10 @@ def cmd_simulate(args) -> int:
         strict=args.strict,
         seed=args.seed,
     )
-    adversary = _build_adversary(args.adversary, args.f, args.seed, args)
+    adversary, desc = _build_adversary(args.adversary, args.f, args.seed, args)
     result = run_simulation(config, adversary, record_trace=args.trace is not None)
     if args.trace is not None:
-        write_trace(
-            args.trace, result, _adversary_desc(args.adversary, args.f, args.seed, args)
-        )
+        write_trace(args.trace, result, desc)
     issues = check_execution(result)
     lines = _summary_lines(result, issues)
     text = "\n".join(lines) + "\n"
@@ -139,7 +134,7 @@ def cmd_simulate(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return 1 if issues else 0
 
 
 def _summary_lines(result, issues) -> list[str]:
@@ -164,14 +159,14 @@ def _summary_lines(result, issues) -> list[str]:
             lines.append(f"node {o.index}: crashed (round {o.crashed_round})")
             continue
         view = " ".join(f"{i}:{d}" for i, d in sorted(o.view.items()))
-        verdict = o.verdict
-        if verdict is None:
+        outcome = verdict(o)
+        if outcome is None:
             shown = "none"
-        elif verdict.graph is None:
+        elif outcome.graph is None:
             shown = "unrealizable"
         else:
             shown = "edges " + " ".join(
-                f"{u}-{v}" for u, v in verdict.graph.sorted_edges()
+                f"{u}-{v}" for u, v in outcome.graph.sorted_edges()
             )
         lines.append(f"node {o.index}: exit round={o.exit_round} D'=[{view}] {shown}")
     lines.append("checks=ok" if not issues else "checks=FAILED")
@@ -210,18 +205,18 @@ def _sweep_row(args, f: int, name: str, seed: int) -> dict:
         strict=args.strict,
         seed=seed,
     )
-    adversary = _build_adversary(name, f, seed, args)
+    adversary, _ = _build_adversary(name, f, seed, args)
     result = run_simulation(config, adversary)
     issues = check_execution(result)
     agreement_ok = not any(i.startswith("agreement:") for i in issues)
     validity_ok = not any(i.startswith("validity:") for i in issues)
     exited = result.exited()
     if not agreement_ok:
-        verdict = "disagree"
-    elif exited and exited[0].verdict and exited[0].verdict.graph is not None:
-        verdict = "realizable"
+        shown = "disagree"
+    elif exited and verdict(exited[0]).realizable:
+        shown = "realizable"
     else:
-        verdict = "unrealizable"
+        shown = "unrealizable"
     return {
         "n": args.n,
         "f": f,
@@ -232,7 +227,7 @@ def _sweep_row(args, f: int, name: str, seed: int) -> dict:
         "messages": result.metrics.messages_sent,
         "agreement_ok": agreement_ok,
         "validity_ok": validity_ok,
-        "verdict": verdict,
+        "verdict": shown,
     }
 
 
@@ -270,8 +265,6 @@ def cmd_verify(args) -> int:
     if report.ok:
         lines.append("PASS")
     else:
-        from .adversary import CrashPlan, format_plan
-
         events, issues = report.first_counterexample()
         lines.append("FAIL")
         lines.append("first counterexample (re-run with --adversary scripted):")
@@ -386,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceError, ValueError, OSError) as exc:
+    except (AdversaryError, ConfigError, TraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,10 +16,8 @@ as explicit violations instead of silent divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Optional
 
-from .degseq import RealizationOutcome
 from .groups import GroupLayout, enforce_capacity
 from .protocol import (
     AllOkay,
@@ -109,38 +107,16 @@ class Metrics:
     dropped_messages: int = 0
 
 
+@dataclass
 class NodeOutcome:
-    """Final per-node record. The realization verdict is derived lazily from
-    the view (it is a deterministic function of it)."""
+    """Final per-node record. Its realization verdict is a function of the
+    view alone; `harness.verdict` computes it."""
 
-    def __init__(
-        self,
-        index: int,
-        state: str,
-        crashed_round: Optional[int],
-        exit_round: Optional[int],
-        view: dict[int, int],
-    ):
-        self.index = index
-        self.state = state
-        self.crashed_round = crashed_round
-        self.exit_round = exit_round
-        self.view = view
-
-    @cached_property
-    def verdict(self) -> Optional[RealizationOutcome]:
-        if self.exit_round is None:
-            return None
-        from .degseq import DegreeSequence, havel_hakimi
-
-        return havel_hakimi(DegreeSequence(tuple(sorted(self.view.items()))))
-
-    def __repr__(self) -> str:
-        return (
-            f"NodeOutcome(index={self.index}, state={self.state!r}, "
-            f"crashed_round={self.crashed_round}, exit_round={self.exit_round}, "
-            f"view={self.view})"
-        )
+    index: int
+    state: str
+    crashed_round: Optional[int]
+    exit_round: Optional[int]
+    view: dict[int, int]
 
 
 @dataclass
@@ -205,9 +181,6 @@ class RoundEngine:
         self.outboxes: dict[int, list[tuple[Any, list[int]]]] = {}
 
     # -- helpers ------------------------------------------------------------
-
-    def node(self, index: int) -> ProtocolNode:
-        return self.nodes[index - 1]
 
     def is_crashed(self, index: int) -> bool:
         return index in self.crashed_round

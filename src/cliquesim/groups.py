@@ -57,9 +57,7 @@ class GroupLayout:
         return [(group - 1 + k) % g + 1 for k in range(g)]
 
 
-def enforce_capacity(
-    mailbox: list, limit: int, sender_of=lambda msg: msg.sender
-) -> tuple[list, list]:
+def enforce_capacity(mailbox: list, limit: int) -> tuple[list, list]:
     """Split an over-full mailbox into (kept, dropped).
 
     Messages are kept in ascending sender-index order up to the limit; the
@@ -67,5 +65,5 @@ def enforce_capacity(
     """
     if len(mailbox) <= limit:
         return mailbox, []
-    ordered = sorted(mailbox, key=sender_of)
+    ordered = sorted(mailbox, key=lambda msg: msg.sender)
     return ordered[:limit], ordered[limit:]

@@ -4,24 +4,27 @@
 all terminated nodes agree on the degree view and the realization verdict,
 the view is large enough given the crash count, only crashed nodes' degrees
 may be missing, every survivor's degree is everywhere, and the message
-total respects the broadcast accounting bound. The exhaustive suite runs
-one execution per enumerated crash plan and reports every plan whose
-execution either fails a check or raises a protocol violation.
+total respects the broadcast accounting bound. `verdict` is the one place
+a node's realization verdict is computed, cached per sorted view. The
+exhaustive suite runs one execution per enumerated crash plan and reports
+every plan whose execution either fails a check or raises a protocol
+violation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
-from .adversary import CrashPlan, PlanSpace, scripted
-from .degseq import DegreeSequence, havel_hakimi
+from .adversary import CrashPlan, PlanSpace, ScriptedAdversary
+from .degseq import DegreeSequence, RealizationOutcome, havel_hakimi
 from .engine import (
     AdversaryError,
     ConfigError,
     ExecutionResult,
+    NodeOutcome,
     SimConfig,
     SimulationError,
     run_simulation,
@@ -32,10 +35,13 @@ __all__ = [
     "check_execution",
     "message_bound",
     "run_plan",
+    "verdict",
     "VerifyReport",
-    "verify_plans",
     "verify_exhaustive",
 ]
+
+# Plans per verification task; each task reports at most 20 violations.
+CHUNK_SIZE = 50_000
 
 
 def message_bound(n: int, crashes: int, allokay_broadcasters: int) -> int:
@@ -70,9 +76,12 @@ def check_execution(result: ExecutionResult) -> list[str]:
                     f"and {o.index}: {ref.view} vs {o.view}"
                 )
                 break
-        verdicts = {
-            _verdict_key(tuple(sorted(o.view.items()))) for o in exited
-        }
+        # One verdict per distinct view. Two verdicts agree when both are
+        # unrealizable or both realize the same edge set.
+        verdicts = set()
+        for view in {tuple(sorted(o.view.items())) for o in exited}:
+            graph = _realize(view).graph
+            verdicts.add(None if graph is None else graph.edges)
         if len(verdicts) > 1:
             issues.append(
                 f"agreement: verdict disagreement among exited nodes "
@@ -111,20 +120,24 @@ def check_execution(result: ExecutionResult) -> list[str]:
     return issues
 
 
+def verdict(node: NodeOutcome) -> RealizationOutcome | None:
+    """Realization verdict of a node's final view; None if it never exited."""
+    if node.exit_round is None:
+        return None
+    return _realize(tuple(sorted(node.view.items())))
+
+
 @lru_cache(maxsize=8192)
-def _verdict_key(view_entries: tuple[tuple[int, int], ...]) -> tuple:
-    """Realization verdict fingerprint for a degree view; cached because the
-    same views recur across enumerated executions."""
-    outcome = havel_hakimi(DegreeSequence(view_entries))
-    if outcome.graph is None:
-        return (False,)
-    return (True, tuple(outcome.graph.sorted_edges()))
+def _realize(view: tuple[tuple[int, int], ...]) -> RealizationOutcome:
+    """Havel-Hakimi on a sorted degree view; cached because the same views
+    recur across a run's nodes and across enumerated executions."""
+    return havel_hakimi(DegreeSequence(view))
 
 
 def run_plan(config: SimConfig, plan: CrashPlan) -> tuple[list[str], int, int]:
     """Run one scripted execution; return (issues, rounds, messages)."""
     try:
-        result = run_simulation(config, scripted(plan))
+        result = run_simulation(config, ScriptedAdversary(plan))
     except (ProtocolViolation, SimulationError) as exc:
         if isinstance(exc, (AdversaryError, ConfigError)):
             raise
@@ -152,9 +165,11 @@ class VerifyReport:
         return min(self.violations) if self.violations else None
 
 
-def _run_range(args) -> tuple[int, list[tuple[tuple, list[str]]], int, int]:
-    config, n, f, horizon, start, stop, stop_on_first = args
-    space = PlanSpace(n, f, horizon)
+def _run_chunk(args) -> tuple[int, list[tuple[tuple, list[str]]], int, int]:
+    """Run plans [start, stop) of the space; stop early after the first
+    violation (stop_on_first) or the 20th."""
+    config, f, horizon, start, stop, stop_on_first = args
+    space = PlanSpace(config.n, f, horizon)
     violations: list[tuple[tuple, list[str]]] = []
     max_rounds = 0
     max_messages = 0
@@ -172,65 +187,31 @@ def _run_range(args) -> tuple[int, list[tuple[tuple, list[str]]], int, int]:
     return ran, violations, max_rounds, max_messages
 
 
-def verify_plans(
-    config: SimConfig,
-    plans: Iterable[CrashPlan],
-    stop_on_first: bool = False,
-) -> VerifyReport:
-    """Run a concrete plan collection serially."""
-    plans = list(plans)
-    report = VerifyReport(plans_total=len(plans), executions_run=0)
-    for plan in plans:
-        issues, rounds, messages = run_plan(config, plan)
-        report.executions_run += 1
-        report.max_rounds = max(report.max_rounds, rounds)
-        report.max_messages = max(report.max_messages, messages)
-        if issues:
-            report.violations.append((tuple(plan.events), issues))
-            if stop_on_first:
-                break
-    report.violations.sort()
-    return report
-
-
 def verify_exhaustive(
     config: SimConfig,
     f: int,
     horizon: int = 14,
     workers: int = 1,
     stop_on_first: bool = False,
-    chunk_size: int = 50_000,
 ) -> VerifyReport:
     """Run every enumerated crash plan for the given caps against the
     config, in parallel when workers > 1."""
-    n = config.n
-    space = PlanSpace(n, f, horizon)
-    total = len(space)
+    total = len(PlanSpace(config.n, f, horizon))
     report = VerifyReport(plans_total=total, executions_run=0)
     tasks = [
-        (config, n, f, horizon, start, min(start + chunk_size, total), stop_on_first)
-        for start in range(0, total, chunk_size)
+        (config, f, horizon, start, min(start + CHUNK_SIZE, total), stop_on_first)
+        for start in range(0, total, CHUNK_SIZE)
     ]
-    if workers <= 1:
-        outputs = map(_run_range, tasks)
-        for ran, violations, max_rounds, max_messages in outputs:
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            run = stack.enter_context(multiprocessing.Pool(workers)).imap_unordered
+        for ran, violations, max_rounds, max_messages in run(_run_chunk, tasks):
             report.executions_run += ran
             report.violations.extend(violations)
             report.max_rounds = max(report.max_rounds, max_rounds)
             report.max_messages = max(report.max_messages, max_messages)
             if violations and stop_on_first:
                 break
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            for ran, violations, max_rounds, max_messages in pool.imap_unordered(
-                _run_range, tasks
-            ):
-                report.executions_run += ran
-                report.violations.extend(violations)
-                report.max_rounds = max(report.max_rounds, max_rounds)
-                report.max_messages = max(report.max_messages, max_messages)
-                if violations and stop_on_first:
-                    pool.terminate()
-                    break
     report.violations.sort()
     return report

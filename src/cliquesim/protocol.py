@@ -22,7 +22,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .degseq import DegreeSequence, RealizationOutcome, havel_hakimi
 from .groups import GroupLayout
 
 __all__ = [
@@ -188,9 +187,6 @@ class ProtocolNode:
             self.current_subject = None
         return [(msg, recipients)] if recipients else []
 
-    def _peers(self) -> list[int]:
-        return self._peer_list
-
     def _enter_exit(self, rnd: int, broadcast: bool) -> None:
         """Fold leftovers into the view and stop. Only a node that finished
         its own list broadcasts the termination signal; recipients just
@@ -308,7 +304,7 @@ class ProtocolNode:
                     if MUTATE_NO_HEARD_ONCE_UPDATE not in self.mutations:
                         self.flist[s] = Entry(FAULTY, msg.degree)
                 else:
-                    self._check_degree(s, msg.degree)
+                    self._insert_view(s, msg.degree)
             else:
                 self._insert_view(s, msg.degree)
                 self.flist.pop(s, None)
@@ -347,19 +343,3 @@ class ProtocolNode:
                 f"node {self.index} saw conflicting degrees {prior} and "
                 f"{degree} for node {subject}"
             )
-
-    def _check_degree(self, subject: int, degree: int) -> None:
-        if self.view[subject] != degree:
-            raise ProtocolViolation(
-                f"node {self.index} saw conflicting degrees "
-                f"{self.view[subject]} and {degree} for node {subject}"
-            )
-
-    # -- outputs ----------------------------------------------------------
-
-    def degree_view(self) -> DegreeSequence:
-        return DegreeSequence(tuple(sorted(self.view.items())))
-
-    def finalize(self) -> RealizationOutcome:
-        """Local overlay realization from the final degree view."""
-        return havel_hakimi(self.degree_view())

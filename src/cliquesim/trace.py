@@ -13,8 +13,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adversary import CrashEvent, CrashPlan, scripted
+from .adversary import CrashEvent, CrashPlan, ScriptedAdversary
 from .engine import ExecutionResult, SimConfig, run_simulation
+from .harness import verdict
 
 __all__ = [
     "TRACE_VERSION",
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 TRACE_VERSION = 1
+HEADER_KEYS = ("n", "degrees", "model", "capacity_c", "strict", "seed", "adversary")
 
 
 class TraceError(ValueError):
@@ -55,14 +57,15 @@ def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
     }
     nodes = []
     for o in result.nodes:
-        verdict = None
-        if o.verdict is not None:
-            if o.verdict.graph is None:
-                verdict = {"realizable": False}
+        outcome = verdict(o)
+        shown = None
+        if outcome is not None:
+            if outcome.graph is None:
+                shown = {"realizable": False}
             else:
-                verdict = {
+                shown = {
                     "realizable": True,
-                    "edges": [list(e) for e in o.verdict.graph.sorted_edges()],
+                    "edges": [list(e) for e in outcome.graph.sorted_edges()],
                 }
         nodes.append(
             {
@@ -71,7 +74,7 @@ def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
                 "crashed_round": o.crashed_round,
                 "exit_round": o.exit_round,
                 "view": {str(k): v for k, v in sorted(o.view.items())},
-                "verdict": verdict,
+                "verdict": shown,
             }
         )
     end = {
@@ -101,9 +104,14 @@ class ParsedTrace:
 
     def config(self) -> SimConfig:
         h = self.header
+        degrees = h["degrees"]
+        if not isinstance(degrees, list) or not all(
+            isinstance(x, int) for x in [h["n"], h["capacity_c"], *degrees]
+        ):
+            raise TraceError("trace header: n, capacity_c and degrees must be integers")
         return SimConfig(
             n=h["n"],
-            degrees=tuple(h["degrees"]),
+            degrees=tuple(degrees),
             model=h["model"],
             capacity_c=h["capacity_c"],
             strict=h["strict"],
@@ -132,14 +140,19 @@ def read_trace(path: str | Path) -> ParsedTrace:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise TraceError(f"line {lineno}: not valid JSON ({exc})") from exc
+    if not all(isinstance(r, dict) for r in records):
+        raise TraceError("every record must be a JSON object")
     header, *body = records
     if header.get("record") != "header":
         raise TraceError("first record is not a header")
     if header.get("version") != TRACE_VERSION:
         raise TraceError(
-            f"trace version {header.get('version')} unsupported "
+            f"trace version {header.get('version')!r} unsupported "
             f"(expected {TRACE_VERSION})"
         )
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise TraceError(f"trace header lacks {', '.join(missing)}")
     if not body or body[-1].get("record") != "end":
         raise TraceError("trace has no end record")
     rounds = body[:-1]
@@ -162,13 +175,15 @@ def replay_trace(parsed: ParsedTrace, expect_model: str | None = None) -> Replay
     is about the execution (rounds, states, metrics), not about which
     strategy originally produced the schedule.
     """
-    if expect_model is not None and parsed.header["model"] != expect_model:
+    config = parsed.config()
+    if expect_model is not None and config.model != expect_model:
         raise TraceError(
-            f"trace was recorded under model {parsed.header['model']!r}, "
+            f"trace was recorded under model {config.model!r}, "
             f"replay requested {expect_model!r}"
         )
-    config = parsed.config()
-    result = run_simulation(config, scripted(parsed.crash_plan()), record_trace=True)
+    result = run_simulation(
+        config, ScriptedAdversary(parsed.crash_plan()), record_trace=True
+    )
     new_lines = trace_lines(result, parsed.header["adversary"])
     old_lines = parsed.lines
     divergence = None

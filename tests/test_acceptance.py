@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from cliquesim.adversary import (
-    none_adversary,
-    random_adversary,
-    worst_case_heuristic,
+    NoneAdversary,
+    RandomAdversary,
+    WorstCaseAdversary,
 )
 from cliquesim.degseq import (
     DegreeSequence,
@@ -75,9 +75,9 @@ def scaling_runs():
     runs = []
     for f in (0, 8, 16, 32, 63):
         config = SimConfig(n=n, degrees=(2,) * n)
-        adversaries = [("worst", worst_case_heuristic(f))]
+        adversaries = [("worst", WorstCaseAdversary(f))]
         adversaries += [
-            (f"random:{seed}", random_adversary(seed, f)) for seed in range(100)
+            (f"random:{seed}", RandomAdversary(seed, f)) for seed in range(100)
         ]
         for label, adversary in adversaries:
             result = run_simulation(config, adversary)
@@ -102,7 +102,7 @@ def ncc_runs():
         g = GroupLayout.for_clique(n).group_count
         for f in (0, 1, 4):
             config = SimConfig(n=n, degrees=(1,) * n, model="ncc", strict=True)
-            result = run_simulation(config, worst_case_heuristic(f))
+            result = run_simulation(config, WorstCaseAdversary(f))
             runs.append(
                 {
                     "n": n,
@@ -160,7 +160,7 @@ def test_criterion_03_fault_free_exactness():
     details = []
     for n in (2, 8, 64):
         config = SimConfig(n=n, degrees=(1,) * n)
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         rounds = result.metrics.rounds_to_termination
         messages = result.metrics.messages_sent
         expected = 2 * n * (n - 1) + (n - 1)
@@ -217,7 +217,7 @@ def test_criterion_06_lower_bound_probes():
     details = []
     for f in (4, 8, 16):
         config = SimConfig(n=n, degrees=(1,) * n)
-        result = run_simulation(config, worst_case_heuristic(f))
+        result = run_simulation(config, WorstCaseAdversary(f))
         rounds = result.metrics.rounds_to_termination
         messages = result.metrics.messages_sent
         ok &= rounds >= f and messages >= n * (n - 1)
@@ -305,7 +305,7 @@ def test_criterion_10_replay_fidelity(tmp_path):
     for model, n, f, seed in cases:
         config = SimConfig(n=n, degrees=(2,) * n, model=model, seed=seed)
         result = run_simulation(
-            config, random_adversary(seed, f), record_trace=True
+            config, RandomAdversary(seed, f), record_trace=True
         )
         path = tmp_path / f"run-{model}-{seed}.jsonl"
         write_trace(path, result, f"random:{seed}")

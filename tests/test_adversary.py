@@ -6,14 +6,13 @@ import pytest
 from cliquesim.adversary import (
     CrashEvent,
     CrashPlan,
+    NoneAdversary,
     PlanSpace,
-    exhaustive_enumerator,
+    RandomAdversary,
+    ScriptedAdversary,
+    WorstCaseAdversary,
     format_plan,
-    none_adversary,
     parse_plan_file,
-    random_adversary,
-    scripted,
-    worst_case_heuristic,
 )
 from cliquesim.engine import SimConfig, run_simulation
 from cliquesim.harness import check_execution
@@ -22,19 +21,19 @@ from cliquesim.harness import check_execution
 class TestNoneAdversary:
     def test_no_crashes_three_rounds(self):
         config = SimConfig(n=6, degrees=(1,) * 6)
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         assert not result.crashes
         assert result.metrics.rounds_to_termination == 3
 
     def test_unused_budget_stays_unused(self):
         config = SimConfig(n=6, degrees=(1,) * 6)
-        result = run_simulation(config, none_adversary(budget=5))
+        result = run_simulation(config, NoneAdversary(budget=5))
         assert not result.crashes
 
     def test_exact_fault_free_message_formula(self):
         n = 6
         config = SimConfig(n=n, degrees=(1,) * n)
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         assert result.metrics.messages_sent == 2 * n * (n - 1) + (n - 1)
 
 
@@ -42,19 +41,19 @@ class TestScripted:
     def test_replays_exactly(self):
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 2, (3,)),))
-        result = run_simulation(config, scripted(plan))
+        result = run_simulation(config, ScriptedAdversary(plan))
         assert result.crashes == [(1, 2, (3,))]
 
     def test_empty_plan_equals_none(self):
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
-        a = run_simulation(config, scripted(CrashPlan(())))
-        b = run_simulation(config, none_adversary())
+        a = run_simulation(config, ScriptedAdversary(CrashPlan(())))
+        b = run_simulation(config, NoneAdversary())
         assert a.metrics == b.metrics
 
     def test_crash_during_second_copy_splits_listeners(self):
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 2, ()), CrashEvent(4, 1, (3,))))
-        result = run_simulation(config, scripted(plan))
+        result = run_simulation(config, ScriptedAdversary(plan))
         assert check_execution(result) == []
 
     def test_one_crash_per_node_enforced(self):
@@ -92,7 +91,7 @@ class TestRandomAdversary:
     @pytest.mark.parametrize("seed", sorted(GOLDEN))
     def test_seed_pinned_regression(self, seed):
         config = SimConfig(n=8, degrees=(2, 3, 1, 2, 2, 3, 1, 2), seed=seed)
-        result = run_simulation(config, random_adversary(seed, 3, 0.08))
+        result = run_simulation(config, RandomAdversary(seed, 3, 0.08))
         rounds, messages, crashes = self.GOLDEN[seed]
         assert result.metrics.rounds_to_termination == rounds
         assert result.metrics.messages_sent == messages
@@ -102,15 +101,15 @@ class TestRandomAdversary:
     def test_budget_respected(self):
         config = SimConfig(n=8, degrees=(1,) * 8)
         for seed in range(10):
-            result = run_simulation(config, random_adversary(seed, 2, 0.3))
+            result = run_simulation(config, RandomAdversary(seed, 2, 0.3))
             assert len(result.crashes) <= 2
 
 
 class TestWorstCaseHeuristic:
     def test_zero_budget_degenerates_to_none(self):
         config = SimConfig(n=8, degrees=(1,) * 8)
-        a = run_simulation(config, worst_case_heuristic(0))
-        b = run_simulation(config, none_adversary())
+        a = run_simulation(config, WorstCaseAdversary(0))
+        b = run_simulation(config, NoneAdversary())
         assert a.metrics == b.metrics
 
     def test_failover_timeout_after_second_copy_crash(self):
@@ -118,7 +117,7 @@ class TestWorstCaseHeuristic:
         delivered). Listeners last heard u1 in round 3, and with u2 dead the
         next live index u3 times out 3*(3-1) rounds later, at round 9."""
         config = SimConfig(n=8, degrees=(1,) * 8)
-        result = run_simulation(config, worst_case_heuristic(2), record_trace=True)
+        result = run_simulation(config, WorstCaseAdversary(2), record_trace=True)
         by_round = {r["round"]: r for r in result.trace_rounds}
         # u2 crashes in round 1 (phase-1 split); u1 sends its entry in
         # rounds 3 and 4 and is crashed on the second copy.
@@ -138,7 +137,7 @@ class TestWorstCaseHeuristic:
         config = SimConfig(n=16, degrees=(1,) * 16)
         rounds = []
         for f in range(1, 9):
-            result = run_simulation(config, worst_case_heuristic(f))
+            result = run_simulation(config, WorstCaseAdversary(f))
             assert check_execution(result) == []
             rounds.append(result.metrics.rounds_to_termination)
         # one phase-1 crash costs 2 extra rounds; each further crash 3
@@ -169,11 +168,11 @@ class TestPlanSpace:
 
     def test_caps_enforced(self):
         with pytest.raises(ValueError, match="capped"):
-            exhaustive_enumerator(5, 1, 5)
+            PlanSpace(5, 1, 5)
         with pytest.raises(ValueError, match="capped"):
-            exhaustive_enumerator(4, 4, 5)
+            PlanSpace(4, 4, 5)
         with pytest.raises(ValueError, match="capped"):
-            exhaustive_enumerator(4, 3, 15)
+            PlanSpace(4, 3, 15)
 
     def test_subset_encoding_covers_power_set(self):
         space = PlanSpace(3, 1, 1)

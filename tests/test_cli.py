@@ -1,10 +1,20 @@
 """Command-line contract tests: exit statuses, output formats, and the CSV
 report schema."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cliquesim import cli
 from cliquesim.cli import REPORT_COLUMNS, main
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestRealize:
@@ -100,6 +110,30 @@ class TestSimulate:
         )
         assert rc == 2
 
+    def test_plan_crashing_unknown_node_status_two(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("1 9 -\n")
+        rc = main(
+            [
+                "simulate",
+                "--n",
+                "4",
+                "--degrees",
+                "1,2,2,1",
+                "--adversary",
+                "scripted",
+                "--plan-file",
+                str(plan_path),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: crash of unknown node 9\n"
+
+    def test_failed_checks_status_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "check_execution", lambda result: ["messages: x"])
+        assert main(["simulate", "--n", "4", "--degrees", "1,1,1,1"]) == 1
+        assert "checks=FAILED\n  issue: messages: x\n" in capsys.readouterr().out
+
     def test_degree_length_mismatch_is_config_error(self):
         assert main(["simulate", "--n", "4", "--degrees", "1,1"]) == 2
 
@@ -177,6 +211,13 @@ class TestSweep:
         assert "max rounds per f" in err
         assert "slope=" in err
 
+    def test_golden_csv(self, tmp_path):
+        out_path = tmp_path / "report.csv"
+        argv = ["sweep", "--n", "8", "--f", "0,2,4,7", "--adversary", "worst,random"]
+        assert main(argv + ["--seeds", "5", "--out", str(out_path)]) == 0
+        golden = (DATA / "golden_sweep_n8.csv").read_bytes()
+        assert out_path.read_bytes() == golden
+
     def test_message_bound_holds_per_row(self, tmp_path):
         out_path = tmp_path / "report.csv"
         main(
@@ -252,3 +293,81 @@ class TestReplayCommand:
         path = self.make_trace(tmp_path, model="ncc")
         assert main(["replay", "--trace", str(path), "--model", "cc"]) == 2
         assert "model" in capsys.readouterr().err
+
+    def test_header_without_n_status_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"record":"header","version":1}\n{"record":"end"}\n')
+        assert main(["replay", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: trace header lacks n")
+
+
+# -- fuzzed inputs: every outcome is an exit status, never a traceback --------
+
+
+def run_quietly(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+def format_event(event) -> str:
+    rnd, node, recipients = event
+    shown = ",".join(map(str, recipients)) if recipients is not None else "-"
+    return f"{rnd} {node} {shown}"
+
+
+plan_events = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 6),
+    st.one_of(st.none(), st.lists(st.integers(-1, 5), max_size=4)),
+)
+plan_text = st.one_of(
+    st.lists(plan_events.map(format_event), max_size=3).map("\n".join),
+    st.text(alphabet="0123456789 ,-#x\n", max_size=30),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=plan_text, n=st.integers(1, 4))
+def test_fuzz_plan_file(text, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        plan_path = Path(tmp) / "plan.txt"
+        plan_path.write_text(text)
+        run_quietly(
+            ["simulate", "--n", str(n), "--degree-uniform", "1"]
+            + ["--adversary", "scripted", "--plan-file", str(plan_path)]
+        )
+
+
+GOLDEN_HEADER, _, GOLDEN_BODY = (
+    (DATA / "golden_scripted_n4.jsonl").read_text().partition("\n")
+)
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.sampled_from(["cc", "ncc"]),
+    st.lists(st.integers(-1, 5), max_size=5),
+)
+header_keys = st.sampled_from(sorted(json.loads(GOLDEN_HEADER)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    changes=st.dictionaries(header_keys, json_values, max_size=3),
+    dropped=st.sets(header_keys, max_size=2),
+)
+def test_fuzz_trace_header(changes, dropped):
+    header = {**json.loads(GOLDEN_HEADER), **changes}
+    for key in dropped:
+        header.pop(key)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text(json.dumps(header) + "\n" + GOLDEN_BODY)
+        run_quietly(["replay", "--trace", str(path)])

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquesim.adversary import CrashEvent, CrashPlan, none_adversary, scripted
+from cliquesim.adversary import (
+    CrashEvent,
+    CrashPlan,
+    NoneAdversary,
+    ScriptedAdversary,
+)
 from cliquesim.engine import (
     AdversaryError,
     ConfigError,
@@ -13,7 +18,7 @@ from cliquesim.engine import (
     SimConfig,
     run_simulation,
 )
-from cliquesim.harness import check_execution, message_bound
+from cliquesim.harness import check_execution, message_bound, verdict
 
 
 def fault_free_messages(n):
@@ -24,26 +29,26 @@ class TestFaultFree:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
     def test_three_rounds_and_exact_messages(self, n):
         config = SimConfig(n=n, degrees=(0,) * n)
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         assert result.metrics.rounds_to_termination == 3
         assert result.metrics.messages_sent == fault_free_messages(n)
 
     def test_matching_overlay_for_unit_degrees(self):
         config = SimConfig(n=4, degrees=(1, 1, 1, 1))
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         views = {tuple(sorted(o.view.items())) for o in result.nodes}
         assert views == {((1, 1), (2, 1), (3, 1), (4, 1))}
-        assert result.nodes[0].verdict.graph.sorted_edges() == [(1, 2), (3, 4)]
+        assert verdict(result.nodes[0]).graph.sorted_edges() == [(1, 2), (3, 4)]
 
     def test_per_round_message_counts(self):
         n = 4
         config = SimConfig(n=n, degrees=(1, 1, 1, 1))
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         assert result.metrics.per_round_counts == [12, 12, 3]
 
     def test_single_node_clique(self):
         config = SimConfig(n=1, degrees=(0,))
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         assert result.metrics.rounds_to_termination == 3
         assert result.metrics.messages_sent == 0
         assert result.nodes[0].view == {1: 0}
@@ -55,7 +60,7 @@ class TestScriptedCrashes:
         view without u2, in 5 rounds and 28 messages (hand-stepped)."""
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 2, (3,)),))
-        result = run_simulation(config, scripted(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
         assert result.metrics.rounds_to_termination == 5
         assert result.metrics.messages_sent == 28
         survivors = result.survivors()
@@ -69,7 +74,7 @@ class TestScriptedCrashes:
         node knows the degree and phase 2 re-includes it."""
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(2, 2, ()),))
-        result = run_simulation(config, scripted(plan))
+        result = run_simulation(config, ScriptedAdversary(plan))
         for o in result.survivors():
             assert o.view == {1: 1, 2: 2, 3: 2, 4: 1}
         assert check_execution(result) == []
@@ -77,7 +82,7 @@ class TestScriptedCrashes:
     def test_crash_with_full_delivery_is_indistinguishable_this_round(self):
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 2, (1, 3, 4)),))
-        result = run_simulation(config, scripted(plan))
+        result = run_simulation(config, ScriptedAdversary(plan))
         # round 1 fully delivered, round 2 silent: heard once everywhere
         for o in result.survivors():
             assert o.view == {1: 1, 2: 2, 3: 2, 4: 1}
@@ -85,7 +90,7 @@ class TestScriptedCrashes:
     def test_crashed_node_never_delivers_later(self):
         config = SimConfig(n=3, degrees=(1, 1, 0))
         plan = CrashPlan((CrashEvent(1, 3, ()),))
-        result = run_simulation(config, scripted(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
         for record in result.trace_rounds:
             if record["round"] > 1:
                 assert all(s["from"] != 3 for s in record["sends"])
@@ -95,7 +100,7 @@ class TestScriptedCrashes:
         u1's last delivered send."""
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 3, (1,)), CrashEvent(4, 1, ())))
-        result = run_simulation(config, scripted(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
         assert check_execution(result) == []
         # u1 transmitted the entry for 3 in rounds 3 (all) and 4 (dropped):
         # listeners last heard round 3, so u2 activates at 3 + 3 = 6.
@@ -110,7 +115,7 @@ class TestScriptedCrashes:
     def test_message_accounting_counts_delivered_only_for_crashers(self):
         config = SimConfig(n=4, degrees=(0, 0, 0, 0))
         plan = CrashPlan((CrashEvent(3, 1, ()),))  # crash exiter mid-allokay
-        result = run_simulation(config, scripted(plan))
+        result = run_simulation(config, ScriptedAdversary(plan))
         # u1's round-3 allokay is entirely undelivered (0 counted); u2 times
         # out at round 6 and pays its own 3-message broadcast.
         assert result.metrics.per_round_counts == [12, 12, 0, 0, 0, 3]
@@ -120,7 +125,7 @@ class TestScriptedCrashes:
     def test_crash_of_silent_node_consumes_budget_only(self):
         config = SimConfig(n=4, degrees=(1, 1, 1, 1))
         plan = CrashPlan((CrashEvent(9, 4, (1, 2)),))
-        result = run_simulation(config, scripted(plan))
+        result = run_simulation(config, ScriptedAdversary(plan))
         # by round 9 the run is long over; the event is recorded as a no-op
         assert result.metrics.rounds_to_termination == 3
 
@@ -153,18 +158,18 @@ def test_agreement_and_validity_under_arbitrary_crash_plans(data):
         for _ in range(n)
     )
     config = SimConfig(n=n, degrees=degrees)
-    result = run_simulation(config, scripted(CrashPlan(tuple(events))))
+    result = run_simulation(config, ScriptedAdversary(CrashPlan(tuple(events))))
     assert check_execution(result) == []
 
 
 class TestDeterminism:
     def test_identical_configs_produce_identical_traces(self):
-        from cliquesim.adversary import random_adversary
+        from cliquesim.adversary import RandomAdversary
         from cliquesim.trace import trace_lines
 
         config = SimConfig(n=6, degrees=(1, 2, 2, 1, 3, 1), seed=7)
         runs = [
-            run_simulation(config, random_adversary(7, 3), record_trace=True)
+            run_simulation(config, RandomAdversary(7, 3), record_trace=True)
             for _ in range(2)
         ]
         lines = [trace_lines(r, "random:7") for r in runs]
@@ -199,7 +204,7 @@ class TestEngineContracts:
     def test_budget_must_be_below_n(self):
         config = SimConfig(n=2, degrees=(0, 0))
         with pytest.raises(ConfigError, match="budget"):
-            RoundEngine(config, none_adversary(budget=2))
+            RoundEngine(config, NoneAdversary(budget=2))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -211,14 +216,14 @@ class TestEngineContracts:
 
     def test_watchdog_cap_value(self):
         config = SimConfig(n=4, degrees=(1, 1, 1, 1))
-        engine = RoundEngine(config, none_adversary(budget=2))
+        engine = RoundEngine(config, NoneAdversary(budget=2))
         assert engine.round_cap == 10 * (4 + 2) + 20
 
     def test_watchdog_overrun_carries_trace(self):
         from cliquesim.engine import RoundLimitExceeded
 
         config = SimConfig(n=4, degrees=(1, 1, 1, 1))
-        engine = RoundEngine(config, none_adversary(), record_trace=True)
+        engine = RoundEngine(config, NoneAdversary(), record_trace=True)
         engine.round_cap = 2  # force the cap below natural termination
         with pytest.raises(RoundLimitExceeded) as excinfo:
             engine.run()
@@ -228,4 +233,4 @@ class TestEngineContracts:
         config = SimConfig(n=3, degrees=(0, 0, 0))
         plan = CrashPlan((CrashEvent(1, 7, ()),))
         with pytest.raises(AdversaryError, match="unknown"):
-            run_simulation(config, scripted(plan))
+            run_simulation(config, ScriptedAdversary(plan))

@@ -7,13 +7,13 @@ import pytest
 from cliquesim.adversary import (
     CrashEvent,
     CrashPlan,
-    none_adversary,
-    scripted,
-    worst_case_heuristic,
+    NoneAdversary,
+    ScriptedAdversary,
+    WorstCaseAdversary,
 )
 from cliquesim.engine import RoundEngine, SimConfig, run_simulation
 from cliquesim.groups import GroupLayout, enforce_capacity, log2_ceil
-from cliquesim.harness import check_execution, verify_plans
+from cliquesim.harness import check_execution, verify_exhaustive
 from cliquesim.adversary import PlanSpace
 from cliquesim.protocol import AllOkay, ProtocolNode
 
@@ -87,7 +87,7 @@ class TestNccExecution:
     def test_fault_free_round_count_and_messages(self):
         n = 8
         config = SimConfig(n=n, degrees=(2,) * n, model="ncc", strict=True)
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         # phase 1 is 2G rounds; the first activation exits immediately and
         # staggers its termination signal over G rounds
         assert result.metrics.rounds_to_termination == 3 * 3
@@ -97,7 +97,7 @@ class TestNccExecution:
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
     def test_capacity_never_exceeded_fault_free(self, n):
         config = SimConfig(n=n, degrees=(1,) * n, model="ncc", strict=True)
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         assert result.metrics.max_send_per_round <= log2_ceil(n)
         assert result.metrics.max_recv_per_round <= log2_ceil(n)
         assert result.metrics.dropped_messages == 0
@@ -107,7 +107,7 @@ class TestNccExecution:
         n = 16
         config = SimConfig(n=n, degrees=(1,) * n, model="ncc")
         plan = CrashPlan((CrashEvent(2, 2, ()),))  # round-2 crash: faulty
-        result = run_simulation(config, scripted(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
         layout = GroupLayout.for_clique(n)
         assert layout.group_count == 4
         fault_rounds = [
@@ -130,7 +130,7 @@ class TestNccExecution:
     def test_staggered_allokay_order_and_termination(self):
         n = 8
         config = SimConfig(n=n, degrees=(1,) * n, model="ncc")
-        result = run_simulation(config, none_adversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary(), record_trace=True)
         allokay_sends = [
             (r["round"], s["to"])
             for r in result.trace_rounds
@@ -156,7 +156,7 @@ class TestNccExecution:
         plan = CrashPlan(
             (CrashEvent(1, 1, ()), CrashEvent(1, 2, ()), CrashEvent(1, 3, ()))
         )
-        result = run_simulation(config, scripted(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
         allokay_sends = [
             s["to"]
             for r in result.trace_rounds
@@ -179,7 +179,7 @@ class TestNccExecution:
         for n in (8, 16):
             for f in (1, 4):
                 config = SimConfig(n=n, degrees=(1,) * n, model="ncc", strict=True)
-                result = run_simulation(config, worst_case_heuristic(f))
+                result = run_simulation(config, WorstCaseAdversary(f))
                 assert result.metrics.max_send_per_round <= log2_ceil(n)
                 assert result.metrics.max_recv_per_round <= log2_ceil(n)
                 assert result.metrics.dropped_messages == 0
@@ -187,18 +187,18 @@ class TestNccExecution:
 
     def test_capacity_constant_scales_limits(self):
         config = SimConfig(n=8, degrees=(1,) * 8, model="ncc", capacity_c=2)
-        engine = RoundEngine(config, none_adversary())
+        engine = RoundEngine(config, NoneAdversary())
         assert engine.capacity == 2 * 3
 
     def test_watchdog_scales_with_group_count(self):
         """Legitimate capacitated executions stretch every timeout by G; a
         heavy random crash load at n=25 needs >510 rounds and must not trip
         the watchdog."""
-        from cliquesim.adversary import random_adversary
+        from cliquesim.adversary import RandomAdversary
 
         n = 25
         config = SimConfig(n=n, degrees=(2,) * n, model="ncc", strict=True)
-        engine = RoundEngine(config, random_adversary(3287, 24, 0.25))
+        engine = RoundEngine(config, RandomAdversary(3287, 24, 0.25))
         assert engine.round_cap == (10 * (n + 24) + 20) * 5
         result = engine.run()
         assert result.metrics.rounds_to_termination > 500
@@ -212,10 +212,10 @@ class TestModelEquivalence:
         n = 5
         degrees = (1, 2, 2, 1, 2)
         plan = CrashPlan((CrashEvent(1, 2, (3,)), CrashEvent(4, 1, (4,))))
-        cc = run_simulation(SimConfig(n=n, degrees=degrees), scripted(plan))
+        cc = run_simulation(SimConfig(n=n, degrees=degrees), ScriptedAdversary(plan))
         ncc = RoundEngine(
             SimConfig(n=n, degrees=degrees, model="ncc"),
-            scripted(plan),
+            ScriptedAdversary(plan),
             layout=GroupLayout(n=n, group_size=n, group_count=1),
         ).run()
         assert [o.view for o in cc.nodes] == [o.view for o in ncc.nodes]
@@ -229,6 +229,6 @@ class TestNccAgreement:
         survivors always agree (heard-once rules fire exactly as in the
         uncapacitated model)."""
         config = SimConfig(n=3, degrees=(1, 1, 2), model="ncc", strict=True)
-        report = verify_plans(config, PlanSpace(3, 1, 14))
+        report = verify_exhaustive(config, f=1, horizon=14)
         assert report.ok, report.first_counterexample()
         assert report.executions_run == len(PlanSpace(3, 1, 14))

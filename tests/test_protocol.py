@@ -5,6 +5,8 @@ the listener update rules.
 
 import pytest
 
+from cliquesim.engine import NodeOutcome
+from cliquesim.harness import verdict
 from cliquesim.protocol import (
     AllOkay,
     Announce,
@@ -236,8 +238,9 @@ class TestDegenerateClique:
         assert node.state is NodeState.EXIT
         assert out == []  # no peers to signal
 
-    def test_finalize_uses_the_view(self):
+    def test_exit_view_verdict(self):
         node = make_classified_node(1, 3, degree=2, heard={2: [2, 2], 3: [2, 2]})
         node.emit(3)
-        outcome = node.finalize()
+        final = NodeOutcome(1, node.state.value, None, node.exit_round, node.view)
+        outcome = verdict(final)
         assert outcome.graph.sorted_edges() == [(1, 2), (1, 3), (2, 3)]

@@ -7,9 +7,9 @@ import pytest
 from cliquesim.adversary import (
     CrashEvent,
     CrashPlan,
-    none_adversary,
-    random_adversary,
-    scripted,
+    NoneAdversary,
+    RandomAdversary,
+    ScriptedAdversary,
 )
 from cliquesim.engine import SimConfig, run_simulation
 from cliquesim.trace import (
@@ -29,7 +29,7 @@ def run_traced(config, adversary, desc):
 class TestSerialization:
     def test_record_structure(self):
         config = SimConfig(n=3, degrees=(1, 1, 2))
-        lines, _ = run_traced(config, none_adversary(), "none")
+        lines, _ = run_traced(config, NoneAdversary(), "none")
         records = [json.loads(ln) for ln in lines]
         assert records[0]["record"] == "header"
         assert records[-1]["record"] == "end"
@@ -39,7 +39,7 @@ class TestSerialization:
     def test_sends_and_crashes_recorded(self):
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 2, (3,)),))
-        lines, _ = run_traced(config, scripted(plan), "scripted")
+        lines, _ = run_traced(config, ScriptedAdversary(plan), "scripted")
         round1 = json.loads(lines[1])
         assert round1["crashes"] == [{"node": 2, "delivered": [3]}]
         from_two = [s for s in round1["sends"] if s["from"] == 2]
@@ -47,13 +47,13 @@ class TestSerialization:
 
     def test_byte_stability_across_runs(self):
         config = SimConfig(n=5, degrees=(2, 2, 2, 2, 2), seed=9)
-        first, _ = run_traced(config, random_adversary(9, 2), "random:9")
-        second, _ = run_traced(config, random_adversary(9, 2), "random:9")
+        first, _ = run_traced(config, RandomAdversary(9, 2), "random:9")
+        second, _ = run_traced(config, RandomAdversary(9, 2), "random:9")
         assert first == second
 
     def test_write_and_read_round_trip(self, tmp_path):
         config = SimConfig(n=3, degrees=(1, 1, 2))
-        result = run_simulation(config, none_adversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary(), record_trace=True)
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         parsed = read_trace(path)
@@ -69,7 +69,7 @@ class TestSerialization:
         golden = Path(__file__).parent / "data" / "golden_scripted_n4.jsonl"
         config = SimConfig(n=4, degrees=(1, 2, 2, 1), seed=0)
         plan = CrashPlan((CrashEvent(1, 2, (3,)),))
-        result = run_simulation(config, scripted(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
         lines = trace_lines(result, "scripted:u2-round1-to-u3")
         assert "\n".join(lines) + "\n" == golden.read_text()
 
@@ -78,7 +78,7 @@ class TestReplay:
     def test_fresh_trace_replays_identically(self, tmp_path):
         config = SimConfig(n=6, degrees=(1, 2, 2, 1, 3, 1), seed=4)
         result = run_simulation(
-            config, random_adversary(4, 3), record_trace=True
+            config, RandomAdversary(4, 3), record_trace=True
         )
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "random:4")
@@ -87,7 +87,7 @@ class TestReplay:
 
     def test_corrupted_trace_reports_divergence(self, tmp_path):
         config = SimConfig(n=4, degrees=(1, 1, 1, 1))
-        result = run_simulation(config, none_adversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary(), record_trace=True)
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         text = path.read_text().replace('"degree":1', '"degree":3', 1)
@@ -98,7 +98,7 @@ class TestReplay:
 
     def test_model_mismatch_rejected(self, tmp_path):
         config = SimConfig(n=8, degrees=(1,) * 8, model="ncc")
-        result = run_simulation(config, none_adversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary(), record_trace=True)
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         with pytest.raises(TraceError, match="model"):
@@ -106,7 +106,7 @@ class TestReplay:
 
     def test_version_mismatch_rejected(self, tmp_path):
         config = SimConfig(n=3, degrees=(1, 1, 2))
-        result = run_simulation(config, none_adversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary(), record_trace=True)
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         text = path.read_text().replace('"version":1', '"version":99', 1)
@@ -114,8 +114,23 @@ class TestReplay:
         with pytest.raises(TraceError, match="version"):
             read_trace(path)
 
+    def test_non_object_record_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"record":"header","version":1}\n[1]\n{"record":"end"}\n')
+        with pytest.raises(TraceError, match="JSON object"):
+            read_trace(path)
+
+    def test_non_integer_header_rejected(self, tmp_path):
+        config = SimConfig(n=3, degrees=(1, 1, 2))
+        result = run_simulation(config, NoneAdversary(), record_trace=True)
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result, "none")
+        path.write_text(path.read_text().replace('"n":3', '"n":3.0', 1))
+        with pytest.raises(TraceError, match="integers"):
+            replay_trace(read_trace(path))
+
     def test_untraced_run_cannot_serialize(self):
         config = SimConfig(n=3, degrees=(1, 1, 2))
-        result = run_simulation(config, none_adversary())
+        result = run_simulation(config, NoneAdversary())
         with pytest.raises(TraceError, match="without trace"):
             trace_lines(result, "none")
