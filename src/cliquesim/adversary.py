@@ -3,10 +3,12 @@ heuristic, and an exhaustive small-instance plan enumerator.
 
 An adversary is any object with a `budget` attribute and a
 `decide(engine, round) -> dict[node, recipients] | None` method, called once
-per round after all sends are computed. Returning a node index crashes that
-node this round; the associated recipient collection is the subset of its
-current outbox that still gets delivered. Decisions may inspect the full
-engine state (the model grants the adversary complete observability).
+per round after all sends are computed: `engine.outboxes[i]` is node i's one
+`(message, recipients)` pair this round, absent when i is silent. Returning
+a node index crashes that node this round; the associated recipient
+collection is the subset of its recipients that still gets the message.
+Decisions may inspect the full engine state (the model grants the adversary
+complete observability).
 """
 
 from __future__ import annotations
@@ -83,10 +85,12 @@ class ScriptedAdversary:
 
 class RandomAdversary:
     """Each not-yet-crashed node crashes independently per round with fixed
-    probability until the budget runs out; the delivered subset of the
-    crash-round outbox is uniform."""
+    probability until the budget runs out; the subset of its crash-round
+    recipients that still get the message is uniform."""
 
     def __init__(self, seed: int, budget: int, crash_probability: float = 0.05):
+        if not 0 <= crash_probability <= 1:
+            raise ValueError(f"crash probability {crash_probability} not in [0, 1]")
         self.budget = budget
         self.crash_probability = crash_probability
         self._rng = random.Random(seed)
@@ -100,10 +104,10 @@ class RandomAdversary:
                 continue
             if self._rng.random() >= self.crash_probability:
                 continue
-            recipients = set()
-            for _, targets in engine.outboxes.get(node.index, []):
-                recipients.update(j for j in targets if self._rng.random() < 0.5)
-            decisions[node.index] = tuple(sorted(recipients))
+            _, targets = engine.outboxes.get(node.index, (None, ()))
+            decisions[node.index] = tuple(
+                j for j in targets if self._rng.random() < 0.5
+            )
         return decisions or None
 
 
@@ -120,23 +124,18 @@ class WorstCaseAdversary:
         if self.budget == 0:
             return None
         if rnd == 1 and not engine.is_crashed(2) and engine.config.n >= 2:
-            out = engine.outboxes.get(2, [])
-            recipients = sorted({j for _, targets in out for j in targets})
-            keep = recipients[: (len(recipients) + 1) // 2]
-            return {2: tuple(keep)}
+            _, recipients = engine.outboxes.get(2, (None, ()))
+            return {2: tuple(recipients[: (len(recipients) + 1) // 2])}
         if rnd <= engine.nodes[0].phase1_len or engine.remaining_budget() == 0:
             return None
-        for node in engine.nodes:
-            if engine.is_crashed(node.index) or node.index not in engine.outboxes:
-                continue
-            sends = engine.outboxes[node.index]
-            is_fault = any(isinstance(m, FaultEntry) for m, _ in sends)
+        for index, (msg, _) in engine.outboxes.items():
+            node = engine.nodes[index - 1]
             finished_entry = (
                 node.current_subject is None
                 and node.sends_done == node.copies_per_entry
             )
-            if is_fault and finished_entry:
-                return {node.index: ()}
+            if isinstance(msg, FaultEntry) and finished_entry:
+                return {index: ()}
         return None
 
 
@@ -149,13 +148,15 @@ class PlanSpace(Sequence):
     """
 
     def __init__(self, n: int, f: int, horizon: int):
-        if n > ENUM_MAX_N or f > ENUM_MAX_F or horizon > ENUM_MAX_HORIZON:
+        if not (
+            0 <= f < n <= ENUM_MAX_N
+            and f <= ENUM_MAX_F
+            and 1 <= horizon <= ENUM_MAX_HORIZON
+        ):
             raise ValueError(
-                f"enumeration capped at n<={ENUM_MAX_N}, f<={ENUM_MAX_F}, "
-                f"horizon<={ENUM_MAX_HORIZON}; got n={n}, f={f}, horizon={horizon}"
+                f"enumeration capped at 0<=f<n<={ENUM_MAX_N}, f<={ENUM_MAX_F}, "
+                f"1<=horizon<={ENUM_MAX_HORIZON}; got n={n}, f={f}, horizon={horizon}"
             )
-        if f >= n:
-            raise ValueError("f must be < n")
         self.n = n
         self.f = f
         self.horizon = horizon

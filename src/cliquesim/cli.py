@@ -60,16 +60,12 @@ def _parse_degree_list(text: str) -> tuple[int, ...]:
 
 def _resolve_degrees(args, n: int) -> tuple[int, ...]:
     if args.degrees is not None:
-        degrees = _parse_degree_list(args.degrees)
-    elif args.degree_file is not None:
-        degrees = _parse_degree_list(Path(args.degree_file).read_text())
-    elif args.degree_uniform is not None:
-        degrees = (args.degree_uniform,) * n
-    else:
-        degrees = random_graphic_degrees(n, random.Random(f"{args.seed}-degrees"))
-    if len(degrees) != n:
-        raise ConfigError(f"{len(degrees)} degrees given for n={n}")
-    return degrees
+        return _parse_degree_list(args.degrees)
+    if args.degree_file is not None:
+        return _parse_degree_list(Path(args.degree_file).read_text())
+    if args.degree_uniform is not None:
+        return (args.degree_uniform,) * n
+    return random_graphic_degrees(n, random.Random(f"{args.seed}-degrees"))
 
 
 def _build_adversary(name: str, f: int, seed: int, args) -> tuple[object, str]:
@@ -95,15 +91,9 @@ def _build_adversary(name: str, f: int, seed: int, args) -> tuple[object, str]:
 
 
 def cmd_realize(args) -> int:
-    try:
-        degrees = _parse_degree_list(" ".join(args.degree))
-        if not degrees:
-            raise ValueError("no degrees given")
-        if any(d < 0 for d in degrees):
-            raise ValueError("degrees must be non-negative")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    degrees = _parse_degree_list(" ".join(args.degree))
+    if not degrees:
+        raise ValueError("no degrees given")
     outcome = havel_hakimi(DegreeSequence.from_degrees(degrees))
     if outcome.graph is None:
         print("unrealizable")
@@ -251,13 +241,9 @@ def _print_sweep_summary(rows: list[dict]) -> None:
 def cmd_verify(args) -> int:
     degrees = _resolve_degrees(args, args.n)
     config = SimConfig(n=args.n, degrees=degrees, model=args.model, seed=args.seed)
-    try:
-        report = verify_exhaustive(
-            config, f=args.f, horizon=args.horizon, workers=args.workers
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = verify_exhaustive(
+        config, f=args.f, horizon=args.horizon, workers=args.workers
+    )
     lines = [
         f"plans={report.plans_total} executions={report.executions_run} "
         f"violations={len(report.violations)} max_rounds={report.max_rounds}"
@@ -378,6 +364,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if [] in vars(args).values():  # argparse reads `--opt=--` as []
+            raise ConfigError("'--' is not an option value")
         return args.func(args)
     except (AdversaryError, ConfigError, TraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

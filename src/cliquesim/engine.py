@@ -1,10 +1,11 @@
 """Deterministic synchronous round engine with crash-fault injection.
 
-Round structure: every live node computes its sends, the adversary then
-picks which nodes crash this round and which subset of each crasher's
-outgoing messages still gets delivered, all deliveries land, and finally
-every live node processes its inbox. A node that crashes is silent in all
-later rounds; a sender that does not crash delivers its full outbox.
+Round structure: every live node computes its one send (a message and its
+recipients) or stays silent, the adversary then picks which nodes crash
+this round and which of each crasher's recipients still get the message,
+all deliveries land, and finally every live node processes its inbox. A
+node that crashes is silent in all later rounds; a sender that does not
+crash reaches all its recipients.
 
 The engine also asserts the model-level invariants that the protocol's
 correctness argument relies on (at most one active transmitter, the
@@ -137,23 +138,16 @@ class ExecutionResult:
 class RoundEngine:
     """Single-use: build, call run() once."""
 
-    def __init__(
-        self,
-        config: SimConfig,
-        adversary,
-        record_trace: bool = False,
-        layout: GroupLayout | None = None,
-    ):
+    def __init__(self, config: SimConfig, adversary, record_trace: bool = False):
         self.config = config
         self.adversary = adversary
         self.record_trace = record_trace
         budget = getattr(adversary, "budget", 0)
-        if budget >= config.n:
-            raise ConfigError(f"fault budget {budget} must be < n={config.n}")
-        if config.model == "ncc":
-            self.layout = layout or GroupLayout.for_clique(config.n)
-        else:
-            self.layout = None
+        if not 0 <= budget < config.n:
+            raise ConfigError(f"fault budget {budget} must be in [0, n={config.n})")
+        self.layout = (
+            GroupLayout.for_clique(config.n) if config.model == "ncc" else None
+        )
         self.capacity = (
             config.capacity_c * self.layout.group_size if self.layout else None
         )
@@ -177,8 +171,9 @@ class RoundEngine:
         # stretched by the group count, so the cap scales with it too.
         scale = self.layout.group_count if self.layout else 1
         self.round_cap = (10 * (config.n + budget) + 20) * scale
-        # Current-round scratch, visible to adaptive adversaries.
-        self.outboxes: dict[int, list[tuple[Any, list[int]]]] = {}
+        # Current-round scratch, visible to adaptive adversaries: each
+        # sender's one (message, recipients) pair.
+        self.outboxes: dict[int, tuple[Any, list[int]]] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -214,38 +209,32 @@ class RoundEngine:
 
         self.outboxes = {}
         for node in self._live:
-            out = node.emit(rnd)
-            if out:
-                self.outboxes[node.index] = out
+            send = node.emit(rnd)
+            if send:
+                self.outboxes[node.index] = send
 
         decisions = self._crash_decisions(rnd)
         mailboxes: dict[int, list[Any]] = {}
         delivered_count = 0
         round_crashes: list[tuple[int, tuple[int, ...]]] = []
-        for sender, items in self.outboxes.items():
-            allowed = decisions.get(sender)
-            delivered_to: list[int] = []
-            attempted = 0
-            for msg, recipients in items:
-                self._check_outgoing(msg)
-                attempted += len(recipients)
-                if allowed is not None:
-                    recipients = [j for j in recipients if j in allowed]
-                for j in recipients:
-                    mailboxes.setdefault(j, []).append(msg)
-                delivered_to.extend(recipients)
-                delivered_count += len(recipients)
-            if self.capacity is not None and attempted:
+        for sender, (msg, recipients) in self.outboxes.items():
+            self._check_outgoing(msg)
+            if self.capacity is not None:
                 self.metrics.max_send_per_round = max(
-                    self.metrics.max_send_per_round, attempted
+                    self.metrics.max_send_per_round, len(recipients)
                 )
-                if attempted > self.capacity:
+                if len(recipients) > self.capacity:
                     raise ProtocolViolation(
-                        f"node {sender} sent {attempted} messages in round "
+                        f"node {sender} sent {len(recipients)} messages in round "
                         f"{rnd}, capacity {self.capacity}"
                     )
+            allowed = decisions.get(sender)
             if allowed is not None:
-                round_crashes.append((sender, tuple(sorted(delivered_to))))
+                recipients = [j for j in recipients if j in allowed]
+                round_crashes.append((sender, tuple(sorted(recipients))))
+            for j in recipients:
+                mailboxes.setdefault(j, []).append(msg)
+            delivered_count += len(recipients)
         for node_index in decisions:
             if node_index not in self.outboxes:
                 round_crashes.append((node_index, ()))
@@ -368,10 +357,10 @@ class RoundEngine:
         round_crashes: list[tuple[int, tuple[int, ...]]],
         states_before: list[NodeState],
     ) -> None:
-        sends = []
-        for sender, items in sorted(self.outboxes.items()):
-            for msg, recipients in items:
-                sends.append(_send_record(sender, msg, recipients))
+        sends = [
+            _send_record(msg, recipients)
+            for _, (msg, recipients) in sorted(self.outboxes.items())
+        ]
         transitions = []
         for node, before in zip(self.nodes, states_before):
             crashed_now = self.crashed_round.get(node.index) == rnd
@@ -417,26 +406,16 @@ class RoundEngine:
         )
 
 
-def _send_record(sender: int, msg: Any, recipients: list[int]) -> dict:
-    if isinstance(msg, Announce):
-        return {
-            "from": sender,
-            "kind": "announce",
-            "degree": msg.degree,
-            "to": list(recipients),
-        }
-    if isinstance(msg, FaultEntry):
-        return {
-            "from": sender,
-            "kind": "fault",
-            "subject": msg.subject,
-            "status": msg.status,
-            "degree": msg.degree,
-            "to": list(recipients),
-        }
-    if isinstance(msg, AllOkay):
-        return {"from": sender, "kind": "allokay", "to": list(recipients)}
-    raise TypeError(f"unknown message type {type(msg)!r}")
+_SEND_KINDS = {Announce: "announce", FaultEntry: "fault", AllOkay: "allokay"}
+
+
+def _send_record(msg: Any, recipients: list[int]) -> dict:
+    """A send's trace record: the message's fields, `sender` renamed `from`."""
+    record = msg._asdict()
+    record["from"] = record.pop("sender")
+    record["kind"] = _SEND_KINDS[type(msg)]
+    record["to"] = list(recipients)
+    return record
 
 
 def run_simulation(

@@ -12,7 +12,7 @@ its view and broadcasts a termination signal; listeners that receive the
 signal fold in and stop without rebroadcasting.
 
 Nodes are stepped by the round engine: `emit(round)` produces this round's
-sends (and applies send-side transitions), `receive(round, inbox)` applies
+one send (and applies send-side transitions), `receive(round, inbox)` applies
 reception rules. Both are deterministic; all cross-node interaction flows
 through the engine.
 """
@@ -136,37 +136,37 @@ class ProtocolNode:
             return None
         return self.last_heard + self.gap * (self.index - self.last_active)
 
-    def emit(self, rnd: int) -> list[tuple[object, list[int]]]:
-        """Compute this round's sends as (message, recipients) pairs,
-        applying send-side state transitions."""
+    def emit(self, rnd: int) -> tuple[object, list[int]] | None:
+        """Compute this round's one send as a (message, recipients) pair, or
+        None when the node is silent, applying send-side state transitions."""
         if rnd <= self.phase1_len:
             return self._emit_phase1(rnd)
-        if self.state is NodeState.EXIT:
-            if self._allokay_pending:
-                return [(AllOkay(self.index), self._allokay_pending.pop(0))]
-            return []
         if self.state is NodeState.LISTENING:
-            if rnd == self.activation_due():
-                self.state = NodeState.ACTIVE
-            else:
-                return []
-        return self._emit_active(rnd)
+            if rnd != self.activation_due():
+                return None
+            self.state = NodeState.ACTIVE
+        if self.state is NodeState.ACTIVE:
+            send = self._emit_active(rnd)
+            if send is not None:
+                return send
+        # Exited, possibly just now: one termination signal per pending group.
+        if self._allokay_pending:
+            return AllOkay(self.index), self._allokay_pending.pop(0)
+        return None
 
-    def _emit_phase1(self, rnd: int) -> list[tuple[object, list[int]]]:
+    def _emit_phase1(self, rnd: int) -> tuple[object, list[int]] | None:
         if self.layout is None:
-            return [(self._announce, self._peer_list)] if self._peer_list else []
+            return (self._announce, self._peer_list) if self._peer_list else None
         sweep_round = (rnd - 1) % self.layout.group_count
         dest = self.layout.phase1_dest(self.layout.group_of(self.index), sweep_round)
         recipients = [j for j in self.layout.members(dest) if j != self.index]
-        return [(self._announce, recipients)] if recipients else []
+        return (self._announce, recipients) if recipients else None
 
-    def _emit_active(self, rnd: int) -> list[tuple[object, list[int]]]:
+    def _emit_active(self, rnd: int) -> tuple[object, list[int]] | None:
         if self.current_subject is None:
             if not self.flist:
                 self._enter_exit(rnd, broadcast=True)
-                if self._allokay_pending:
-                    return [(AllOkay(self.index), self._allokay_pending.pop(0))]
-                return []
+                return None
             self.current_subject = min(self.flist)
             self.sends_done = 0
         subject = self.current_subject
@@ -185,7 +185,7 @@ class ProtocolNode:
         if self.sends_done == self.copies_per_entry:
             self._resolve_own(subject, entry)
             self.current_subject = None
-        return [(msg, recipients)] if recipients else []
+        return (msg, recipients) if recipients else None
 
     def _enter_exit(self, rnd: int, broadcast: bool) -> None:
         """Fold leftovers into the view and stop. Only a node that finished

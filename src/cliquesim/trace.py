@@ -55,18 +55,16 @@ def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
         "seed": config.seed,
         "adversary": adversary_desc,
     }
+    # One JSON verdict per distinct outcome; None is a node that never exited.
+    shown: dict = {None: None}
     nodes = []
     for o in result.nodes:
         outcome = verdict(o)
-        shown = None
-        if outcome is not None:
-            if outcome.graph is None:
-                shown = {"realizable": False}
-            else:
-                shown = {
-                    "realizable": True,
-                    "edges": [list(e) for e in outcome.graph.sorted_edges()],
-                }
+        if outcome not in shown:
+            shown[outcome] = {"realizable": outcome.realizable}
+            if outcome.realizable:
+                edges = outcome.graph.sorted_edges()
+                shown[outcome]["edges"] = [list(e) for e in edges]
         nodes.append(
             {
                 "node": o.index,
@@ -74,7 +72,7 @@ def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
                 "crashed_round": o.crashed_round,
                 "exit_round": o.exit_round,
                 "view": {str(k): v for k, v in sorted(o.view.items())},
-                "verdict": shown,
+                "verdict": shown[outcome],
             }
         )
     end = {
@@ -156,9 +154,28 @@ def read_trace(path: str | Path) -> ParsedTrace:
     if not body or body[-1].get("record") != "end":
         raise TraceError("trace has no end record")
     rounds = body[:-1]
-    if any(r.get("record") != "round" for r in rounds):
-        raise TraceError("malformed round records")
+    for lineno, record in enumerate(rounds, start=2):
+        if not _is_round_record(record):
+            raise TraceError(f"line {lineno}: malformed round record")
     return ParsedTrace(header=header, rounds=rounds, end=body[-1], lines=lines)
+
+
+def _is_round_record(record: dict) -> bool:
+    """An integer round and a list of crashes, each an object with an
+    integer node and a list of integer delivered recipients."""
+    crashes = record.get("crashes")
+    return (
+        record.get("record") == "round"
+        and isinstance(record.get("round"), int)
+        and isinstance(crashes, list)
+        and all(
+            isinstance(c, dict)
+            and isinstance(c.get("node"), int)
+            and isinstance(c.get("delivered"), list)
+            and all(isinstance(j, int) for j in c["delivered"])
+            for c in crashes
+        )
+    )
 
 
 @dataclass

@@ -104,6 +104,11 @@ class TestRandomAdversary:
             result = run_simulation(config, RandomAdversary(seed, 2, 0.3))
             assert len(result.crashes) <= 2
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_crash_probability_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="crash probability"):
+            RandomAdversary(0, 1, p)
+
 
 class TestWorstCaseHeuristic:
     def test_zero_budget_degenerates_to_none(self):
@@ -173,6 +178,9 @@ class TestPlanSpace:
             PlanSpace(4, 4, 5)
         with pytest.raises(ValueError, match="capped"):
             PlanSpace(4, 3, 15)
+        for n, f, horizon in ((4, -1, 5), (3, 3, 5), (4, 1, 0), (4, 1, -1)):
+            with pytest.raises(ValueError, match="capped"):
+                PlanSpace(n, f, horizon)
 
     def test_subset_encoding_covers_power_set(self):
         space = PlanSpace(3, 1, 1)

@@ -8,6 +8,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from cliquesim import cli
 from cliquesim.cli import REPORT_COLUMNS, main
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_LINES = (DATA / "golden_scripted_n4.jsonl").read_text().splitlines()
 
 
 class TestRealize:
@@ -255,6 +257,33 @@ class TestVerify:
         assert rc == 2
 
 
+SIMULATE_N4 = ["simulate", "--n", "4", "--degrees", "1,1,1,1"]
+VERIFY_N4 = ["verify", "--n", "4", "--degrees", "1,2,2,1"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (VERIFY_N4 + ["--f", "-1"], "0<=f<n"),
+        (VERIFY_N4 + ["--f", "1", "--horizon", "-1"], "1<=horizon"),
+        (VERIFY_N4 + ["--f", "1", "--horizon", "0"], "1<=horizon"),
+        (SIMULATE_N4 + ["--adversary", "random", "--f", "-2"], "fault budget -2"),
+        (SIMULATE_N4 + ["--adversary", "worst", "--f", "-1"], "fault budget -1"),
+        (SIMULATE_N4 + ["--adversary", "random", "--crash-prob", "1.5"], "probability"),
+        (SIMULATE_N4 + ["--adversary", "random", "--crash-prob", "-1"], "probability"),
+        (SIMULATE_N4 + ["--adversary", "random", "--crash-prob", "nan"], "probability"),
+        (["simulate", "--n=--"], "'--'"),
+        (["simulate", "--n", "4", "--degrees=--"], "'--'"),
+    ],
+)
+def test_bad_option_value_status_two(argv, expected, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert expected in captured.err
+
+
 class TestReplayCommand:
     def make_trace(self, tmp_path, model="cc"):
         trace_path = tmp_path / "run.jsonl"
@@ -293,6 +322,17 @@ class TestReplayCommand:
         path = self.make_trace(tmp_path, model="ncc")
         assert main(["replay", "--trace", str(path), "--model", "cc"]) == 2
         assert "model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "crashes", [[{"node": "x", "delivered": []}], [{"node": 2}], "nope"]
+    )
+    def test_malformed_round_record_status_two(self, tmp_path, capsys, crashes):
+        header, first, *rest = GOLDEN_LINES
+        record = {**json.loads(first), "crashes": crashes}
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+        assert main(["replay", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: malformed round record\n"
 
     def test_header_without_n_status_two(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -343,9 +383,6 @@ def test_fuzz_plan_file(text, n):
         )
 
 
-GOLDEN_HEADER, _, GOLDEN_BODY = (
-    (DATA / "golden_scripted_n4.jsonl").read_text().partition("\n")
-)
 json_values = st.one_of(
     st.none(),
     st.booleans(),
@@ -355,7 +392,7 @@ json_values = st.one_of(
     st.sampled_from(["cc", "ncc"]),
     st.lists(st.integers(-1, 5), max_size=5),
 )
-header_keys = st.sampled_from(sorted(json.loads(GOLDEN_HEADER)))
+header_keys = st.sampled_from(sorted(json.loads(GOLDEN_LINES[0])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,10 +401,57 @@ header_keys = st.sampled_from(sorted(json.loads(GOLDEN_HEADER)))
     dropped=st.sets(header_keys, max_size=2),
 )
 def test_fuzz_trace_header(changes, dropped):
-    header = {**json.loads(GOLDEN_HEADER), **changes}
+    header = {**json.loads(GOLDEN_LINES[0]), **changes}
     for key in dropped:
         header.pop(key)
+    replay_quietly([json.dumps(header), *GOLDEN_LINES[1:]])
+
+
+def replay_quietly(lines) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
-        path.write_text(json.dumps(header) + "\n" + GOLDEN_BODY)
+        path.write_text("\n".join(lines) + "\n")
         run_quietly(["replay", "--trace", str(path)])
+
+
+crash_records = st.fixed_dictionaries(
+    {}, optional={"node": json_values, "delivered": json_values}
+)
+round_changes = st.dictionaries(
+    st.sampled_from(["record", "round", "crashes"]),
+    st.one_of(json_values, st.lists(crash_records, max_size=2)),
+    max_size=2,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    line=st.integers(1, len(GOLDEN_LINES) - 2),
+    changes=round_changes,
+    dropped=st.sets(st.sampled_from(["round", "crashes"]), max_size=1),
+)
+def test_fuzz_round_record(line, changes, dropped):
+    record = {**json.loads(GOLDEN_LINES[line]), **changes}
+    for key in dropped:
+        record.pop(key)
+    lines = list(GOLDEN_LINES)
+    lines[line] = json.dumps(record)
+    replay_quietly(lines)
+
+
+degree_text = st.one_of(
+    st.lists(st.integers(-2, 6), max_size=5).map(lambda ds: ",".join(map(str, ds))),
+    st.text(alphabet="0123456789 ,-x", max_size=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=st.lists(degree_text, min_size=1, max_size=3))
+def test_fuzz_realize_degrees(texts):
+    run_quietly(["realize", "--", *texts])
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=degree_text, n=st.integers(1, 4))
+def test_fuzz_simulate_degrees(text, n):
+    run_quietly(["simulate", "--n", str(n), f"--degrees={text}"])

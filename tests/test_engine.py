@@ -203,8 +203,9 @@ class TestEngineContracts:
 
     def test_budget_must_be_below_n(self):
         config = SimConfig(n=2, degrees=(0, 0))
-        with pytest.raises(ConfigError, match="budget"):
-            RoundEngine(config, NoneAdversary(budget=2))
+        for budget in (2, -1):
+            with pytest.raises(ConfigError, match="budget"):
+                RoundEngine(config, NoneAdversary(budget=budget))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -206,18 +206,20 @@ class TestNccExecution:
 
 
 class TestModelEquivalence:
-    def test_single_group_layout_reproduces_cc(self):
+    def test_single_group_layout_reproduces_cc(self, monkeypatch):
         """With every node in one group, the capacitated schedules collapse
         to full broadcasts and both models produce identical executions."""
         n = 5
         degrees = (1, 2, 2, 1, 2)
         plan = CrashPlan((CrashEvent(1, 2, (3,)), CrashEvent(4, 1, (4,))))
         cc = run_simulation(SimConfig(n=n, degrees=degrees), ScriptedAdversary(plan))
-        ncc = RoundEngine(
-            SimConfig(n=n, degrees=degrees, model="ncc"),
-            ScriptedAdversary(plan),
-            layout=GroupLayout(n=n, group_size=n, group_count=1),
-        ).run()
+        monkeypatch.setattr(
+            GroupLayout, "for_clique", staticmethod(lambda n: GroupLayout(n, n, 1))
+        )
+        ncc = run_simulation(
+            SimConfig(n=n, degrees=degrees, model="ncc"), ScriptedAdversary(plan)
+        )
+        assert ncc.metrics.max_send_per_round == n - 1  # one group: full broadcasts
         assert [o.view for o in cc.nodes] == [o.view for o in ncc.nodes]
         assert cc.metrics.rounds_to_termination == ncc.metrics.rounds_to_termination
         assert cc.metrics.messages_sent == ncc.metrics.messages_sent

@@ -87,7 +87,7 @@ class TestActivationTiming:
 
     def test_listener_stays_quiet_before_due(self):
         node = make_classified_node(2, 4)
-        assert node.emit(3) == []
+        assert node.emit(3) is None
         assert node.state is NodeState.LISTENING
 
     def test_activation_emits_in_due_round(self):
@@ -95,10 +95,10 @@ class TestActivationTiming:
             2, 4, heard={1: [0, 0], 3: [2, 2], 4: [0, 0]}
         )
         for rnd in (3, 4, 5):
-            assert node.emit(rnd) == []
+            assert node.emit(rnd) is None
         out = node.emit(6)
         assert node.state is NodeState.EXIT  # empty list: immediate exit
-        [(msg, recipients)] = out
+        msg, recipients = out
         assert isinstance(msg, AllOkay)
         assert recipients == [1, 3, 4]
 
@@ -106,14 +106,14 @@ class TestActivationTiming:
 class TestActiveTransmission:
     def test_single_faulty_entry_sent_twice_then_exit(self):
         node = make_classified_node(1, 4, heard={2: [5], 3: [2, 2], 4: [0, 0]})
-        [(msg1, to1)] = node.emit(3)
+        msg1, to1 = node.emit(3)
         assert msg1 == FaultEntry(1, 2, FAULTY, 5)
         assert to1 == [2, 3, 4]
-        [(msg2, _)] = node.emit(4)
+        msg2, _ = node.emit(4)
         assert msg2 == msg1
         assert node.view[2] == 5  # resolved after the second copy
         assert node.flist == {}
-        [(msg3, _)] = node.emit(5)
+        msg3, _ = node.emit(5)
         assert isinstance(msg3, AllOkay)
         assert node.state is NodeState.EXIT and node.exit_round == 5
 
@@ -122,8 +122,8 @@ class TestActiveTransmission:
         # peer 2 never heard -> smite; peer 4 heard once -> faulty(7)
         sent = []
         for rnd in range(3, 8):
-            out = node.emit(rnd)
-            sent.append(out[0][0])
+            msg, _ = node.emit(rnd)
+            sent.append(msg)
         assert sent[0] == FaultEntry(1, 2, SMITE, None)
         assert sent[1] == FaultEntry(1, 2, SMITE, None)
         assert sent[2] == FaultEntry(1, 4, FAULTY, 7)
@@ -133,7 +133,7 @@ class TestActiveTransmission:
 
     def test_empty_list_goes_straight_to_allokay(self):
         node = make_classified_node(1, 3, heard={2: [1, 1], 3: [1, 1]})
-        [(msg, _)] = node.emit(3)
+        msg, _ = node.emit(3)
         assert isinstance(msg, AllOkay)
 
 
@@ -211,7 +211,7 @@ class TestExitBehavior:
         assert node.state is NodeState.EXIT
         assert node.view[4] == 5  # remaining faulty folded in
         assert 5 not in node.view  # smite dropped
-        assert node.emit(4) == []  # no rebroadcast
+        assert node.emit(4) is None  # no rebroadcast
         assert not node.allokay_broadcast
 
     def test_exit_from_active_broadcasts(self):
@@ -230,13 +230,13 @@ class TestExitBehavior:
 class TestDegenerateClique:
     def test_single_node_runs_alone(self):
         node = ProtocolNode(1, 4, 1)
-        assert node.emit(1) == [] and node.emit(2) == []
+        assert node.emit(1) is None and node.emit(2) is None
         node.receive(1, [])
         node.receive(2, [])
         assert node.view == {1: 4}
         out = node.emit(3)
         assert node.state is NodeState.EXIT
-        assert out == []  # no peers to signal
+        assert out is None  # no peers to signal
 
     def test_exit_view_verdict(self):
         node = make_classified_node(1, 3, degree=2, heard={2: [2, 2], 3: [2, 2]})
