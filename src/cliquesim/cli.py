@@ -165,6 +165,8 @@ def _summary_lines(result, issues) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds {args.seeds} must be >= 1")
     f_values = [int(x) for x in args.f_list.split(",")]
     adversaries = args.adversary.split(",")
     rows = []

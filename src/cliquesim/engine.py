@@ -1,11 +1,14 @@
 """Deterministic synchronous round engine with crash-fault injection.
 
-Round structure: every live node computes its one send (a message and its
-recipients) or stays silent, the adversary then picks which nodes crash
-this round and which of each crasher's recipients still get the message,
-all deliveries land, and finally every live node processes its inbox. A
-node that crashes is silent in all later rounds; a sender that does not
-crash reaches all its recipients.
+Round structure: every live node due to emit computes its one send (a
+message and its recipients) or stays silent, the adversary then picks which
+nodes crash this round and which of each crasher's recipients still get the
+message, all deliveries land, and finally every live node with mail
+processes its inbox. In phase 1 every live node is due and every live node
+receives, mail or not; afterwards a node is due only in the round its
+`next_emit` names, since `emit` in any other round and `receive` with an
+empty inbox change nothing. A node that crashes is silent in all later
+rounds; a sender that does not crash reaches all its recipients.
 
 The engine also asserts the model-level invariants that the protocol's
 correctness argument relies on (at most one active transmitter, the
@@ -165,6 +168,7 @@ class RoundEngine:
         self.metrics = Metrics()
         self.trace_rounds: list[dict] = []
         self._phase1_counts: dict[int, list[int]] | None = None
+        self._heard_twice: set[int] = set()
         self._phase1_len = self.nodes[0].phase1_len
         self._unsettled = set(range(1, config.n + 1))
         # Watchdog: every timeout and transmission in capacitated mode is
@@ -207,11 +211,18 @@ class RoundEngine:
             [node.state for node in self.nodes] if self.record_trace else None
         )
 
+        in_phase1 = rnd <= self._phase1_len
+        if in_phase1:
+            due = self._live
+        else:
+            due = [node for node in self._live if node.next_emit == rnd]
         self.outboxes = {}
-        for node in self._live:
+        for node in due:
             send = node.emit(rnd)
             if send:
                 self.outboxes[node.index] = send
+            if node.state is NodeState.EXIT:
+                self._unsettled.discard(node.index)
 
         decisions = self._crash_decisions(rnd)
         mailboxes: dict[int, list[Any]] = {}
@@ -251,7 +262,14 @@ class RoundEngine:
         self.metrics.messages_sent += delivered_count
         self.metrics.per_round_counts.append(delivered_count)
 
-        for node in self._live:
+        if in_phase1:
+            receivers = self._live
+        else:
+            crashed = self.crashed_round
+            receivers = [
+                self.nodes[j - 1] for j in sorted(mailboxes) if j not in crashed
+            ]
+        for node in receivers:
             inbox = mailboxes.get(node.index, [])
             if self.capacity is not None:
                 self.metrics.max_recv_per_round = max(
@@ -269,9 +287,10 @@ class RoundEngine:
             if node.state is NodeState.EXIT:
                 self._unsettled.discard(node.index)
 
-        self._check_single_active()
+        # Only `emit` makes a node active, and an active node is due every
+        # round, so this round's due nodes hold every active one.
+        self._check_single_active(due)
         if rnd == self._phase1_len:
-            self._snapshot_phase1()
             self._check_phase1_exclusion()
         if self.record_trace:
             self._record_round(rnd, round_crashes, states_before)
@@ -299,7 +318,7 @@ class RoundEngine:
         if (
             isinstance(msg, FaultEntry)
             and msg.status == SMITE
-            and self._phase1_counts is not None
+            and msg.subject in self._heard_twice
         ):
             for node_index, counts in self._phase1_counts.items():
                 if counts[msg.subject] >= 2:
@@ -308,10 +327,10 @@ class RoundEngine:
                         f"{node_index} heard twice in phase 1"
                     )
 
-    def _check_single_active(self) -> None:
+    def _check_single_active(self, due: list[ProtocolNode]) -> None:
         first = 0
-        for node in self._live:
-            if node.state is NodeState.ACTIVE:
+        for node in due:
+            if node.state is NodeState.ACTIVE and node.index not in self.crashed_round:
                 if first:
                     raise ProtocolViolation(
                         f"nodes {first} and {node.index} are simultaneously "
@@ -319,24 +338,26 @@ class RoundEngine:
                     )
                 first = node.index
 
-    def _snapshot_phase1(self) -> None:
-        self._phase1_counts = {
+    def _check_phase1_exclusion(self) -> None:
+        """Snapshot the live nodes' phase-1 counts, note every subject some
+        node heard twice (the smite check's set), and check that no subject
+        was heard twice by one node and never by another."""
+        rows = self._phase1_counts = {
             node.index: list(node.heard_count) for node in self._live
         }
-
-    def _check_phase1_exclusion(self) -> None:
-        assert self._phase1_counts is not None
-        for subject in range(1, self.config.n + 1):
-            twice = [
-                i
-                for i, counts in self._phase1_counts.items()
-                if i != subject and counts[subject] >= 2
-            ]
-            never = [
-                i
-                for i, counts in self._phase1_counts.items()
-                if i != subject and counts[subject] == 0
-            ]
+        # Column s of the transposed rows holds every live node's count of s;
+        # column 0 names no node.
+        columns = zip(*rows.values())
+        next(columns, None)
+        for subject, column in enumerate(columns, start=1):
+            if max(column) < 2:
+                continue
+            self._heard_twice.add(subject)
+            own = rows.get(subject)
+            if column.count(0) == (own is not None and own[subject] == 0):
+                continue  # no other node missed it
+            twice = [i for i, c in rows.items() if i != subject and c[subject] >= 2]
+            never = [i for i, c in rows.items() if i != subject and c[subject] == 0]
             if twice and never:
                 raise ProtocolViolation(
                     f"phase-1 exclusion broken for node {subject}: heard twice "

@@ -196,6 +196,8 @@ def verify_exhaustive(
 ) -> VerifyReport:
     """Run every enumerated crash plan for the given caps against the
     config, in parallel when workers > 1."""
+    if workers < 1:
+        raise ConfigError(f"workers {workers} must be >= 1")
     total = len(PlanSpace(config.n, f, horizon))
     report = VerifyReport(plans_total=total, executions_run=0)
     tasks = [

@@ -14,7 +14,11 @@ signal fold in and stop without rebroadcasting.
 Nodes are stepped by the round engine: `emit(round)` produces this round's
 one send (and applies send-side transitions), `receive(round, inbox)` applies
 reception rules. Both are deterministic; all cross-node interaction flows
-through the engine.
+through the engine. After phase 1 a node keeps `next_emit`, the only round in
+which `emit` can act: its activation round while listening, the next round
+while active or while termination signals are pending, and None once there
+is nothing left to send. A call in any other round, or a `receive` with an
+empty inbox, changes nothing, so the engine skips them.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ class ProtocolNode:
         self.flist: dict[int, Entry] = {}
         self.last_active = 1
         self.last_heard = 0
+        self.next_emit: int | None = None
         self.exit_round: int | None = None
 
         self.current_subject: int | None = None
@@ -145,14 +150,18 @@ class ProtocolNode:
             if rnd != self.activation_due():
                 return None
             self.state = NodeState.ACTIVE
+        send = None
         if self.state is NodeState.ACTIVE:
             send = self._emit_active(rnd)
-            if send is not None:
-                return send
         # Exited, possibly just now: one termination signal per pending group.
-        if self._allokay_pending:
-            return AllOkay(self.index), self._allokay_pending.pop(0)
-        return None
+        if send is None and self._allokay_pending:
+            send = AllOkay(self.index), self._allokay_pending.pop(0)
+        # An active node stays due even in a round it has no recipients.
+        if self.state is NodeState.ACTIVE or self._allokay_pending:
+            self.next_emit = rnd + 1
+        else:
+            self.next_emit = None
+        return send
 
     def _emit_phase1(self, rnd: int) -> tuple[object, list[int]] | None:
         if self.layout is None:
@@ -194,6 +203,7 @@ class ProtocolNode:
         self._fold_in()
         self.state = NodeState.EXIT
         self.exit_round = rnd
+        self.next_emit = None
         if broadcast:
             self._schedule_allokay()
 
@@ -235,19 +245,23 @@ class ProtocolNode:
             return
         if not inbox or self.state is NodeState.EXIT:
             return
-        entries = [m for m in inbox if isinstance(m, FaultEntry)]
-        if len(entries) > 1:
-            entries.sort(key=lambda m: m.sender)
-        for msg in entries:
-            if self.state is NodeState.ACTIVE:
-                # Another transmitter exists; the engine's single-active
-                # invariant reports it. Do not corrupt local state here.
-                continue
-            self.last_active = msg.sender
-            self.last_heard = rnd
-            self._apply_fault_entry(msg)
-        if any(isinstance(m, AllOkay) for m in inbox):
+        if len(inbox) > 1:
+            inbox = sorted(inbox, key=lambda m: m.sender)
+        heard = stop = False
+        for msg in inbox:
+            if isinstance(msg, AllOkay):
+                stop = True
+            elif isinstance(msg, FaultEntry) and self.state is not NodeState.ACTIVE:
+                # An active node ignores entries: another transmitter exists
+                # and the engine's single-active invariant reports it.
+                self.last_active = msg.sender
+                self.last_heard = rnd
+                self._apply_fault_entry(msg)
+                heard = True
+        if stop:
             self._enter_exit(rnd, broadcast=False)
+        elif heard:
+            self.next_emit = self.activation_due()
 
     def _classify(self) -> None:
         for j in range(1, self.n + 1):
@@ -265,6 +279,7 @@ class ProtocolNode:
         # index i is due 3 gaps later per step when nothing is ever heard.
         self.last_active = 1
         self.last_heard = self.phase1_len + 1
+        self.next_emit = self.activation_due()
 
     def _apply_fault_entry(self, msg: FaultEntry) -> None:
         if (msg.sender, msg.subject) == (self._window_sender, self._window_subject):

@@ -30,6 +30,8 @@ from cliquesim.protocol import (
 )
 from cliquesim.trace import read_trace, replay_trace, write_trace
 
+pytestmark = pytest.mark.slow
+
 WORKERS = 2
 ENUM_HORIZON = 14
 

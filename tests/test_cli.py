@@ -259,6 +259,7 @@ class TestVerify:
 
 SIMULATE_N4 = ["simulate", "--n", "4", "--degrees", "1,1,1,1"]
 VERIFY_N4 = ["verify", "--n", "4", "--degrees", "1,2,2,1"]
+SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
 
 
 @pytest.mark.parametrize(
@@ -274,6 +275,10 @@ VERIFY_N4 = ["verify", "--n", "4", "--degrees", "1,2,2,1"]
         (SIMULATE_N4 + ["--adversary", "random", "--crash-prob", "nan"], "probability"),
         (["simulate", "--n=--"], "'--'"),
         (["simulate", "--n", "4", "--degrees=--"], "'--'"),
+        (VERIFY_N4 + ["--f", "1", "--workers", "0"], "workers 0 must be >= 1"),
+        (VERIFY_N4 + ["--f", "1", "--workers", "-3"], "workers -3 must be >= 1"),
+        (SWEEP_N4 + ["--seeds", "0"], "--seeds 0 must be >= 1"),
+        (SWEEP_N4 + ["--seeds", "-1"], "--seeds -1 must be >= 1"),
     ],
 )
 def test_bad_option_value_status_two(argv, expected, capsys):

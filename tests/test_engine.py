@@ -19,6 +19,7 @@ from cliquesim.engine import (
     run_simulation,
 )
 from cliquesim.harness import check_execution, message_bound, verdict
+from cliquesim.protocol import SMITE, Entry, ProtocolNode, ProtocolViolation
 
 
 def fault_free_messages(n):
@@ -235,3 +236,65 @@ class TestEngineContracts:
         plan = CrashPlan((CrashEvent(1, 7, ()),))
         with pytest.raises(AdversaryError, match="unknown"):
             run_simulation(config, ScriptedAdversary(plan))
+
+
+class TestInvariantChecks:
+    """Each engine invariant fires on a node forced to break it; the crash
+    model itself never produces these states."""
+
+    def run_with(self, monkeypatch, node_class, config, adversary):
+        monkeypatch.setattr("cliquesim.engine.ProtocolNode", node_class)
+        with pytest.raises(ProtocolViolation) as excinfo:
+            run_simulation(config, adversary)
+        return str(excinfo.value)
+
+    def test_two_simultaneously_active_nodes(self, monkeypatch):
+        class EagerTimer(ProtocolNode):
+            def activation_due(self):
+                return None if self.index < self.last_active else self.last_heard
+
+        # Node 4 is never heard, so every list holds a smite entry for it
+        # and the eager nodes 1-3 all go active right after phase 1.
+        plan = CrashPlan((CrashEvent(1, 4, ()),))
+        message = self.run_with(
+            monkeypatch,
+            EagerTimer,
+            SimConfig(n=4, degrees=(1, 1, 1, 1)),
+            ScriptedAdversary(plan),
+        )
+        assert message == "nodes 1 and 2 are simultaneously active in round 3"
+
+    def test_phase1_subject_heard_twice_and_never(self, monkeypatch):
+        class Narrowcaster(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                send = super()._emit_phase1(rnd)
+                return (send[0], [1]) if self.index == 3 else send
+
+        message = self.run_with(
+            monkeypatch,
+            Narrowcaster,
+            SimConfig(n=4, degrees=(1, 1, 1, 1)),
+            NoneAdversary(),
+        )
+        assert message == (
+            "phase-1 exclusion broken for node 3: heard twice by [1], "
+            "never by [2, 4]"
+        )
+
+    def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
+        class Forgetful(ProtocolNode):
+            def _classify(self):
+                super()._classify()
+                if self.index == 1:
+                    del self.view[4]
+                    self.flist[4] = Entry(SMITE, None)
+
+        message = self.run_with(
+            monkeypatch,
+            Forgetful,
+            SimConfig(n=4, degrees=(1, 1, 1, 1)),
+            NoneAdversary(),
+        )
+        assert message == (
+            "smite rebroadcast for node 4, which node 1 heard twice in phase 1"
+        )
