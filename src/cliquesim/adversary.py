@@ -1,5 +1,7 @@
 """Crash strategies: benign, scripted, randomized, an adaptive worst-case
-heuristic, and an exhaustive small-instance plan enumerator.
+heuristic, a scripted adversary that records what each round sent (the
+schedule explorer's probe), and the brute-force small-instance plan
+enumerator.
 
 An adversary is any object with a `budget` attribute and a
 `decide(engine, round) -> dict[node, recipients] | None` method, called once
@@ -17,7 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .protocol import FaultEntry
 
@@ -26,6 +28,7 @@ __all__ = [
     "CrashPlan",
     "NoneAdversary",
     "ScriptedAdversary",
+    "RecordingAdversary",
     "RandomAdversary",
     "WorstCaseAdversary",
     "PlanSpace",
@@ -80,6 +83,24 @@ class ScriptedAdversary:
             self._by_round.setdefault(event.round, {})[event.node] = event.recipients
 
     def decide(self, engine, rnd: int):
+        return self._by_round.get(rnd)
+
+
+class RecordingAdversary(ScriptedAdversary):
+    """Plays a crash plan and keeps every round's outboxes, so a schedule
+    explorer can branch on what each node actually sent.
+
+    `outboxes[r - 1]` is round r's `engine.outboxes` (sender -> (message,
+    recipients)); its length is the last round whose crash decision the
+    engine asked for, which is the last round a crash can take effect.
+    """
+
+    def __init__(self, plan: CrashPlan):
+        super().__init__(plan)
+        self.outboxes: list[dict[int, tuple[Any, list[int]]]] = []
+
+    def decide(self, engine, rnd: int):
+        self.outboxes.append(engine.outboxes)
         return self._by_round.get(rnd)
 
 
@@ -143,8 +164,9 @@ class PlanSpace(Sequence):
     """Every crash schedule with up to f crashers, crash rounds in
     [1, horizon], and per-crasher delivery subsets over the other n-1 nodes.
 
-    Index-addressable so that enumeration can be sharded across workers
-    without materializing millions of plans.
+    The verifier takes its caps and its plan count from here; tests run it
+    in full as the brute-force oracle for the verifier's schedule explorer.
+    Index-addressable, so no plan list is ever materialized.
     """
 
     def __init__(self, n: int, f: int, horizon: int):

@@ -248,7 +248,8 @@ def cmd_verify(args) -> int:
     )
     lines = [
         f"plans={report.plans_total} executions={report.executions_run} "
-        f"violations={len(report.violations)} max_rounds={report.max_rounds}"
+        f"runs={report.runs} violations={report.violating_plans} "
+        f"max_rounds={report.max_rounds}"
     ]
     if report.ok:
         lines.append("PASS")

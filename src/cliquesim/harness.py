@@ -5,10 +5,21 @@ all terminated nodes agree on the degree view and the realization verdict,
 the view is large enough given the crash count, only crashed nodes' degrees
 may be missing, every survivor's degree is everywhere, and the message
 total respects the broadcast accounting bound. `verdict` is the one place
-a node's realization verdict is computed, cached per sorted view. The
-exhaustive suite runs one execution per enumerated crash plan and reports
-every plan whose execution either fails a check or raises a protocol
-violation.
+a node's realization verdict is computed, cached per sorted view.
+
+`verify_exhaustive` covers every plan of the brute-force `PlanSpace` (up to
+f crashers, each with a crash round up to the horizon and a delivery mask
+over its n-1 peers) without running each plan. Many plans run the same
+execution: a mask only matters on the recipients the crasher actually had
+that round, and a crash scheduled after the run's last round never happens.
+So the verifier explores depth first over effective crash logs, each run
+once through `run_plan` with a `RecordingAdversary`: the children of a log
+are its extensions by new crashes in a later round the run reached, each
+crasher delivering to a subset of what it really sent. Each run is weighted
+by the plans it stands for, so the report still counts plans. A violation
+is reported as its effective crash log, which is itself a plan that
+reproduces the failure. This is stateless model checking in the style of
+Godefroid's VeriSoft (POPL 1997).
 """
 
 from __future__ import annotations
@@ -16,9 +27,18 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import combinations, product, repeat
+from math import comb
+from typing import Iterator
 
-from .adversary import CrashPlan, PlanSpace, ScriptedAdversary
+from .adversary import (
+    CrashEvent,
+    CrashPlan,
+    PlanSpace,
+    RecordingAdversary,
+    ScriptedAdversary,
+)
 from .degseq import DegreeSequence, RealizationOutcome, havel_hakimi
 from .engine import (
     AdversaryError,
@@ -39,10 +59,6 @@ __all__ = [
     "VerifyReport",
     "verify_exhaustive",
 ]
-
-# Plans per verification task; each task reports at most 20 violations.
-CHUNK_SIZE = 50_000
-
 
 def message_bound(n: int, crashes: int, allokay_broadcasters: int) -> int:
     """Broadcast-accounting ceiling: two announce rounds, two rebroadcast
@@ -134,10 +150,14 @@ def _realize(view: tuple[tuple[int, int], ...]) -> RealizationOutcome:
     return havel_hakimi(DegreeSequence(view))
 
 
-def run_plan(config: SimConfig, plan: CrashPlan) -> tuple[list[str], int, int]:
-    """Run one scripted execution; return (issues, rounds, messages)."""
+def run_plan(
+    config: SimConfig, plan: CrashPlan, adversary: ScriptedAdversary | None = None
+) -> tuple[list[str], int, int]:
+    """Run one scripted execution of `plan`, through `adversary` when given
+    (a ScriptedAdversary for the same plan, such as a RecordingAdversary);
+    return (issues, rounds, messages)."""
     try:
-        result = run_simulation(config, ScriptedAdversary(plan))
+        result = run_simulation(config, adversary or ScriptedAdversary(plan))
     except (ProtocolViolation, SimulationError) as exc:
         if isinstance(exc, (AdversaryError, ConfigError)):
             raise
@@ -151,11 +171,17 @@ def run_plan(config: SimConfig, plan: CrashPlan) -> tuple[list[str], int, int]:
 
 @dataclass
 class VerifyReport:
+    """Counts are in plans of the brute-force space (`PlanSpace`), except
+    `runs`, the engine runs made. Each violation is an effective crash log
+    with its issues; `violating_plans` counts the plans it stands for."""
+
     plans_total: int
-    executions_run: int
+    executions_run: int  # plans covered
     violations: list[tuple[tuple, list[str]]] = field(default_factory=list)
     max_rounds: int = 0
     max_messages: int = 0
+    runs: int = 0
+    violating_plans: int = 0
 
     @property
     def ok(self) -> bool:
@@ -164,27 +190,96 @@ class VerifyReport:
     def first_counterexample(self) -> tuple[tuple, list[str]] | None:
         return min(self.violations) if self.violations else None
 
+    def merge(self, other: "VerifyReport") -> None:
+        self.executions_run += other.executions_run
+        self.violations.extend(other.violations)
+        self.max_rounds = max(self.max_rounds, other.max_rounds)
+        self.max_messages = max(self.max_messages, other.max_messages)
+        self.runs += other.runs
+        self.violating_plans += other.violating_plans
 
-def _run_chunk(args) -> tuple[int, list[tuple[tuple, list[str]]], int, int]:
-    """Run plans [start, stop) of the space; stop early after the first
-    violation (stop_on_first) or the 20th."""
-    config, f, horizon, start, stop, stop_on_first = args
-    space = PlanSpace(config.n, f, horizon)
-    violations: list[tuple[tuple, list[str]]] = []
-    max_rounds = 0
-    max_messages = 0
-    ran = 0
-    for i in range(start, stop):
-        plan = space[i]
-        issues, rounds, messages = run_plan(config, plan)
-        ran += 1
-        max_rounds = max(max_rounds, rounds)
-        max_messages = max(max_messages, messages)
-        if issues:
-            violations.append((tuple(plan.events), issues))
-            if stop_on_first or len(violations) >= 20:
-                break
-    return ran, violations, max_rounds, max_messages
+
+_Child = tuple[tuple[CrashEvent, ...], int]  # (crash log, crasher factor)
+
+
+def _run_log(
+    config: SimConfig,
+    f: int,
+    horizon: int,
+    events: tuple[CrashEvent, ...],
+    factor: int,
+    report: VerifyReport,
+) -> Iterator[_Child]:
+    """Run one effective crash log, add it to `report` weighted by the
+    brute-force plans it stands for, and return its children.
+
+    `factor` is the plans per crash in `events`: a crasher whose round's
+    send went to A of its n-1 peers is reached by the 2^(n-1-|A|) delivery
+    masks that agree on A. Every node `events` leaves alive may also hold a
+    phantom crash in a round after the run's last stepped round T and up to
+    the horizon, with any mask; such a crash never takes effect.
+    """
+    n = config.n
+    adversary = RecordingAdversary(CrashPlan(events))
+    issues, rounds, messages = run_plan(config, adversary.plan, adversary)
+    stepped = len(adversary.outboxes)
+    crashed = {e.node for e in events}
+    free = [v for v in range(1, n + 1) if v not in crashed]
+    spare = f - len(events)
+    phantom = max(horizon - stepped, 0) << (n - 1)
+    plans = factor * sum(comb(len(free), k) * phantom**k for k in range(spare + 1))
+    report.executions_run += plans
+    report.runs += 1
+    report.max_rounds = max(report.max_rounds, rounds)
+    report.max_messages = max(report.max_messages, messages)
+    if issues:
+        report.violations.append((events, issues))
+        report.violating_plans += plans
+    first = events[-1].round + 1 if events else 1
+    branch_rounds = range(first, min(stepped, horizon) + 1)
+    return _children(n, events, factor, free, spare, branch_rounds, adversary.outboxes)
+
+
+def _children(
+    n, events, factor, free, spare, branch_rounds, outboxes
+) -> Iterator[_Child]:
+    """Each log that extends `events` by one round's new crashes: every set
+    of up to `spare` free nodes, each delivering to every subset of the
+    recipients it actually had that round (none when it was silent)."""
+    for rnd in branch_rounds:
+        sent = outboxes[rnd - 1]
+        choices = {}
+        for v in free:
+            _, recipients = sent.get(v, (None, ()))
+            subsets = [
+                s
+                for k in range(len(recipients) + 1)
+                for s in combinations(recipients, k)
+            ]
+            choices[v] = (subsets, 1 << (n - 1 - len(recipients)))
+        for k in range(1, spare + 1):
+            for crashers in combinations(free, k):
+                weight = factor
+                for v in crashers:
+                    weight *= choices[v][1]
+                for delivered in product(*(choices[v][0] for v in crashers)):
+                    crashes = tuple(map(CrashEvent, repeat(rnd), crashers, delivered))
+                    yield events + crashes, weight
+
+
+def _explore(args) -> VerifyReport:
+    """Depth first over one crash log and every log that extends it; stop
+    after the first violating run when asked to."""
+    config, f, horizon, stop_on_first, events, factor = args
+    report = VerifyReport(plans_total=0, executions_run=0)
+    stack = [_run_log(config, f, horizon, events, factor, report)]
+    while stack and not (stop_on_first and report.violations):
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(_run_log(config, f, horizon, *child, report))
+    return report
 
 
 def verify_exhaustive(
@@ -194,26 +289,30 @@ def verify_exhaustive(
     workers: int = 1,
     stop_on_first: bool = False,
 ) -> VerifyReport:
-    """Run every enumerated crash plan for the given caps against the
-    config, in parallel when workers > 1."""
+    """Cover every `PlanSpace` plan for the given caps with one engine run
+    per distinct effective crash log.
+
+    The run without crashes is made here; the subtrees of its children
+    are the tasks, spread over `workers` processes when workers > 1 and
+    merged in task order, so the report does not depend on the worker
+    count.
+    """
     if workers < 1:
         raise ConfigError(f"workers {workers} must be >= 1")
     total = len(PlanSpace(config.n, f, horizon))
     report = VerifyReport(plans_total=total, executions_run=0)
-    tasks = [
-        (config, f, horizon, start, min(start + CHUNK_SIZE, total), stop_on_first)
-        for start in range(0, total, CHUNK_SIZE)
-    ]
+    root = _run_log(config, f, horizon, (), 1, report)
+    if stop_on_first and report.violations:
+        return report
+    tasks = ((config, f, horizon, stop_on_first, *child) for child in root)
     with contextlib.ExitStack() as stack:
         run = map
         if workers > 1:
-            run = stack.enter_context(multiprocessing.Pool(workers)).imap_unordered
-        for ran, violations, max_rounds, max_messages in run(_run_chunk, tasks):
-            report.executions_run += ran
-            report.violations.extend(violations)
-            report.max_rounds = max(report.max_rounds, max_rounds)
-            report.max_messages = max(report.max_messages, max_messages)
-            if violations and stop_on_first:
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            run = partial(pool.imap, chunksize=16)
+        for part in run(_explore, tasks):
+            report.merge(part)
+            if stop_on_first and part.violations:
                 break
     report.violations.sort()
     return report

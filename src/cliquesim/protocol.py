@@ -79,6 +79,10 @@ class Entry(NamedTuple):
     degree: Optional[int]
 
 
+# The one entry for a subject whose degree is unknown.
+_SMITE_ENTRY = Entry(SMITE, None)
+
+
 class NodeState(Enum):
     LISTENING = "listening"
     ACTIVE = "active"
@@ -273,7 +277,7 @@ class ProtocolNode:
             elif count == 1:
                 self.flist[j] = Entry(FAULTY, self.heard_degree[j])
             else:
-                self.flist[j] = Entry(SMITE, None)
+                self.flist[j] = _SMITE_ENTRY
         self.view[self.index] = self.degree
         # Virtual timer: the minimum index is due right after phase 1, and
         # index i is due 3 gaps later per step when nothing is ever heard.
@@ -304,7 +308,7 @@ class ProtocolNode:
                 )
             if count == 1:
                 if MUTATE_NO_HEARD_ONCE_UPDATE not in self.mutations:
-                    self.flist[s] = Entry(SMITE, None)
+                    self.flist[s] = _SMITE_ENTRY
             else:
                 self.flist.pop(s, None)
                 self._fold_below(s)
@@ -316,7 +320,11 @@ class ProtocolNode:
                 )
             if count == 1:
                 if s not in self.view:
-                    if MUTATE_NO_HEARD_ONCE_UPDATE not in self.mutations:
+                    # Most updates repeat the entry already held: skip them.
+                    if (
+                        MUTATE_NO_HEARD_ONCE_UPDATE not in self.mutations
+                        and self.flist.get(s) != (FAULTY, msg.degree)
+                    ):
                         self.flist[s] = Entry(FAULTY, msg.degree)
                 else:
                     self._insert_view(s, msg.degree)

@@ -3,6 +3,7 @@ report schema."""
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from cliquesim import cli
 from cliquesim.cli import REPORT_COLUMNS, main
+from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_LINES = (DATA / "golden_scripted_n4.jsonl").read_text().splitlines()
@@ -255,6 +257,34 @@ class TestVerify:
     def test_caps_exceeded_status_two(self, capsys):
         rc = main(["verify", "--n", "5", "--f", "1", "--degree-uniform", "1"])
         assert rc == 2
+
+    def test_report_line_counts_plans_and_runs(self, capsys):
+        rc = main(["verify", "--n", "4", "--f", "2", "--degrees", "1,2,2,1"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "plans=75713 executions=75713 runs=3531 violations=0 max_rounds=14",
+            "PASS",
+        ]
+
+    def test_counterexample_reproduces_in_simulate(self, monkeypatch, capsys, tmp_path):
+        mutated = functools.partial(
+            cli.SimConfig, mutations=frozenset({MUTATE_BELOW_FOLD_DISCARDS})
+        )
+        monkeypatch.setattr(cli, "SimConfig", mutated)
+        rc = main(["verify", "--n", "4", "--f", "2", "--degrees", "1,2,2,1"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert out[:2] == [
+            "plans=75713 executions=75713 runs=3531 violations=144 max_rounds=14",
+            "FAIL",
+        ]
+        plan = [ln.strip() for ln in out[3:] if not ln.strip().startswith("issue:")]
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text("\n".join(plan) + "\n")
+        argv = ["simulate", "--n", "4", "--degrees", "1,2,2,1", "--adversary"]
+        argv += ["scripted", "--plan-file", str(plan_file)]
+        assert main(argv) == 1
+        assert "checks=FAILED" in capsys.readouterr().out
 
 
 SIMULATE_N4 = ["simulate", "--n", "4", "--degrees", "1,1,1,1"]

@@ -23,8 +23,6 @@ import json
 import random
 from pathlib import Path
 
-import pytest
-
 from cliquesim.adversary import RandomAdversary, WorstCaseAdversary
 from cliquesim.engine import SimConfig, run_simulation
 from cliquesim.harness import check_execution, verify_exhaustive
@@ -115,7 +113,6 @@ def test_grid_runs_match_golden_digests():
     assert_golden(grid_lines())
 
 
-@pytest.mark.slow
 def test_exhaustive_n3_matches_golden_digests():
     """At n=3 neither mutation is caught, so the three reports agree; the
     digests still pin every count and the (empty) violation lists."""
