@@ -68,6 +68,17 @@ def _resolve_degrees(args, n: int) -> tuple[int, ...]:
     return random_graphic_degrees(n, random.Random(f"{args.seed}-degrees"))
 
 
+def _sim_config(args, degrees: tuple[int, ...], seed: int) -> SimConfig:
+    return SimConfig(
+        n=args.n,
+        degrees=degrees,
+        model=args.model,
+        capacity_c=args.capacity_c,
+        strict=args.strict,
+        seed=seed,
+    )
+
+
 def _build_adversary(name: str, f: int, seed: int, args) -> tuple[object, str]:
     """Return the adversary and the description a trace header records."""
     if name == "none":
@@ -104,15 +115,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    degrees = _resolve_degrees(args, args.n)
-    config = SimConfig(
-        n=args.n,
-        degrees=degrees,
-        model=args.model,
-        capacity_c=args.capacity_c,
-        strict=args.strict,
-        seed=args.seed,
-    )
+    config = _sim_config(args, _resolve_degrees(args, args.n), args.seed)
     adversary, desc = _build_adversary(args.adversary, args.f, args.seed, args)
     result = run_simulation(config, adversary, record_trace=args.trace is not None)
     if args.trace is not None:
@@ -189,14 +192,7 @@ def cmd_sweep(args) -> int:
 
 def _sweep_row(args, f: int, name: str, seed: int) -> dict:
     degrees = random_graphic_degrees(args.n, random.Random(f"{seed}-degrees"))
-    config = SimConfig(
-        n=args.n,
-        degrees=degrees,
-        model=args.model,
-        capacity_c=args.capacity_c,
-        strict=args.strict,
-        seed=seed,
-    )
+    config = _sim_config(args, degrees, seed)
     adversary, _ = _build_adversary(name, f, seed, args)
     result = run_simulation(config, adversary)
     issues = check_execution(result)
@@ -241,8 +237,7 @@ def _print_sweep_summary(rows: list[dict]) -> None:
 
 
 def cmd_verify(args) -> int:
-    degrees = _resolve_degrees(args, args.n)
-    config = SimConfig(n=args.n, degrees=degrees, model=args.model, seed=args.seed)
+    config = _sim_config(args, _resolve_degrees(args, args.n), args.seed)
     report = verify_exhaustive(
         config, f=args.f, horizon=args.horizon, workers=args.workers
     )

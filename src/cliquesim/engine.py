@@ -148,12 +148,13 @@ class RoundEngine:
         budget = getattr(adversary, "budget", 0)
         if not 0 <= budget < config.n:
             raise ConfigError(f"fault budget {budget} must be in [0, n={config.n})")
-        self.layout = (
-            GroupLayout.for_clique(config.n) if config.model == "ncc" else None
-        )
-        self.capacity = (
-            config.capacity_c * self.layout.group_size if self.layout else None
-        )
+        # The uncapacitated model is one group of n with no capacity limit.
+        if config.model == "ncc":
+            self.layout = GroupLayout.for_clique(config.n)
+            self.capacity = config.capacity_c * self.layout.group_size
+        else:
+            self.layout = GroupLayout(config.n, config.n, 1)
+            self.capacity = None
         self.nodes = [
             ProtocolNode(
                 i + 1, config.degrees[i], config.n, self.layout, config.mutations
@@ -171,10 +172,9 @@ class RoundEngine:
         self._heard_twice: set[int] = set()
         self._phase1_len = self.nodes[0].phase1_len
         self._unsettled = set(range(1, config.n + 1))
-        # Watchdog: every timeout and transmission in capacitated mode is
-        # stretched by the group count, so the cap scales with it too.
-        scale = self.layout.group_count if self.layout else 1
-        self.round_cap = (10 * (config.n + budget) + 20) * scale
+        # Watchdog: every timeout and transmission is stretched by the group
+        # count, so the cap scales with it too.
+        self.round_cap = (10 * (config.n + budget) + 20) * self.layout.group_count
         # Current-round scratch, visible to adaptive adversaries: each
         # sender's one (message, recipients) pair.
         self.outboxes: dict[int, tuple[Any, list[int]]] = {}

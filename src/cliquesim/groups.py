@@ -1,9 +1,12 @@
-"""Node-capacitated mode: group partition, round-robin broadcast schedules,
-and per-round message-capacity enforcement.
+"""Group partition, round-robin broadcast schedules, and per-round
+message-capacity enforcement.
 
-Groups are contiguous blocks of the sorted index order, at most ceil(log2 n)
-members each, giving G = ceil(n / ceil(log2 n)) groups. With G == 1 every
-schedule degenerates to the all-to-all behavior of the uncapacitated model.
+Groups are contiguous blocks of the sorted index order. In the
+node-capacitated model (`GroupLayout.for_clique`) they have at most
+ceil(log2 n) members each, giving G = ceil(n / ceil(log2 n)) groups. The
+uncapacitated model runs the same schedules with one group of n
+(`GroupLayout(n, n, 1)`) and no capacity limit: with G == 1 every schedule
+is an all-to-all broadcast.
 """
 
 from __future__ import annotations

@@ -151,13 +151,12 @@ def _realize(view: tuple[tuple[int, int], ...]) -> RealizationOutcome:
 
 
 def run_plan(
-    config: SimConfig, plan: CrashPlan, adversary: ScriptedAdversary | None = None
+    config: SimConfig, adversary: ScriptedAdversary
 ) -> tuple[list[str], int, int]:
-    """Run one scripted execution of `plan`, through `adversary` when given
-    (a ScriptedAdversary for the same plan, such as a RecordingAdversary);
-    return (issues, rounds, messages)."""
+    """Run one execution of `adversary`'s crash plan (a ScriptedAdversary,
+    such as a RecordingAdversary); return (issues, rounds, messages)."""
     try:
-        result = run_simulation(config, adversary or ScriptedAdversary(plan))
+        result = run_simulation(config, adversary)
     except (ProtocolViolation, SimulationError) as exc:
         if isinstance(exc, (AdversaryError, ConfigError)):
             raise
@@ -221,7 +220,7 @@ def _run_log(
     """
     n = config.n
     adversary = RecordingAdversary(CrashPlan(events))
-    issues, rounds, messages = run_plan(config, adversary.plan, adversary)
+    issues, rounds, messages = run_plan(config, adversary)
     stepped = len(adversary.outboxes)
     crashed = {e.node for e in events}
     free = [v for v in range(1, n + 1) if v not in crashed]

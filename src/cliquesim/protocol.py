@@ -1,7 +1,7 @@
 """Per-node state machine for fault-tolerant degree-sequence agreement.
 
-Each node runs two phases. Phase 1 (the first two rounds, or two group
-sweeps in capacitated mode) broadcasts the node's own degree twice; peers
+Each node runs two phases. Phase 1 (two sweeps over the G groups, which
+is two rounds when G == 1) broadcasts the node's own degree twice; peers
 are then classified by how often they were heard: twice (degree accepted),
 once (faulty, degree known), or never (smite, degree unknown). Phase 2
 serializes the network: at most one node at a time is active, rebroadcasting
@@ -92,10 +92,11 @@ class NodeState(Enum):
 class ProtocolNode:
     """One clique member's protocol state.
 
-    With `layout=None` the node runs in uncapacitated mode (full broadcast
-    every round); with a GroupLayout it follows the staggered group
-    schedules, which multiplies the two-round phases and the 3-round
-    failover gap by the group count.
+    The node follows its layout's staggered group schedules, sending to one
+    group per round, which multiplies the two-round phases and the 3-round
+    failover gap by the group count. The uncapacitated model runs the same
+    schedules with one group of n (the default, `layout=None`), so every
+    send is a full broadcast.
     """
 
     def __init__(
@@ -109,9 +110,11 @@ class ProtocolNode:
         self.index = index
         self.degree = degree
         self.n = n
+        if layout is None:
+            layout = GroupLayout(n, n, 1)
         self.layout = layout
         self.mutations = mutations
-        g = layout.group_count if layout else 1
+        g = layout.group_count
         self.phase1_len = 2 * g
         self.gap = 3 * g
         self.copies_per_entry = 2 * g
@@ -134,7 +137,11 @@ class ProtocolNode:
         self._window_sender = 0
         self._window_subject = 0
         self._window_count = 0
-        self._peer_list = [j for j in range(1, n + 1) if j != index]
+        # Recipients per group (its members but this node), shared by all
+        # the node's sends to it: nothing downstream may mutate them.
+        self._group = layout.group_of(index)
+        self._group_peers = [list(layout.members(group)) for group in range(1, g + 1)]
+        self._group_peers[self._group - 1].remove(index)
         self._announce = Announce(index, degree)
 
     # -- sending ----------------------------------------------------------
@@ -168,11 +175,9 @@ class ProtocolNode:
         return send
 
     def _emit_phase1(self, rnd: int) -> tuple[object, list[int]] | None:
-        if self.layout is None:
-            return (self._announce, self._peer_list) if self._peer_list else None
         sweep_round = (rnd - 1) % self.layout.group_count
-        dest = self.layout.phase1_dest(self.layout.group_of(self.index), sweep_round)
-        recipients = [j for j in self.layout.members(dest) if j != self.index]
+        dest = self.layout.phase1_dest(self._group, sweep_round)
+        recipients = self._group_peers[dest - 1]
         return (self._announce, recipients) if recipients else None
 
     def _emit_active(self, rnd: int) -> tuple[object, list[int]] | None:
@@ -189,11 +194,7 @@ class ProtocolNode:
                 f"node {self.index} holds a faulty entry for {subject} with no degree"
             )
         msg = FaultEntry(self.index, subject, entry.kind, entry.degree)
-        if self.layout is None:
-            recipients = self._peer_list
-        else:
-            group = self.sends_done % self.layout.group_count + 1
-            recipients = [j for j in self.layout.members(group) if j != self.index]
+        recipients = self._group_peers[self.sends_done % self.layout.group_count]
         self.sends_done += 1
         if self.sends_done == self.copies_per_entry:
             self._resolve_own(subject, entry)
@@ -213,15 +214,10 @@ class ProtocolNode:
 
     def _schedule_allokay(self) -> None:
         self.allokay_broadcast = True
-        if self.layout is None:
-            self._allokay_pending = [self._peer_list] if self._peer_list else []
-        else:
-            own = self.layout.group_of(self.index)
-            self._allokay_pending = [
-                [j for j in self.layout.members(g) if j != self.index]
-                for g in self.layout.allokay_order(own)
-            ]
-            self._allokay_pending = [r for r in self._allokay_pending if r]
+        peers = self._group_peers
+        self._allokay_pending = [
+            peers[g - 1] for g in self.layout.allokay_order(self._group) if peers[g - 1]
+        ]
 
     # -- receiving --------------------------------------------------------
 

@@ -266,6 +266,22 @@ class TestVerify:
             "PASS",
         ]
 
+    def test_model_capacity_and_strict_reach_the_verifier(self, monkeypatch, capsys):
+        seen = []
+        real_verify = cli.verify_exhaustive
+
+        def spy(config, f, horizon, workers):
+            seen.append((config, f, horizon, workers))
+            return real_verify(config, f=f, horizon=horizon, workers=workers)
+
+        monkeypatch.setattr(cli, "verify_exhaustive", spy)
+        argv = ["verify", "--n", "3", "--f", "1", "--degrees", "1,1,2"]
+        argv += ["--model", "ncc", "--strict", "--capacity-c", "2"]
+        assert main(argv) == 0
+        [(config, f, horizon, workers)] = seen
+        assert (config.model, config.strict, config.capacity_c) == ("ncc", True, 2)
+        assert (config.n, config.degrees, f, horizon, workers) == (3, (1, 1, 2), 1, 14, 1)
+
     def test_counterexample_reproduces_in_simulate(self, monkeypatch, capsys, tmp_path):
         mutated = functools.partial(
             cli.SimConfig, mutations=frozenset({MUTATE_BELOW_FOLD_DISCARDS})
@@ -309,6 +325,10 @@ SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
         (VERIFY_N4 + ["--f", "1", "--workers", "-3"], "workers -3 must be >= 1"),
         (SWEEP_N4 + ["--seeds", "0"], "--seeds 0 must be >= 1"),
         (SWEEP_N4 + ["--seeds", "-1"], "--seeds -1 must be >= 1"),
+        (
+            ["verify", "--n", "3", "--f", "1", "--degrees", "1,1,2", "--capacity-c", "0"],
+            "capacity constant must be >= 1",
+        ),
     ],
 )
 def test_bad_option_value_status_two(argv, expected, capsys):

@@ -51,7 +51,7 @@ def brute_force(config: SimConfig, f: int):
     violating = max_rounds = max_messages = 0
     for plan in PlanSpace(config.n, f, HORIZON):
         adversary = EffectiveLog(plan)
-        issues, rounds, messages = run_plan(config, plan, adversary)
+        issues, rounds, messages = run_plan(config, adversary)
         logs.add(tuple(adversary.log))
         violating += bool(issues)
         max_rounds = max(max_rounds, rounds)
@@ -63,9 +63,9 @@ def explored(config: SimConfig, f: int, monkeypatch):
     """The explorer's report and the crash log of every run it made."""
     logs = []
 
-    def spy(config, plan, adversary=None):
-        logs.append(plan.events)
-        return run_plan(config, plan, adversary)
+    def spy(config, adversary):
+        logs.append(adversary.plan.events)
+        return run_plan(config, adversary)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "run_plan", spy)
@@ -97,6 +97,6 @@ def test_reported_violations_reproduce(mutation):
     report = verify_exhaustive(config, f=2, horizon=HORIZON)
     assert report.violations
     for events, issues in report.violations:
-        assert run_plan(config, CrashPlan(events))[0] == issues
+        assert run_plan(config, ScriptedAdversary(CrashPlan(events)))[0] == issues
     stopped = verify_exhaustive(config, f=2, horizon=HORIZON, stop_on_first=True)
     assert stopped.violations and stopped.executions_run < report.executions_run

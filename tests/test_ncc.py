@@ -175,6 +175,32 @@ class TestNccExecution:
             assert o.view == {j: 1 for j in range(4, 9)}
         assert check_execution(result) == []
 
+    def test_node_alone_in_its_group_skips_its_own_slot(self):
+        """n=9 has groups {1-4}, {5-8} and {9}. With nodes 1-8 dead in round
+        1, node 9 rebroadcasts their smite entries to groups 1 and 2 and
+        stays silent in its own group's slot, and its termination signal
+        skips its own group too."""
+        n = 9
+        config = SimConfig(n=n, degrees=(1,) * n, model="ncc", strict=True)
+        plan = CrashPlan(tuple(CrashEvent(1, i, ()) for i in range(1, 9)))
+        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
+        sends = [
+            (r["round"], s["kind"], s["to"])
+            for r in result.trace_rounds
+            for s in r["sends"]
+            if s["from"] == 9
+        ]
+        faults = [(rnd, to) for rnd, kind, to in sends if kind == "fault"]
+        # 8 entries x 2G slots, one slot in three silent
+        assert faults == [
+            (rnd, [1, 2, 3, 4] if rnd % 3 == 1 else [5, 6, 7, 8])
+            for rnd in range(79, 127)
+            if rnd % 3 != 0
+        ]
+        allokay = [(rnd, to) for rnd, kind, to in sends if kind == "allokay"]
+        assert allokay[0] == (127, [1, 2, 3, 4])
+        assert check_execution(result) == []
+
     def test_worst_case_capacity_under_faults(self):
         for n in (8, 16):
             for f in (1, 4):
@@ -212,17 +238,24 @@ class TestModelEquivalence:
         n = 5
         degrees = (1, 2, 2, 1, 2)
         plan = CrashPlan((CrashEvent(1, 2, (3,)), CrashEvent(4, 1, (4,))))
-        cc = run_simulation(SimConfig(n=n, degrees=degrees), ScriptedAdversary(plan))
+        cc = run_simulation(
+            SimConfig(n=n, degrees=degrees), ScriptedAdversary(plan), record_trace=True
+        )
         monkeypatch.setattr(
             GroupLayout, "for_clique", staticmethod(lambda n: GroupLayout(n, n, 1))
         )
         ncc = run_simulation(
-            SimConfig(n=n, degrees=degrees, model="ncc"), ScriptedAdversary(plan)
+            SimConfig(n=n, degrees=degrees, model="ncc"),
+            ScriptedAdversary(plan),
+            record_trace=True,
         )
         assert ncc.metrics.max_send_per_round == n - 1  # one group: full broadcasts
         assert [o.view for o in cc.nodes] == [o.view for o in ncc.nodes]
         assert cc.metrics.rounds_to_termination == ncc.metrics.rounds_to_termination
         assert cc.metrics.messages_sent == ncc.metrics.messages_sent
+        assert cc.trace_rounds == ncc.trace_rounds
+        assert cc.crashes == ncc.crashes
+        assert cc.nodes == ncc.nodes
 
 
 class TestNccAgreement:
