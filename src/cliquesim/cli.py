@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import random
+import statistics
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .adversary import (
     CrashPlan,
@@ -95,7 +94,6 @@ def _build_adversary(name: str, f: int, seed: int, args) -> tuple[object, str]:
             raise ConfigError("--adversary scripted requires --plan-file")
         plan = parse_plan_file(Path(args.plan_file).read_text())
         return ScriptedAdversary(plan), f"scripted:{args.plan_file}"
-    raise ConfigError(f"unknown adversary {name!r}")
 
 
 # -- commands ---------------------------------------------------------------
@@ -117,7 +115,7 @@ def cmd_realize(args) -> int:
 def cmd_simulate(args) -> int:
     config = _sim_config(args, _resolve_degrees(args, args.n), args.seed)
     adversary, desc = _build_adversary(args.adversary, args.f, args.seed, args)
-    result = run_simulation(config, adversary, record_trace=args.trace is not None)
+    result = run_simulation(config, adversary)
     if args.trace is not None:
         write_trace(args.trace, result, desc)
     issues = check_execution(result)
@@ -172,6 +170,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--seeds {args.seeds} must be >= 1")
     f_values = [int(x) for x in args.f_list.split(",")]
     adversaries = args.adversary.split(",")
+    # A scripted plan fixes its own crashes, so it cannot follow --f.
+    for name in adversaries:
+        if name not in ("none", "random", "worst"):
+            raise ConfigError(f"sweep adversary {name!r} is not none, random or worst")
     rows = []
     for f in f_values:
         for name in adversaries:
@@ -228,7 +230,7 @@ def _print_sweep_summary(rows: list[dict]) -> None:
         print(f"#   f={f}: {by_f[f]}", file=sys.stderr)
     if len(by_f) >= 2:
         fs = sorted(by_f)
-        slope, intercept = np.polyfit(fs, [by_f[f] for f in fs], 1)
+        slope, intercept = statistics.linear_regression(fs, [by_f[f] for f in fs])
         print(
             f"# linear fit of max rounds vs f: slope={slope:.3f} "
             f"intercept={intercept:.3f}",
@@ -337,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=1, help="seeds per point for random runs"
     )
     p.add_argument("--crash-prob", type=float, default=0.05)
-    p.add_argument("--plan-file", help=argparse.SUPPRESS)
     p.add_argument("--out", help="CSV report path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

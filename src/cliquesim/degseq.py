@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
 BRUTE_FORCE_MAX_NODES = 8
 
 __all__ = [
@@ -173,6 +171,8 @@ def _realizable_multisets(n: int) -> frozenset[tuple[int, ...]]:
 
     Vectorized over subsets: O(2^C(n,2)) graphs, chunked to bound memory.
     """
+    import numpy as np  # here, so that only this oracle pays for numpy
+
     if n == 0:
         return frozenset({()})
     edge_list = list(combinations(range(n), 2))

@@ -10,6 +10,9 @@ receives, mail or not; afterwards a node is due only in the round its
 empty inbox change nothing. A node that crashes is silent in all later
 rounds; a sender that does not crash reaches all its recipients.
 
+Every run keeps one raw `RoundLog` per round, carried by the result (or a
+`RoundLimitExceeded`); only `trace.py` turns it into trace records.
+
 The engine also asserts the model-level invariants that the protocol's
 correctness argument relies on (at most one active transmitter, the
 phase-1 heard-twice/heard-zero exclusion, no smite rebroadcast for a
@@ -20,12 +23,10 @@ as explicit violations instead of silent divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .groups import GroupLayout, enforce_capacity
 from .protocol import (
-    AllOkay,
-    Announce,
     FaultEntry,
     NodeState,
     ProtocolNode,
@@ -37,6 +38,7 @@ __all__ = [
     "SimConfig",
     "Metrics",
     "NodeOutcome",
+    "RoundLog",
     "ExecutionResult",
     "RoundEngine",
     "SimulationError",
@@ -61,11 +63,11 @@ class AdversaryError(SimulationError):
 
 
 class RoundLimitExceeded(SimulationError):
-    """Watchdog tripped; carries the partial trace for diagnosis."""
+    """Watchdog tripped; carries the partial round log for diagnosis."""
 
-    def __init__(self, message: str, trace_rounds: list[dict] | None = None):
+    def __init__(self, message: str, round_log: list[RoundLog]):
         super().__init__(message)
-        self.trace_rounds = trace_rounds
+        self.round_log = round_log
 
 
 class CapacityViolation(SimulationError):
@@ -123,13 +125,22 @@ class NodeOutcome:
     view: dict[int, int]
 
 
+class RoundLog(NamedTuple):
+    """One round as run, kept by reference. `transitions` holds (node, new
+    state), "crashed" for a crasher, for each node whose state moved."""
+
+    sends: dict[int, tuple[Any, list[int]]]  # the round's `outboxes`
+    crashes: list[tuple[int, tuple[int, ...]]]  # sorted (node, delivered)
+    transitions: tuple[tuple[int, str], ...]  # in node order
+
+
 @dataclass
 class ExecutionResult:
     config: SimConfig
     metrics: Metrics
     nodes: list[NodeOutcome]
     crashes: list[tuple[int, int, tuple[int, ...]]]  # (round, node, delivered)
-    trace_rounds: Optional[list[dict]] = None
+    round_log: list[RoundLog]  # round r is round_log[r - 1]
 
     def survivors(self) -> list[NodeOutcome]:
         return [o for o in self.nodes if o.crashed_round is None]
@@ -141,10 +152,9 @@ class ExecutionResult:
 class RoundEngine:
     """Single-use: build, call run() once."""
 
-    def __init__(self, config: SimConfig, adversary, record_trace: bool = False):
+    def __init__(self, config: SimConfig, adversary):
         self.config = config
         self.adversary = adversary
-        self.record_trace = record_trace
         budget = getattr(adversary, "budget", 0)
         if not 0 <= budget < config.n:
             raise ConfigError(f"fault budget {budget} must be in [0, n={config.n})")
@@ -167,9 +177,9 @@ class RoundEngine:
         self.crashed_round: dict[int, int] = {}
         self.crash_log: list[tuple[int, int, tuple[int, ...]]] = []
         self.metrics = Metrics()
-        self.trace_rounds: list[dict] = []
-        self._phase1_counts: dict[int, list[int]] | None = None
-        self._heard_twice: set[int] = set()
+        self.round_log: list[RoundLog] = []
+        # Subject -> first live node, in index order, that heard it twice.
+        self._heard_twice: dict[int, int] = {}
         self._phase1_len = self.nodes[0].phase1_len
         self._unsettled = set(range(1, config.n + 1))
         # Watchdog: every timeout and transmission is stretched by the group
@@ -196,7 +206,7 @@ class RoundEngine:
                 raise RoundLimitExceeded(
                     f"no termination within {self.round_cap} rounds "
                     f"(n={self.config.n}, model={self.config.model})",
-                    self.trace_rounds if self.record_trace else None,
+                    self.round_log,
                 )
             self._step()
         self.metrics.rounds_to_termination = self._last_exit_round()
@@ -207,10 +217,8 @@ class RoundEngine:
 
     def _step(self) -> None:
         rnd = self.round
-        states_before = (
-            [node.state for node in self.nodes] if self.record_trace else None
-        )
-
+        # Node -> new state, made on the first move: quiet rounds allocate nothing.
+        moved: dict[int, str] | None = None
         in_phase1 = rnd <= self._phase1_len
         if in_phase1:
             due = self._live
@@ -218,11 +226,13 @@ class RoundEngine:
             due = [node for node in self._live if node.next_emit == rnd]
         self.outboxes = {}
         for node in due:
+            state = node.state
             send = node.emit(rnd)
             if send:
                 self.outboxes[node.index] = send
-            if node.state is NodeState.EXIT:
-                self._unsettled.discard(node.index)
+            if node.state is not state:  # states only move forward
+                moved = moved or {}
+                moved[node.index] = node.state.value
 
         decisions = self._crash_decisions(rnd)
         mailboxes: dict[int, list[Any]] = {}
@@ -251,10 +261,11 @@ class RoundEngine:
                 round_crashes.append((node_index, ()))
         if round_crashes:
             round_crashes.sort()
+            moved = moved or {}
             for node_index, delivered in round_crashes:
                 self.crashed_round[node_index] = rnd
                 self.crash_log.append((rnd, node_index, delivered))
-                self._unsettled.discard(node_index)
+                moved[node_index] = "crashed"
             self._live = [
                 node for node in self._live if node.index not in self.crashed_round
             ]
@@ -283,17 +294,24 @@ class RoundEngine:
                             f"node {node.index} dropped {len(dropped)} messages "
                             f"in round {rnd}"
                         )
+            state = node.state
             node.receive(rnd, inbox)
-            if node.state is NodeState.EXIT:
-                self._unsettled.discard(node.index)
+            if node.state is not state:
+                moved = moved or {}
+                moved[node.index] = node.state.value
 
         # Only `emit` makes a node active, and an active node is due every
         # round, so this round's due nodes hold every active one.
         self._check_single_active(due)
         if rnd == self._phase1_len:
             self._check_phase1_exclusion()
-        if self.record_trace:
-            self._record_round(rnd, round_crashes, states_before)
+        transitions = ()
+        if moved:
+            transitions = tuple(sorted(moved.items()))
+            # Every move but listening -> active settles the node.
+            settled = [i for i, to in transitions if to != "active"]
+            self._unsettled.difference_update(settled)
+        self.round_log.append(RoundLog(self.outboxes, round_crashes, transitions))
 
     def _crash_decisions(self, rnd: int) -> dict[int, frozenset[int]]:
         raw = self.adversary.decide(self, rnd)
@@ -315,17 +333,13 @@ class RoundEngine:
     # -- invariants ----------------------------------------------------------
 
     def _check_outgoing(self, msg: Any) -> None:
-        if (
-            isinstance(msg, FaultEntry)
-            and msg.status == SMITE
-            and msg.subject in self._heard_twice
-        ):
-            for node_index, counts in self._phase1_counts.items():
-                if counts[msg.subject] >= 2:
-                    raise ProtocolViolation(
-                        f"smite rebroadcast for node {msg.subject}, which node "
-                        f"{node_index} heard twice in phase 1"
-                    )
+        if isinstance(msg, FaultEntry) and msg.status == SMITE:
+            witness = self._heard_twice.get(msg.subject)
+            if witness is not None:
+                raise ProtocolViolation(
+                    f"smite rebroadcast for node {msg.subject}, which node "
+                    f"{witness} heard twice in phase 1"
+                )
 
     def _check_single_active(self, due: list[ProtocolNode]) -> None:
         first = 0
@@ -339,25 +353,26 @@ class RoundEngine:
                 first = node.index
 
     def _check_phase1_exclusion(self) -> None:
-        """Snapshot the live nodes' phase-1 counts, note every subject some
-        node heard twice (the smite check's set), and check that no subject
-        was heard twice by one node and never by another."""
-        rows = self._phase1_counts = {
-            node.index: list(node.heard_count) for node in self._live
-        }
-        # Column s of the transposed rows holds every live node's count of s;
-        # column 0 names no node.
-        columns = zip(*rows.values())
+        """Note the first live node to hear each subject twice (the smite
+        check's table), and check that no subject was heard twice by one node
+        and never by another. Counts never change after phase 1, so they are
+        read in place."""
+        live = self._live
+        # Column s of the transposed counts holds every live node's count of
+        # s; column 0 names no node.
+        columns = zip(*(node.heard_count for node in live))
         next(columns, None)
         for subject, column in enumerate(columns, start=1):
             if max(column) < 2:
                 continue
-            self._heard_twice.add(subject)
-            own = rows.get(subject)
-            if column.count(0) == (own is not None and own[subject] == 0):
+            first = next(k for k, c in enumerate(column) if c >= 2)
+            self._heard_twice[subject] = live[first].index
+            own = None if subject in self.crashed_round else self.nodes[subject - 1]
+            if column.count(0) == (own is not None and own.heard_count[subject] == 0):
                 continue  # no other node missed it
-            twice = [i for i, c in rows.items() if i != subject and c[subject] >= 2]
-            never = [i for i, c in rows.items() if i != subject and c[subject] == 0]
+            others = [(n.index, c) for n, c in zip(live, column) if n.index != subject]
+            twice = [i for i, c in others if c >= 2]
+            never = [i for i, c in others if c == 0]
             if twice and never:
                 raise ProtocolViolation(
                     f"phase-1 exclusion broken for node {subject}: heard twice "
@@ -371,35 +386,6 @@ class RoundEngine:
             node.exit_round for node in self.nodes if node.exit_round is not None
         ]
         return max(exits) if exits else self.round
-
-    def _record_round(
-        self,
-        rnd: int,
-        round_crashes: list[tuple[int, tuple[int, ...]]],
-        states_before: list[NodeState],
-    ) -> None:
-        sends = [
-            _send_record(msg, recipients)
-            for _, (msg, recipients) in sorted(self.outboxes.items())
-        ]
-        transitions = []
-        for node, before in zip(self.nodes, states_before):
-            crashed_now = self.crashed_round.get(node.index) == rnd
-            if crashed_now:
-                transitions.append({"node": node.index, "to": "crashed"})
-            elif node.state is not before:
-                transitions.append({"node": node.index, "to": node.state.value})
-        self.trace_rounds.append(
-            {
-                "record": "round",
-                "round": rnd,
-                "crashes": [
-                    {"node": i, "delivered": list(d)} for i, d in sorted(round_crashes)
-                ],
-                "sends": sends,
-                "transitions": transitions,
-            }
-        )
 
     def _result(self) -> ExecutionResult:
         outcomes = []
@@ -423,24 +409,10 @@ class RoundEngine:
             metrics=self.metrics,
             nodes=outcomes,
             crashes=list(self.crash_log),
-            trace_rounds=self.trace_rounds if self.record_trace else None,
+            round_log=self.round_log,
         )
 
 
-_SEND_KINDS = {Announce: "announce", FaultEntry: "fault", AllOkay: "allokay"}
-
-
-def _send_record(msg: Any, recipients: list[int]) -> dict:
-    """A send's trace record: the message's fields, `sender` renamed `from`."""
-    record = msg._asdict()
-    record["from"] = record.pop("sender")
-    record["kind"] = _SEND_KINDS[type(msg)]
-    record["to"] = list(recipients)
-    return record
-
-
-def run_simulation(
-    config: SimConfig, adversary, record_trace: bool = False
-) -> ExecutionResult:
+def run_simulation(config: SimConfig, adversary) -> ExecutionResult:
     """Build an engine, run one execution, return the result."""
-    return RoundEngine(config, adversary, record_trace=record_trace).run()
+    return RoundEngine(config, adversary).run()

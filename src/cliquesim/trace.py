@@ -4,7 +4,8 @@ A trace is line-delimited JSON: one header record, one record per round
 (crash decisions, sends, state transitions), and one end record with final
 states and metrics. Records are serialized with sorted keys and fixed
 separators, so identical executions produce byte-identical traces and a
-replayed run can be compared line by line.
+replayed run can be compared line by line. Only this module knows the
+record format; it writes any result's round log.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from pathlib import Path
 from .adversary import CrashEvent, CrashPlan, ScriptedAdversary
 from .engine import ExecutionResult, SimConfig, run_simulation
 from .harness import verdict
+from .protocol import AllOkay, Announce, FaultEntry
 
 __all__ = [
     "TRACE_VERSION",
     "TraceError",
     "ParsedTrace",
     "ReplayOutcome",
+    "round_records",
     "trace_lines",
     "write_trace",
     "read_trace",
@@ -40,9 +43,33 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+_SEND_KINDS = {Announce: "announce", FaultEntry: "fault", AllOkay: "allokay"}
+
+
+def _send_record(msg, recipients: list[int]) -> dict:
+    """A send's trace record: the message's fields, `sender` renamed `from`."""
+    record = msg._asdict()
+    record["from"] = record.pop("sender")
+    record["kind"] = _SEND_KINDS[type(msg)]
+    record["to"] = list(recipients)
+    return record
+
+
+def round_records(result: ExecutionResult) -> list[dict]:
+    """The result's round log as trace round records, round 1 first."""
+    return [
+        {
+            "record": "round",
+            "round": rnd,
+            "crashes": [{"node": i, "delivered": list(d)} for i, d in log.crashes],
+            "sends": [_send_record(*send) for _, send in sorted(log.sends.items())],
+            "transitions": [{"node": i, "to": to} for i, to in log.transitions],
+        }
+        for rnd, log in enumerate(result.round_log, start=1)
+    ]
+
+
 def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
-    if result.trace_rounds is None:
-        raise TraceError("execution was run without trace recording")
     config = result.config
     header = {
         "record": "header",
@@ -84,7 +111,7 @@ def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
         "nodes": nodes,
     }
     lines = [_dumps(header)]
-    lines.extend(_dumps(r) for r in result.trace_rounds)
+    lines.extend(_dumps(r) for r in round_records(result))
     lines.append(_dumps(end))
     return lines
 
@@ -198,9 +225,7 @@ def replay_trace(parsed: ParsedTrace, expect_model: str | None = None) -> Replay
             f"trace was recorded under model {config.model!r}, "
             f"replay requested {expect_model!r}"
         )
-    result = run_simulation(
-        config, ScriptedAdversary(parsed.crash_plan()), record_trace=True
-    )
+    result = run_simulation(config, ScriptedAdversary(parsed.crash_plan()))
     new_lines = trace_lines(result, parsed.header["adversary"])
     old_lines = parsed.lines
     divergence = None

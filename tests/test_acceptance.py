@@ -306,9 +306,7 @@ def test_criterion_10_replay_fidelity(tmp_path):
     identical = 0
     for model, n, f, seed in cases:
         config = SimConfig(n=n, degrees=(2,) * n, model=model, seed=seed)
-        result = run_simulation(
-            config, RandomAdversary(seed, f), record_trace=True
-        )
+        result = run_simulation(config, RandomAdversary(seed, f))
         path = tmp_path / f"run-{model}-{seed}.jsonl"
         write_trace(path, result, f"random:{seed}")
         outcome = replay_trace(read_trace(path))

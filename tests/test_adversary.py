@@ -16,6 +16,7 @@ from cliquesim.adversary import (
 )
 from cliquesim.engine import SimConfig, run_simulation
 from cliquesim.harness import check_execution
+from cliquesim.trace import round_records
 
 
 class TestNoneAdversary:
@@ -122,8 +123,8 @@ class TestWorstCaseHeuristic:
         delivered). Listeners last heard u1 in round 3, and with u2 dead the
         next live index u3 times out 3*(3-1) rounds later, at round 9."""
         config = SimConfig(n=8, degrees=(1,) * 8)
-        result = run_simulation(config, WorstCaseAdversary(2), record_trace=True)
-        by_round = {r["round"]: r for r in result.trace_rounds}
+        result = run_simulation(config, WorstCaseAdversary(2))
+        by_round = {r["round"]: r for r in round_records(result)}
         # u2 crashes in round 1 (phase-1 split); u1 sends its entry in
         # rounds 3 and 4 and is crashed on the second copy.
         assert result.crashes[0][:2] == (1, 2)
@@ -132,7 +133,7 @@ class TestWorstCaseHeuristic:
         assert sends_r3 and sends_r3[0]["kind"] == "fault"
         activations = [
             (r["round"], t["node"])
-            for r in result.trace_rounds
+            for r in round_records(result)
             for t in r["transitions"]
             if t["to"] == "active"
         ]

@@ -6,6 +6,8 @@ import csv
 import functools
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -329,6 +331,10 @@ SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
             ["verify", "--n", "3", "--f", "1", "--degrees", "1,1,2", "--capacity-c", "0"],
             "capacity constant must be >= 1",
         ),
+        (
+            ["sweep", "--n", "4", "--f", "0,2", "--adversary", "none,scripted"],
+            "sweep adversary 'scripted' is not none, random or worst",
+        ),
     ],
 )
 def test_bad_option_value_status_two(argv, expected, capsys):
@@ -337,6 +343,21 @@ def test_bad_option_value_status_two(argv, expected, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert expected in captured.err
+
+
+def test_import_leaves_numpy_unloaded():
+    """Only the brute-force realizability oracle needs numpy, so loading the
+    command line must not import it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import cliquesim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestReplayCommand:

@@ -20,6 +20,7 @@ from cliquesim.engine import (
 )
 from cliquesim.harness import check_execution, message_bound, verdict
 from cliquesim.protocol import SMITE, Entry, ProtocolNode, ProtocolViolation
+from cliquesim.trace import round_records
 
 
 def fault_free_messages(n):
@@ -61,7 +62,7 @@ class TestScriptedCrashes:
         view without u2, in 5 rounds and 28 messages (hand-stepped)."""
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 2, (3,)),))
-        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan))
         assert result.metrics.rounds_to_termination == 5
         assert result.metrics.messages_sent == 28
         survivors = result.survivors()
@@ -91,8 +92,8 @@ class TestScriptedCrashes:
     def test_crashed_node_never_delivers_later(self):
         config = SimConfig(n=3, degrees=(1, 1, 0))
         plan = CrashPlan((CrashEvent(1, 3, ()),))
-        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
-        for record in result.trace_rounds:
+        result = run_simulation(config, ScriptedAdversary(plan))
+        for record in round_records(result):
             if record["round"] > 1:
                 assert all(s["from"] != 3 for s in record["sends"])
 
@@ -101,13 +102,13 @@ class TestScriptedCrashes:
         u1's last delivered send."""
         config = SimConfig(n=4, degrees=(1, 2, 2, 1))
         plan = CrashPlan((CrashEvent(1, 3, (1,)), CrashEvent(4, 1, ())))
-        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan))
         assert check_execution(result) == []
         # u1 transmitted the entry for 3 in rounds 3 (all) and 4 (dropped):
         # listeners last heard round 3, so u2 activates at 3 + 3 = 6.
         activations = [
             (r["round"], t["node"])
-            for r in result.trace_rounds
+            for r in round_records(result)
             for t in r["transitions"]
             if t["to"] == "active"
         ]
@@ -170,7 +171,7 @@ class TestDeterminism:
 
         config = SimConfig(n=6, degrees=(1, 2, 2, 1, 3, 1), seed=7)
         runs = [
-            run_simulation(config, RandomAdversary(7, 3), record_trace=True)
+            run_simulation(config, RandomAdversary(7, 3))
             for _ in range(2)
         ]
         lines = [trace_lines(r, "random:7") for r in runs]
@@ -225,11 +226,11 @@ class TestEngineContracts:
         from cliquesim.engine import RoundLimitExceeded
 
         config = SimConfig(n=4, degrees=(1, 1, 1, 1))
-        engine = RoundEngine(config, NoneAdversary(), record_trace=True)
+        engine = RoundEngine(config, NoneAdversary())
         engine.round_cap = 2  # force the cap below natural termination
         with pytest.raises(RoundLimitExceeded) as excinfo:
             engine.run()
-        assert len(excinfo.value.trace_rounds) == 2
+        assert len(excinfo.value.round_log) == 2
 
     def test_unknown_node_in_plan_rejected(self):
         config = SimConfig(n=3, degrees=(0, 0, 0))

@@ -27,6 +27,7 @@ from cliquesim.adversary import RandomAdversary, WorstCaseAdversary
 from cliquesim.engine import SimConfig, run_simulation
 from cliquesim.harness import check_execution, verify_exhaustive
 from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE
+from cliquesim.trace import round_records
 
 GOLDEN = Path(__file__).parent / "data" / "golden_engine_grid.sha256"
 SIZES = (1, 2, 3, 5, 9, 17, 40)
@@ -39,10 +40,10 @@ def _digest(payload) -> str:
 
 
 def run_digest(config: SimConfig, adversary) -> str:
-    result = run_simulation(config, adversary, record_trace=True)
+    result = run_simulation(config, adversary)
     return _digest(
         {
-            "trace": result.trace_rounds,
+            "trace": round_records(result),
             "nodes": [dataclasses.asdict(o) for o in result.nodes],
             "crashes": result.crashes,
             "metrics": dataclasses.asdict(result.metrics),

@@ -16,6 +16,7 @@ from cliquesim.groups import GroupLayout, enforce_capacity, log2_ceil
 from cliquesim.harness import check_execution, verify_exhaustive
 from cliquesim.adversary import PlanSpace
 from cliquesim.protocol import AllOkay, ProtocolNode
+from cliquesim.trace import round_records
 
 
 class TestGroupLayout:
@@ -107,12 +108,12 @@ class TestNccExecution:
         n = 16
         config = SimConfig(n=n, degrees=(1,) * n, model="ncc")
         plan = CrashPlan((CrashEvent(2, 2, ()),))  # round-2 crash: faulty
-        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan))
         layout = GroupLayout.for_clique(n)
         assert layout.group_count == 4
         fault_rounds = [
             r["round"]
-            for r in result.trace_rounds
+            for r in round_records(result)
             if any(s["kind"] == "fault" and s["from"] == 1 for s in r["sends"])
         ]
         start = 2 * layout.group_count + 1
@@ -130,10 +131,10 @@ class TestNccExecution:
     def test_staggered_allokay_order_and_termination(self):
         n = 8
         config = SimConfig(n=n, degrees=(1,) * n, model="ncc")
-        result = run_simulation(config, NoneAdversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary())
         allokay_sends = [
             (r["round"], s["to"])
-            for r in result.trace_rounds
+            for r in round_records(result)
             for s in r["sends"]
             if s["kind"] == "allokay"
         ]
@@ -156,10 +157,10 @@ class TestNccExecution:
         plan = CrashPlan(
             (CrashEvent(1, 1, ()), CrashEvent(1, 2, ()), CrashEvent(1, 3, ()))
         )
-        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan))
         allokay_sends = [
             s["to"]
-            for r in result.trace_rounds
+            for r in round_records(result)
             for s in r["sends"]
             if s["kind"] == "allokay"
         ]
@@ -167,7 +168,7 @@ class TestNccExecution:
         # the three dead peers were rebroadcast as smite: 3 entries x 2G rounds
         fault_rounds = [
             r["round"]
-            for r in result.trace_rounds
+            for r in round_records(result)
             if any(s["kind"] == "fault" for s in r["sends"])
         ]
         assert len(fault_rounds) == 3 * 2 * 3
@@ -183,10 +184,10 @@ class TestNccExecution:
         n = 9
         config = SimConfig(n=n, degrees=(1,) * n, model="ncc", strict=True)
         plan = CrashPlan(tuple(CrashEvent(1, i, ()) for i in range(1, 9)))
-        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan))
         sends = [
             (r["round"], s["kind"], s["to"])
-            for r in result.trace_rounds
+            for r in round_records(result)
             for s in r["sends"]
             if s["from"] == 9
         ]
@@ -238,22 +239,18 @@ class TestModelEquivalence:
         n = 5
         degrees = (1, 2, 2, 1, 2)
         plan = CrashPlan((CrashEvent(1, 2, (3,)), CrashEvent(4, 1, (4,))))
-        cc = run_simulation(
-            SimConfig(n=n, degrees=degrees), ScriptedAdversary(plan), record_trace=True
-        )
+        cc = run_simulation(SimConfig(n=n, degrees=degrees), ScriptedAdversary(plan))
         monkeypatch.setattr(
             GroupLayout, "for_clique", staticmethod(lambda n: GroupLayout(n, n, 1))
         )
         ncc = run_simulation(
-            SimConfig(n=n, degrees=degrees, model="ncc"),
-            ScriptedAdversary(plan),
-            record_trace=True,
+            SimConfig(n=n, degrees=degrees, model="ncc"), ScriptedAdversary(plan)
         )
         assert ncc.metrics.max_send_per_round == n - 1  # one group: full broadcasts
         assert [o.view for o in cc.nodes] == [o.view for o in ncc.nodes]
         assert cc.metrics.rounds_to_termination == ncc.metrics.rounds_to_termination
         assert cc.metrics.messages_sent == ncc.metrics.messages_sent
-        assert cc.trace_rounds == ncc.trace_rounds
+        assert round_records(cc) == round_records(ncc)
         assert cc.crashes == ncc.crashes
         assert cc.nodes == ncc.nodes
 

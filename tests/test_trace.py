@@ -22,7 +22,7 @@ from cliquesim.trace import (
 
 
 def run_traced(config, adversary, desc):
-    result = run_simulation(config, adversary, record_trace=True)
+    result = run_simulation(config, adversary)
     return trace_lines(result, desc), result
 
 
@@ -53,7 +53,7 @@ class TestSerialization:
 
     def test_write_and_read_round_trip(self, tmp_path):
         config = SimConfig(n=3, degrees=(1, 1, 2))
-        result = run_simulation(config, NoneAdversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary())
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         parsed = read_trace(path)
@@ -69,7 +69,7 @@ class TestSerialization:
         golden = Path(__file__).parent / "data" / "golden_scripted_n4.jsonl"
         config = SimConfig(n=4, degrees=(1, 2, 2, 1), seed=0)
         plan = CrashPlan((CrashEvent(1, 2, (3,)),))
-        result = run_simulation(config, ScriptedAdversary(plan), record_trace=True)
+        result = run_simulation(config, ScriptedAdversary(plan))
         lines = trace_lines(result, "scripted:u2-round1-to-u3")
         assert "\n".join(lines) + "\n" == golden.read_text()
 
@@ -77,9 +77,7 @@ class TestSerialization:
 class TestReplay:
     def test_fresh_trace_replays_identically(self, tmp_path):
         config = SimConfig(n=6, degrees=(1, 2, 2, 1, 3, 1), seed=4)
-        result = run_simulation(
-            config, RandomAdversary(4, 3), record_trace=True
-        )
+        result = run_simulation(config, RandomAdversary(4, 3))
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "random:4")
         outcome = replay_trace(read_trace(path))
@@ -87,7 +85,7 @@ class TestReplay:
 
     def test_corrupted_trace_reports_divergence(self, tmp_path):
         config = SimConfig(n=4, degrees=(1, 1, 1, 1))
-        result = run_simulation(config, NoneAdversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary())
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         text = path.read_text().replace('"degree":1', '"degree":3', 1)
@@ -98,7 +96,7 @@ class TestReplay:
 
     def test_model_mismatch_rejected(self, tmp_path):
         config = SimConfig(n=8, degrees=(1,) * 8, model="ncc")
-        result = run_simulation(config, NoneAdversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary())
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         with pytest.raises(TraceError, match="model"):
@@ -106,7 +104,7 @@ class TestReplay:
 
     def test_version_mismatch_rejected(self, tmp_path):
         config = SimConfig(n=3, degrees=(1, 1, 2))
-        result = run_simulation(config, NoneAdversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary())
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         text = path.read_text().replace('"version":1', '"version":99', 1)
@@ -122,15 +120,18 @@ class TestReplay:
 
     def test_non_integer_header_rejected(self, tmp_path):
         config = SimConfig(n=3, degrees=(1, 1, 2))
-        result = run_simulation(config, NoneAdversary(), record_trace=True)
+        result = run_simulation(config, NoneAdversary())
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         path.write_text(path.read_text().replace('"n":3', '"n":3.0', 1))
         with pytest.raises(TraceError, match="integers"):
             replay_trace(read_trace(path))
 
-    def test_untraced_run_cannot_serialize(self):
-        config = SimConfig(n=3, degrees=(1, 1, 2))
-        result = run_simulation(config, NoneAdversary())
-        with pytest.raises(TraceError, match="without trace"):
-            trace_lines(result, "none")
+    def test_plain_run_replays_identically(self, tmp_path):
+        """Every result carries its round log, so any run can be written as
+        a trace and replayed."""
+        config = SimConfig(n=5, degrees=(2, 2, 2, 2, 2), seed=3)
+        result = run_simulation(config, RandomAdversary(3, 2))
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result, "random:3")
+        assert replay_trace(read_trace(path)).identical
