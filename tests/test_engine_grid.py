@@ -10,7 +10,10 @@ engine schedules its nodes that alters any observable step shows here.
 The grid holds the cases such a change gets wrong first: a node that exits
 inside `emit` (n=1, and every terminator whose list is empty) and an ncc
 node that is active in a round with no recipients (at n=2 and n=3, a node
-sending to its own one-member group).
+sending to its own one-member group). A cc-only block at n=64 and n=128
+adds many crashes with partial delivery in phase 1, where the small sizes
+have few, so the broadcasts that reach every peer mix with per-recipient
+mail.
 
 Regenerate the data file, only for an intended behaviour change, with
 
@@ -31,6 +34,7 @@ from cliquesim.trace import round_records
 
 GOLDEN = Path(__file__).parent / "data" / "golden_engine_grid.sha256"
 SIZES = (1, 2, 3, 5, 9, 17, 40)
+LARGE_CC_SIZES = (64, 128)
 RANDOM_SEEDS = range(25)
 
 
@@ -52,10 +56,10 @@ def run_digest(config: SimConfig, adversary) -> str:
     )
 
 
-def grid_cases():
+def grid_cases(models=("cc", "ncc"), sizes=SIZES):
     """(label, config, adversary) for every run of the grid."""
-    for model in ("cc", "ncc"):
-        for n in SIZES:
+    for model in models:
+        for n in sizes:
             for seed in RANDOM_SEEDS:
                 rng = random.Random(f"grid-{model}-{n}-{seed}")
                 degrees = tuple(rng.randrange(n) for _ in range(n))
@@ -86,8 +90,16 @@ def verify_digest(mutations: frozenset[str]) -> str:
     )
 
 
+def digest_lines(cases) -> list[str]:
+    return [f"{run_digest(c, a)}  {label}" for label, c, a in cases]
+
+
 def grid_lines() -> list[str]:
-    return [f"{run_digest(c, a)}  {label}" for label, c, a in grid_cases()]
+    return digest_lines(grid_cases())
+
+
+def large_cc_lines() -> list[str]:
+    return digest_lines(grid_cases(models=("cc",), sizes=LARGE_CC_SIZES))
 
 
 def verify_lines() -> list[str]:
@@ -114,6 +126,10 @@ def test_grid_runs_match_golden_digests():
     assert_golden(grid_lines())
 
 
+def test_large_cc_runs_match_golden_digests():
+    assert_golden(large_cc_lines())
+
+
 def test_exhaustive_n3_matches_golden_digests():
     """At n=3 neither mutation is caught, so the three reports agree; the
     digests still pin every count and the (empty) violation lists."""
@@ -121,4 +137,4 @@ def test_exhaustive_n3_matches_golden_digests():
 
 
 if __name__ == "__main__":
-    print("\n".join(grid_lines() + verify_lines()))
+    print("\n".join(grid_lines() + verify_lines() + large_cc_lines()))
