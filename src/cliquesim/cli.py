@@ -300,8 +300,16 @@ def _add_common_sim_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ConfigError, which `main` prints as
+    one `error:` line; argparse would print its usage block first."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cliquesim",
         description="Fault-tolerant degree-sequence realization simulator",
     )
@@ -360,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if [] in vars(args).values():  # argparse reads `--opt=--` as []
             raise ConfigError("'--' is not an option value")
         return args.func(args)

@@ -133,21 +133,24 @@ def havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
     remaining nodes under the same ordering.
     """
     seq = DegreeSequence.coerce(seq)
-    residual = [(d, i) for i, d in seq.entries]
+    # (-residual demand, id): a plain sort puts the largest demand first and
+    # breaks ties by ascending id.
+    residual = [(-d, i) for i, d in seq.entries]
     edges: set[tuple[int, int]] = set()
     while residual:
-        residual.sort(key=lambda pair: (-pair[0], pair[1]))
-        d, v = residual.pop(0)
+        residual.sort()
+        neg_d, v = residual.pop(0)
+        d = -neg_d
         if d == 0:
             break  # all remaining demands are zero
         if d > len(residual):
             return RealizationOutcome.unrealizable()
         for k in range(d):
-            dk, w = residual[k]
-            if dk - 1 < 0:
+            neg_dk, w = residual[k]
+            if neg_dk == 0:  # w's demand is already met
                 return RealizationOutcome.unrealizable()
-            residual[k] = (dk - 1, w)
-            edges.add((min(v, w), max(v, w)))
+            residual[k] = (neg_dk + 1, w)
+            edges.add((v, w) if v < w else (w, v))
     graph = RealizedGraph(node_ids=seq.node_ids, edges=frozenset(edges))
     return RealizationOutcome(graph=graph)
 

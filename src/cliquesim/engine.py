@@ -10,6 +10,16 @@ receives, mail or not; afterwards a node is due only in the round its
 empty inbox change nothing. A node that crashes is silent in all later
 rounds; a sender that does not crash reaches all its recipients.
 
+Delivery. A send from a sender that does not crash, to its whole peer list
+(`ProtocolNode.all_peers`: every cc send names it, no ncc send does), is a
+broadcast and is not copied per recipient. In phase 1 the run's
+`Phase1Tally` counts it once for all receivers, and each node's `receive`
+gets only its per-recipient mail. Later, in a round whose only send is a
+broadcast, every live peer of the sender gets the same one-message inbox.
+All other mail (a crasher's partial delivery, a narrower send, every ncc
+send) goes to per-recipient mailboxes. `outboxes`, the round log and the
+message counts do not depend on the path.
+
 Every run keeps one raw `RoundLog` per round, carried by the result (or a
 `RoundLimitExceeded`); only `trace.py` turns it into trace records.
 
@@ -29,6 +39,7 @@ from .groups import GroupLayout, enforce_capacity
 from .protocol import (
     FaultEntry,
     NodeState,
+    Phase1Tally,
     ProtocolNode,
     ProtocolViolation,
     SMITE,
@@ -165,9 +176,15 @@ class RoundEngine:
         else:
             self.layout = GroupLayout(config.n, config.n, 1)
             self.capacity = None
+        self.tally = Phase1Tally(config.n)
         self.nodes = [
             ProtocolNode(
-                i + 1, config.degrees[i], config.n, self.layout, config.mutations
+                i + 1,
+                config.degrees[i],
+                config.n,
+                self.layout,
+                config.mutations,
+                self.tally,
             )
             for i in range(config.n)
         ]
@@ -224,21 +241,26 @@ class RoundEngine:
             due = self._live
         else:
             due = [node for node in self._live if node.next_emit == rnd]
-        self.outboxes = {}
+        self.outboxes = outboxes = {}
         for node in due:
             state = node.state
             send = node.emit(rnd)
             if send:
-                self.outboxes[node.index] = send
+                outboxes[node.index] = send
             if node.state is not state:  # states only move forward
                 moved = moved or {}
-                moved[node.index] = node.state.value
+                moved[node.index] = node.state._value_
 
         decisions = self._crash_decisions(rnd)
+        # A send from a sender that does not crash, to its whole peer list,
+        # is kept once in `broadcasts`: in phase 1 always, later when it is
+        # the round's only send. All other mail is copied per recipient.
+        shareable = in_phase1 or len(outboxes) == 1
+        broadcasts: list[tuple[int, Any]] = []
         mailboxes: dict[int, list[Any]] = {}
         delivered_count = 0
         round_crashes: list[tuple[int, tuple[int, ...]]] = []
-        for sender, (msg, recipients) in self.outboxes.items():
+        for sender, (msg, recipients) in outboxes.items():
             self._check_outgoing(msg)
             if self.capacity is not None:
                 self.metrics.max_send_per_round = max(
@@ -250,14 +272,18 @@ class RoundEngine:
                         f"{rnd}, capacity {self.capacity}"
                     )
             allowed = decisions.get(sender)
-            if allowed is not None:
-                recipients = [j for j in recipients if j in allowed]
-                round_crashes.append((sender, tuple(sorted(recipients))))
-            for j in recipients:
-                mailboxes.setdefault(j, []).append(msg)
+            whole = recipients is self.nodes[sender - 1].all_peers
+            if shareable and whole and allowed is None:
+                broadcasts.append((sender, msg))
+            else:
+                if allowed is not None:
+                    recipients = [j for j in recipients if j in allowed]
+                    round_crashes.append((sender, tuple(sorted(recipients))))
+                for j in recipients:
+                    mailboxes.setdefault(j, []).append(msg)
             delivered_count += len(recipients)
         for node_index in decisions:
-            if node_index not in self.outboxes:
+            if node_index not in outboxes:
                 round_crashes.append((node_index, ()))
         if round_crashes:
             round_crashes.sort()
@@ -273,15 +299,23 @@ class RoundEngine:
         self.metrics.messages_sent += delivered_count
         self.metrics.per_round_counts.append(delivered_count)
 
+        # The inbox of a receiver without a mailbox.
+        everyone: list[Any] = []
         if in_phase1:
             receivers = self._live
+            if len(receivers) > 1:  # else no peer is left to hear a broadcast
+                self.tally.add(broadcasts, receivers[0].index, receivers[1].index)
+        elif broadcasts:
+            [(sender, msg)] = broadcasts
+            everyone = [msg]
+            receivers = [node for node in self._live if node.index != sender]
         else:
             crashed = self.crashed_round
             receivers = [
                 self.nodes[j - 1] for j in sorted(mailboxes) if j not in crashed
             ]
         for node in receivers:
-            inbox = mailboxes.get(node.index, [])
+            inbox = mailboxes.get(node.index, everyone)
             if self.capacity is not None:
                 self.metrics.max_recv_per_round = max(
                     self.metrics.max_recv_per_round, len(inbox)
@@ -298,7 +332,7 @@ class RoundEngine:
             node.receive(rnd, inbox)
             if node.state is not state:
                 moved = moved or {}
-                moved[node.index] = node.state.value
+                moved[node.index] = node.state._value_
 
         # Only `emit` makes a node active, and an active node is due every
         # round, so this round's due nodes hold every active one.
@@ -311,7 +345,10 @@ class RoundEngine:
             # Every move but listening -> active settles the node.
             settled = [i for i, to in transitions if to != "active"]
             self._unsettled.difference_update(settled)
-        self.round_log.append(RoundLog(self.outboxes, round_crashes, transitions))
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        self.round_log.append(
+            tuple.__new__(RoundLog, (outboxes, round_crashes, transitions))
+        )
 
     def _crash_decisions(self, rnd: int) -> dict[int, frozenset[int]]:
         raw = self.adversary.decide(self, rnd)
@@ -355,20 +392,35 @@ class RoundEngine:
     def _check_phase1_exclusion(self) -> None:
         """Note the first live node to hear each subject twice (the smite
         check's table), and check that no subject was heard twice by one node
-        and never by another. Counts never change after phase 1, so they are
-        read in place."""
+        and never by another. Counts never change after phase 1.
+
+        A node hears a subject's shared broadcasts, counted in the tally,
+        unless it is the subject, plus its own per-recipient mail. So when
+        the tally holds two copies, or no live node got the subject by
+        mail, every live peer heard it equally often or at least twice."""
         live = self._live
-        # Column s of the transposed counts holds every live node's count of
-        # s; column 0 names no node.
-        columns = zip(*(node.heard_count for node in live))
-        next(columns, None)
-        for subject, column in enumerate(columns, start=1):
+        shared = self.tally.count
+        mailed = set().union(*(node.heard_count for node in live))
+        first = live[0].index
+        second = live[1].index if len(live) > 1 else None
+        for subject in range(1, self.config.n + 1):
+            base = shared[subject]
+            if base >= 2 or subject not in mailed:
+                peer = second if subject == first else first
+                if base >= 2 and peer is not None:
+                    self._heard_twice[subject] = peer
+                continue
+            # With fewer than two shared copies, counting them for the
+            # subject itself too changes neither who heard it twice nor which
+            # peer never heard it.
+            column = [base + node.heard_count.get(subject, 0) for node in live]
             if max(column) < 2:
                 continue
-            first = next(k for k, c in enumerate(column) if c >= 2)
-            self._heard_twice[subject] = live[first].index
+            k = next(k for k, c in enumerate(column) if c >= 2)
+            self._heard_twice[subject] = live[k].index
             own = None if subject in self.crashed_round else self.nodes[subject - 1]
-            if column.count(0) == (own is not None and own.heard_count[subject] == 0):
+            own_zero = own is not None and base + own.heard_count.get(subject, 0) == 0
+            if column.count(0) == own_zero:
                 continue  # no other node missed it
             others = [(n.index, c) for n, c in zip(live, column) if n.index != subject]
             twice = [i for i, c in others if c >= 2]

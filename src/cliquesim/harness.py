@@ -78,6 +78,11 @@ def check_execution(result: ExecutionResult) -> list[str]:
     crashed = {o.index for o in result.nodes if o.crashed_round is not None}
     exited = result.exited()
     survivors = result.survivors()
+    # Each distinct exited view once; a run that agrees has one.
+    views: list[dict[int, int]] = []
+    for o in exited:
+        if o.view not in views:
+            views.append(o.view)
 
     for o in survivors:
         if o.exit_round is None:
@@ -95,8 +100,8 @@ def check_execution(result: ExecutionResult) -> list[str]:
         # One verdict per distinct view. Two verdicts agree when both are
         # unrealizable or both realize the same edge set.
         verdicts = set()
-        for view in {tuple(sorted(o.view.items())) for o in exited}:
-            graph = _realize(view).graph
+        for view in views:
+            graph = _realize(tuple(sorted(view.items()))).graph
             verdicts.add(None if graph is None else graph.edges)
         if len(verdicts) > 1:
             issues.append(
@@ -104,27 +109,36 @@ def check_execution(result: ExecutionResult) -> list[str]:
                 f"{[o.index for o in exited]}"
             )
 
-    for o in exited:
-        if len(o.view) < n - len(crashed):
-            issues.append(
-                f"validity: node {o.index} has |D'|={len(o.view)} < "
-                f"n-crashed={n - len(crashed)}"
-            )
-        missing = set(range(1, n + 1)) - set(o.view)
-        if not missing <= crashed:
-            issues.append(
-                f"validity: node {o.index} is missing degrees of non-crashed "
-                f"nodes {sorted(missing - crashed)}"
-            )
-    for survivor in survivors:
-        own = result.config.degrees[survivor.index - 1]
+    degrees = result.config.degrees
+    everyone = set(range(1, n + 1))
+    if not all(
+        len(view) >= n - len(crashed)
+        and everyone.difference(view) <= crashed
+        and all(view.get(s.index) == degrees[s.index - 1] for s in survivors)
+        for view in views
+    ):
+        # Some view fails: report node by node.
         for o in exited:
-            got = o.view.get(survivor.index)
-            if got != own:
+            if len(o.view) < n - len(crashed):
                 issues.append(
-                    f"validity: node {o.index} holds {got!r} for surviving "
-                    f"node {survivor.index}, expected {own}"
+                    f"validity: node {o.index} has |D'|={len(o.view)} < "
+                    f"n-crashed={n - len(crashed)}"
                 )
+            missing = everyone - set(o.view)
+            if not missing <= crashed:
+                issues.append(
+                    f"validity: node {o.index} is missing degrees of non-crashed "
+                    f"nodes {sorted(missing - crashed)}"
+                )
+        for survivor in survivors:
+            own = degrees[survivor.index - 1]
+            for o in exited:
+                got = o.view.get(survivor.index)
+                if got != own:
+                    issues.append(
+                        f"validity: node {o.index} holds {got!r} for surviving "
+                        f"node {survivor.index}, expected {own}"
+                    )
 
     bound = message_bound(
         n, len(result.crashes), result.metrics.allokay_broadcasters

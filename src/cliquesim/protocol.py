@@ -11,6 +11,15 @@ next surviving index. A node that exhausts its list folds leftovers into
 its view and broadcasts a termination signal; listeners that receive the
 signal fold in and stop without rebroadcasting.
 
+Phase-1 counting is shared. An announcement that reaches every peer of its
+sender is counted once, in the run's `Phase1Tally`, for all receivers at
+once; a node counts in its own `heard_count` and `heard_degree` only the
+announcements it gets as per-recipient mail (a crasher's partial delivery,
+a narrower send). A node never hears its own broadcast, so the tally's
+count of a node's own index does not count for that node. The tally's
+counts are classified once; each node copies that classification and
+patches in its own index and its per-recipient mail.
+
 Nodes are stepped by the round engine: `emit(round)` produces this round's
 one send (and applies send-side transitions), `receive(round, inbox)` applies
 reception rules. Both are deterministic; all cross-node interaction flows
@@ -36,6 +45,7 @@ __all__ = [
     "SMITE",
     "FAULTY",
     "NodeState",
+    "Phase1Tally",
     "ProtocolNode",
     "ProtocolViolation",
     "MUTATE_NO_HEARD_ONCE_UPDATE",
@@ -89,6 +99,68 @@ class NodeState(Enum):
     EXIT = "exit"
 
 
+def _bad_announce(msg, receiver: int, prior: int | None = None) -> ProtocolViolation:
+    """What node `receiver` reports for a phase-1 message that is no
+    announcement, or that announces a degree other than `prior`."""
+    if not isinstance(msg, Announce):
+        return ProtocolViolation(
+            f"node {receiver} got {type(msg).__name__} during phase 1"
+        )
+    return ProtocolViolation(
+        f"node {receiver} heard degrees {prior} and {msg.degree} from node "
+        f"{msg.sender}"
+    )
+
+
+class Phase1Tally:
+    """The phase-1 announcements of one run that reached every peer of
+    their sender, counted once for all receivers.
+
+    Announcements name their sender, so `count[j]` is how often every peer
+    of j heard j. The engine adds each such broadcast; a node without a
+    shared tally gets an empty one of its own.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.count = [0] * (n + 1)
+        self.degree: dict[int, int] = {}
+        self._classes: tuple[dict[int, int], dict[int, Entry]] | None = None
+
+    def add(
+        self, broadcasts: list[tuple[int, object]], first: int, second: int
+    ) -> None:
+        """Count a round's (sender, message) broadcasts. `first` and `second`
+        are the two lowest live indexes: a bad message is reported by its
+        sender's first live peer, the node that would have read it first."""
+        count, known = self.count, self.degree
+        for sender, msg in broadcasts:
+            peer = second if sender == first else first
+            if not isinstance(msg, Announce):
+                raise _bad_announce(msg, peer)
+            prior = known.setdefault(msg.sender, msg.degree)
+            if prior != msg.degree:
+                raise _bad_announce(msg, peer, prior)
+            count[msg.sender] += 1
+
+    def classes(self) -> tuple[dict[int, int], dict[int, Entry]]:
+        """(view, list) of every index by these counts alone, in index order,
+        built once at the end of phase 1: heard twice into the view (degree
+        accepted), once into the list as faulty with its degree, never into
+        the list as smite. Callers copy before they change them."""
+        if self._classes is None:
+            view: dict[int, int] = {}
+            flist: dict[int, Entry] = {}
+            for j, heard in enumerate(self.count[1:], start=1):
+                if heard >= 2:
+                    view[j] = self.degree[j]
+                elif heard == 1:
+                    flist[j] = Entry(FAULTY, self.degree[j])
+                else:
+                    flist[j] = _SMITE_ENTRY
+            self._classes = view, flist
+        return self._classes
+
+
 class ProtocolNode:
     """One clique member's protocol state.
 
@@ -106,10 +178,10 @@ class ProtocolNode:
         n: int,
         layout: GroupLayout | None = None,
         mutations: frozenset[str] = frozenset(),
+        tally: Phase1Tally | None = None,
     ) -> None:
         self.index = index
         self.degree = degree
-        self.n = n
         if layout is None:
             layout = GroupLayout(n, n, 1)
         self.layout = layout
@@ -120,7 +192,9 @@ class ProtocolNode:
         self.copies_per_entry = 2 * g
 
         self.state = NodeState.LISTENING
-        self.heard_count = [0] * (n + 1)
+        self.tally = Phase1Tally(n) if tally is None else tally
+        # Phase-1 announcements from per-recipient mail only.
+        self.heard_count: dict[int, int] = {}
         self.heard_degree: dict[int, int] = {}
         self.view: dict[int, int] = {}
         self.flist: dict[int, Entry] = {}
@@ -142,6 +216,9 @@ class ProtocolNode:
         self._group = layout.group_of(index)
         self._group_peers = [list(layout.members(group)) for group in range(1, g + 1)]
         self._group_peers[self._group - 1].remove(index)
+        # The recipient list naming every other node, when one group holds
+        # them all: the engine delivers a send to it once for all receivers.
+        self.all_peers = self._group_peers[0] if g == 1 else None
         self._announce = Announce(index, degree)
 
     # -- sending ----------------------------------------------------------
@@ -223,23 +300,20 @@ class ProtocolNode:
 
     def receive(self, rnd: int, inbox: list) -> None:
         if rnd <= self.phase1_len:
-            heard_degree = self.heard_degree
-            heard_count = self.heard_count
+            heard_count, known = self.heard_count, self.heard_degree
+            shared = self.tally.degree
             for msg in inbox:
                 if not isinstance(msg, Announce):
-                    raise ProtocolViolation(
-                        f"node {self.index} got {type(msg).__name__} during phase 1"
-                    )
+                    raise _bad_announce(msg, self.index)
                 sender, degree = msg
-                prior = heard_degree.get(sender)
-                if prior is None:
-                    heard_degree[sender] = degree
-                elif prior != degree:
-                    raise ProtocolViolation(
-                        f"node {self.index} heard degrees {prior} and {degree} "
-                        f"from node {sender}"
-                    )
-                heard_count[sender] += 1
+                prior = known.get(sender)
+                if prior is None:  # first mail from this sender
+                    prior = known[sender] = shared.get(sender, degree)
+                    heard_count[sender] = 1
+                else:
+                    heard_count[sender] += 1
+                if prior != degree:
+                    raise _bad_announce(msg, self.index, prior)
             if rnd == self.phase1_len:
                 self._classify()
             return
@@ -264,17 +338,28 @@ class ProtocolNode:
             self.next_emit = self.activation_due()
 
     def _classify(self) -> None:
-        for j in range(1, self.n + 1):
-            if j == self.index:
+        own = self.index
+        shared = self.tally.count
+        degree = self.heard_degree
+        view, flist = self.tally.classes()
+        view, flist = dict(view), dict(flist)
+        view.pop(own, None)
+        flist.pop(own, None)
+        moved = False
+        for s, c in self.heard_count.items():
+            base = shared[s]
+            if base >= 2 or s == own:
                 continue
-            count = self.heard_count[j]
-            if count >= 2:
-                self.view[j] = self.heard_degree[j]
-            elif count == 1:
-                self.flist[j] = Entry(FAULTY, self.heard_degree[j])
-            else:
-                self.flist[j] = _SMITE_ENTRY
-        self.view[self.index] = self.degree
+            if base + c == 1:  # heard once, by mail
+                flist[s] = Entry(FAULTY, degree[s])
+            else:  # mail completed the two
+                del flist[s]
+                view[s] = degree[s]
+                moved = True
+        if moved:
+            view = dict(sorted(view.items()))  # the view stays in index order
+        view[own] = self.degree
+        self.view, self.flist = view, flist
         # Virtual timer: the minimum index is due right after phase 1, and
         # index i is due 3 gaps later per step when nothing is ever heard.
         self.last_active = 1

@@ -335,6 +335,8 @@ SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
             ["sweep", "--n", "4", "--f", "0,2", "--adversary", "none,scripted"],
             "sweep adversary 'scripted' is not none, random or worst",
         ),
+        (["simulate", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (SIMULATE_N4 + ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
     ],
 )
 def test_bad_option_value_status_two(argv, expected, capsys):

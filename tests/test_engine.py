@@ -1,6 +1,8 @@
 """Round-engine tests: delivery semantics, fault-free exactness, scripted
 crash golden values, determinism, and the watchdog."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,14 @@ from cliquesim.engine import (
     run_simulation,
 )
 from cliquesim.harness import check_execution, message_bound, verdict
-from cliquesim.protocol import SMITE, Entry, ProtocolNode, ProtocolViolation
+from cliquesim.protocol import (
+    SMITE,
+    AllOkay,
+    Announce,
+    Entry,
+    ProtocolNode,
+    ProtocolViolation,
+)
 from cliquesim.trace import round_records
 
 
@@ -164,6 +173,42 @@ def test_agreement_and_validity_under_arbitrary_crash_plans(data):
     assert check_execution(result) == []
 
 
+def test_views_keep_index_order_when_mail_completes_a_peer():
+    """Node 3 crashes in round 2 reaching only nodes 1 and 4, so they hear it
+    once from the shared round-1 broadcast and once by mail: it still lands
+    in their views in index order, their own index last. Agreement issues
+    print views in this order."""
+    config = SimConfig(n=5, degrees=(1, 2, 2, 1, 2))
+    plan = CrashPlan((CrashEvent(2, 3, (1, 4)),))
+    result = run_simulation(config, ScriptedAdversary(plan))
+    assert [list(o.view) for o in result.nodes] == [
+        [2, 3, 4, 5, 1],
+        [1, 4, 5, 2, 3],
+        [],
+        [1, 2, 3, 5, 4],
+        [1, 2, 4, 5, 3],
+    ]
+    assert check_execution(result) == []
+
+
+def test_failing_views_are_reported_node_by_node():
+    """`check_execution` judges each distinct view once, but when one fails
+    it reports every node, in node order."""
+    result = run_simulation(SimConfig(n=4, degrees=(1, 1, 1, 1)), NoneAdversary())
+    nodes = result.nodes
+    nodes[1] = dataclasses.replace(nodes[1], view={1: 1, 2: 1, 3: 1})
+    nodes[3] = dataclasses.replace(nodes[3], view={1: 1, 2: 1, 3: 1, 4: 9})
+    assert check_execution(result) == [
+        "agreement: view disagreement between nodes 1 and 2: "
+        "{2: 1, 3: 1, 4: 1, 1: 1} vs {1: 1, 2: 1, 3: 1}",
+        "agreement: verdict disagreement among exited nodes [1, 2, 3, 4]",
+        "validity: node 2 has |D'|=3 < n-crashed=4",
+        "validity: node 2 is missing degrees of non-crashed nodes [4]",
+        "validity: node 2 holds None for surviving node 4, expected 1",
+        "validity: node 4 holds 9 for surviving node 4, expected 1",
+    ]
+
+
 class TestDeterminism:
     def test_identical_configs_produce_identical_traces(self):
         from cliquesim.adversary import RandomAdversary
@@ -281,6 +326,36 @@ class TestInvariantChecks:
             "phase-1 exclusion broken for node 3: heard twice by [1], "
             "never by [2, 4]"
         )
+
+    def test_phase1_message_that_is_no_announcement(self, monkeypatch):
+        class Impostor(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                msg, recipients = super()._emit_phase1(rnd)
+                if self.index == 2:
+                    msg = AllOkay(2)
+                return msg, recipients
+
+        # Node 1 crashes silently, so node 3 is node 2's first live peer.
+        message = self.run_with(
+            monkeypatch,
+            Impostor,
+            SimConfig(n=4, degrees=(1, 1, 1, 1)),
+            ScriptedAdversary(CrashPlan((CrashEvent(1, 1, ()),))),
+        )
+        assert message == "node 3 got AllOkay during phase 1"
+
+    def test_phase1_degree_change(self, monkeypatch):
+        class Fickle(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                msg, recipients = super()._emit_phase1(rnd)
+                if self.index == 1 and rnd == 2:
+                    msg = Announce(1, self.degree + 1)
+                return msg, recipients
+
+        message = self.run_with(
+            monkeypatch, Fickle, SimConfig(n=4, degrees=(1, 1, 1, 1)), NoneAdversary()
+        )
+        assert message == "node 2 heard degrees 1 and 2 from node 1"
 
     def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
         class Forgetful(ProtocolNode):
