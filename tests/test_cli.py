@@ -135,6 +135,50 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == "error: crash of unknown node 9\n"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--n", "5", "--degrees", "1,2,2,1,2", "--adversary", "worst",
+                 "--f", "2"],
+                """\
+model=cc n=5 degrees=1,2,2,1,2
+rounds=11 messages=50 crashes=2 allokay_broadcasters=1
+crash round=1 node=2 delivered=1,3
+crash round=4 node=1 delivered=-
+node 1: crashed (round 4)
+node 2: crashed (round 1)
+node 3: exit round=11 D'=[1:1 2:2 3:2 4:1 5:2] edges 1-3 2-3 2-5 4-5
+node 4: exit round=11 D'=[1:1 2:2 3:2 4:1 5:2] edges 1-3 2-3 2-5 4-5
+node 5: exit round=11 D'=[1:1 2:2 3:2 4:1 5:2] edges 1-3 2-3 2-5 4-5
+checks=ok
+""",
+            ),
+            (
+                ["--n", "6", "--model", "ncc", "--degrees", "1,2,2,1,3,1",
+                 "--adversary", "worst", "--f", "1"],
+                """\
+model=ncc n=6 degrees=1,2,2,1,3,1
+rounds=10 messages=67 crashes=1 allokay_broadcasters=1
+max_send_per_round=3 max_recv_per_round=3 dropped_messages=0
+crash round=1 node=2 delivered=4,5
+node 1: exit round=9 D'=[1:1 3:2 4:1 5:3 6:1] edges 1-5 3-5 3-6 4-5
+node 2: crashed (round 1)
+node 3: exit round=9 D'=[1:1 3:2 4:1 5:3 6:1] edges 1-5 3-5 3-6 4-5
+node 4: exit round=10 D'=[1:1 3:2 4:1 5:3 6:1] edges 1-5 3-5 3-6 4-5
+node 5: exit round=10 D'=[1:1 3:2 4:1 5:3 6:1] edges 1-5 3-5 3-6 4-5
+node 6: exit round=10 D'=[1:1 3:2 4:1 5:3 6:1] edges 1-5 3-5 3-6 4-5
+checks=ok
+""",
+            ),
+        ],
+        ids=["cc", "ncc"],
+    )
+    def test_full_summary_text(self, tmp_path, argv, expected):
+        out_path = tmp_path / "summary.txt"
+        assert main(["simulate", *argv, "--out", str(out_path)]) == 0
+        assert out_path.read_text() == expected
+
     def test_failed_checks_status_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "check_execution", lambda result: ["messages: x"])
         assert main(["simulate", "--n", "4", "--degrees", "1,1,1,1"]) == 1

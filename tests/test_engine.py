@@ -12,6 +12,7 @@ from cliquesim.adversary import (
     CrashPlan,
     NoneAdversary,
     ScriptedAdversary,
+    WorstCaseAdversary,
 )
 from cliquesim.engine import (
     AdversaryError,
@@ -209,6 +210,16 @@ def test_failing_views_are_reported_node_by_node():
     ]
 
 
+def test_large_cc_run_under_worst_adversary():
+    """The benchmark's cc instance: n=1024 under the worst adversary with
+    f=512, the one run that delivers broadcasts at scale."""
+    config = SimConfig(n=1024, degrees=(256,) * 1024)
+    result = run_simulation(config, WorstCaseAdversary(512))
+    assert len(result.metrics.per_round_counts) == 1541
+    assert result.metrics.messages_sent == 2_619_392
+    assert check_execution(result) == []
+
+
 class TestDeterminism:
     def test_identical_configs_produce_identical_traces(self):
         from cliquesim.adversary import RandomAdversary
@@ -356,6 +367,25 @@ class TestInvariantChecks:
             monkeypatch, Fickle, SimConfig(n=4, degrees=(1, 1, 1, 1)), NoneAdversary()
         )
         assert message == "node 2 heard degrees 1 and 2 from node 1"
+
+    def test_broadcast_violation_names_the_lowest_listener(self, monkeypatch):
+        class Tampered(ProtocolNode):
+            def _classify(self):
+                super()._classify()
+                if self.index in (3, 5):
+                    self.view[6] = 1
+
+        # Node 6 crashes silently, so node 1 rebroadcasts a smite for it in
+        # round 3, which both tampered listeners reject.
+        message = self.run_with(
+            monkeypatch,
+            Tampered,
+            SimConfig(n=6, degrees=(1,) * 6),
+            ScriptedAdversary(CrashPlan((CrashEvent(1, 6, ()),))),
+        )
+        assert message == (
+            "node 3 got a smite rebroadcast for 6 whose degree is already accepted"
+        )
 
     def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
         class Forgetful(ProtocolNode):

@@ -204,6 +204,36 @@ class TestListeningUpdates:
         assert 4 not in node.view
 
 
+class TestMultiMessageInbox:
+    """Inboxes after phase 1 that hold several messages, as mail from more
+    than one sender in a round brings them."""
+
+    def listener(self):
+        # peer 3 heard once (faulty 7 known locally), peer 5 never (smite)
+        return make_classified_node(4, 5, heard={1: [0, 0], 2: [1, 1], 3: [7]})
+
+    def test_two_fault_entries_apply_in_sender_order(self):
+        node = self.listener()
+        node.receive(6, [FaultEntry(2, 5, FAULTY, 3), FaultEntry(1, 5, SMITE, None)])
+        # node 1's smite first, then node 2's faulty entry replaces it
+        assert node.flist == {3: Entry(FAULTY, 7), 5: Entry(FAULTY, 3)}
+        assert node.view == {1: 0, 2: 1, 4: 1}
+        assert node.last_active == 2 and node.last_heard == 6
+        assert node.next_emit == 6 + 3 * (4 - 2)
+        assert node.state is NodeState.LISTENING
+
+    def test_fault_entry_then_allokay_exits(self):
+        node = self.listener()
+        node.receive(6, [AllOkay(2), FaultEntry(1, 5, FAULTY, 3)])
+        # the entry lands first, then the signal folds both entries in
+        assert node.flist == {}
+        assert node.view == {1: 0, 2: 1, 4: 1, 3: 7, 5: 3}
+        assert node.last_active == 1 and node.last_heard == 6
+        assert node.next_emit is None
+        assert node.state is NodeState.EXIT and node.exit_round == 6
+        assert not node.allokay_broadcast
+
+
 class TestExitBehavior:
     def test_allokay_folds_in_and_terminates_silently(self):
         node = make_classified_node(2, 5, heard={1: [0, 0], 3: [2, 2], 4: [5]})
