@@ -15,9 +15,10 @@ Delivery. A send from a sender that does not crash, to its whole peer list
 broadcast and is not copied per recipient. In phase 1 the run's
 `Phase1Tally` counts it once for all receivers, and each node's `receive`
 gets only its per-recipient mail. Later, in a round whose only send is a
-broadcast, every live peer of the sender gets the same one-message inbox.
-All other mail (a crasher's partial delivery, a narrower send, every ncc
-send) goes to per-recipient mailboxes. `outboxes`, the round log and the
+broadcast, one `ProtocolNode.hear` call applies the message to every live
+node in index order; no listener's `receive` runs. All other mail (a
+crasher's partial delivery, a narrower send, every ncc send) goes to
+per-recipient mailboxes and `receive`. `outboxes`, the round log and the
 message counts do not depend on the path.
 
 Every run keeps one raw `RoundLog` per round, carried by the result (or a
@@ -299,23 +300,25 @@ class RoundEngine:
         self.metrics.messages_sent += delivered_count
         self.metrics.per_round_counts.append(delivered_count)
 
-        # The inbox of a receiver without a mailbox.
-        everyone: list[Any] = []
         if in_phase1:
             receivers = self._live
             if len(receivers) > 1:  # else no peer is left to hear a broadcast
                 self.tally.add(broadcasts, receivers[0].index, receivers[1].index)
         elif broadcasts:
-            [(sender, msg)] = broadcasts
-            everyone = [msg]
-            receivers = [node for node in self._live if node.index != sender]
+            # One call for every live node; its sender does not listen. Only
+            # a cc send is a broadcast after phase 1, so no capacity applies.
+            [(_, msg)] = broadcasts
+            receivers = ()
+            for node in ProtocolNode.hear(rnd, msg, self._live):
+                moved = moved or {}
+                moved[node.index] = node.state._value_
         else:
             crashed = self.crashed_round
             receivers = [
                 self.nodes[j - 1] for j in sorted(mailboxes) if j not in crashed
             ]
         for node in receivers:
-            inbox = mailboxes.get(node.index, everyone)
+            inbox = mailboxes.get(node.index, ())
             if self.capacity is not None:
                 self.metrics.max_recv_per_round = max(
                     self.metrics.max_recv_per_round, len(inbox)

@@ -28,6 +28,12 @@ which `emit` can act: its activation round while listening, the next round
 while active or while termination signals are pending, and None once there
 is nothing left to send. A call in any other round, or a `receive` with an
 empty inbox, changes nothing, so the engine skips them.
+
+After phase 1 the reception rules live in one place, `ProtocolNode.hear`,
+which applies one message to a list of listeners: the message is decoded
+once and each listener is updated inline. The engine hands it a broadcast
+with every live node; `receive` hands it each message of one node's
+per-recipient mail, entries in sender order and then any termination signal.
 """
 
 from __future__ import annotations
@@ -208,8 +214,8 @@ class ProtocolNode:
         self.allokay_broadcast = False
         self._allokay_pending: list[list[int]] = []
 
-        self._window_sender = 0
-        self._window_subject = 0
+        # (sender, subject) of the last entry heard, and its copies so far.
+        self._window = (0, 0)
         self._window_count = 0
         # Recipients per group (its members but this node), shared by all
         # the node's sends to it: nothing downstream may mutate them.
@@ -299,6 +305,8 @@ class ProtocolNode:
     # -- receiving --------------------------------------------------------
 
     def receive(self, rnd: int, inbox: list) -> None:
+        """Apply this node's mail of round `rnd`: phase-1 announcements are
+        counted, and each later message goes through `hear`."""
         if rnd <= self.phase1_len:
             heard_count, known = self.heard_count, self.heard_degree
             shared = self.tally.degree
@@ -317,25 +325,83 @@ class ProtocolNode:
             if rnd == self.phase1_len:
                 self._classify()
             return
-        if not inbox or self.state is NodeState.EXIT:
-            return
         if len(inbox) > 1:
-            inbox = sorted(inbox, key=lambda m: m.sender)
-        heard = stop = False
+            # Entries in sender order, then the termination signal.
+            inbox = sorted(inbox, key=lambda m: (isinstance(m, AllOkay), m.sender))
+        me = [self]
         for msg in inbox:
-            if isinstance(msg, AllOkay):
-                stop = True
-            elif isinstance(msg, FaultEntry) and self.state is not NodeState.ACTIVE:
-                # An active node ignores entries: another transmitter exists
-                # and the engine's single-active invariant reports it.
-                self.last_active = msg.sender
-                self.last_heard = rnd
-                self._apply_fault_entry(msg)
-                heard = True
-        if stop:
-            self._enter_exit(rnd, broadcast=False)
-        elif heard:
-            self.next_emit = self.activation_due()
+            self.hear(rnd, msg, me)
+
+    @staticmethod
+    def hear(rnd: int, msg, listeners: list[ProtocolNode]) -> list[ProtocolNode]:
+        """Apply one message, sent after phase 1, to each listener in index
+        order; return the listeners it made exit.
+
+        An exited node ignores everything, and an active node ignores
+        entries: another transmitter exists and the engine's single-active
+        invariant reports it. So neither a FaultEntry's sender (active) nor
+        an AllOkay's (exited) hears its own message.
+        """
+        if isinstance(msg, AllOkay):
+            stopped = [node for node in listeners if node.state is not NodeState.EXIT]
+            for node in stopped:
+                node._enter_exit(rnd, broadcast=False)
+            return stopped
+        if not isinstance(msg, FaultEntry):
+            return []
+        sender, s, status, degree = msg
+        window = sender, s
+        smite = status == SMITE
+        entry = None if smite else Entry(FAULTY, degree)
+        listening = NodeState.LISTENING
+        for node in listeners:
+            if node.state is not listening:
+                continue
+            node.last_active = sender
+            node.last_heard = rnd
+            i = node.index  # next_emit is activation_due(), inline
+            node.next_emit = None if i < sender else rnd + node.gap * (i - sender)
+            if node._window == window:
+                count = node._window_count = node._window_count + 1
+                if count > 2:
+                    raise ProtocolViolation(
+                        f"node {i} heard subject {s} more than twice from node "
+                        f"{sender}"
+                    )
+            else:
+                node._window = window
+                count = node._window_count = 1
+            view, flist = node.view, node.flist
+            if smite:
+                if s in view:
+                    raise ProtocolViolation(
+                        f"node {i} got a smite rebroadcast for {s} whose degree "
+                        f"is already accepted"
+                    )
+                if count == 1:
+                    if MUTATE_NO_HEARD_ONCE_UPDATE not in node.mutations:
+                        flist[s] = _SMITE_ENTRY
+                else:
+                    flist.pop(s, None)
+                    node._fold_below(s)
+                continue
+            if degree is None:
+                raise ProtocolViolation(
+                    f"node {i} got a faulty rebroadcast for {s} without a degree"
+                )
+            if count == 1 and s not in view:
+                # Most updates repeat the entry already held: skip them.
+                if (
+                    flist.get(s) != entry
+                    and MUTATE_NO_HEARD_ONCE_UPDATE not in node.mutations
+                ):
+                    flist[s] = entry
+            else:
+                node._insert_view(s, degree)
+                if count == 2:
+                    flist.pop(s, None)
+                    node._fold_below(s)
+        return []
 
     def _classify(self) -> None:
         own = self.index
@@ -365,54 +431,6 @@ class ProtocolNode:
         self.last_active = 1
         self.last_heard = self.phase1_len + 1
         self.next_emit = self.activation_due()
-
-    def _apply_fault_entry(self, msg: FaultEntry) -> None:
-        if (msg.sender, msg.subject) == (self._window_sender, self._window_subject):
-            self._window_count += 1
-            if self._window_count > 2:
-                raise ProtocolViolation(
-                    f"node {self.index} heard subject {msg.subject} more than "
-                    f"twice from node {msg.sender}"
-                )
-        else:
-            self._window_sender = msg.sender
-            self._window_subject = msg.subject
-            self._window_count = 1
-        count = self._window_count
-        s = msg.subject
-
-        if msg.status == SMITE:
-            if s in self.view:
-                raise ProtocolViolation(
-                    f"node {self.index} got a smite rebroadcast for {s} whose "
-                    f"degree is already accepted"
-                )
-            if count == 1:
-                if MUTATE_NO_HEARD_ONCE_UPDATE not in self.mutations:
-                    self.flist[s] = _SMITE_ENTRY
-            else:
-                self.flist.pop(s, None)
-                self._fold_below(s)
-        else:
-            if msg.degree is None:
-                raise ProtocolViolation(
-                    f"node {self.index} got a faulty rebroadcast for {s} "
-                    f"without a degree"
-                )
-            if count == 1:
-                if s not in self.view:
-                    # Most updates repeat the entry already held: skip them.
-                    if (
-                        MUTATE_NO_HEARD_ONCE_UPDATE not in self.mutations
-                        and self.flist.get(s) != (FAULTY, msg.degree)
-                    ):
-                        self.flist[s] = Entry(FAULTY, msg.degree)
-                else:
-                    self._insert_view(s, msg.degree)
-            else:
-                self._insert_view(s, msg.degree)
-                self.flist.pop(s, None)
-                self._fold_below(s)
 
     def _fold_below(self, subject: int) -> None:
         """A completed rebroadcast for `subject` implies every lower-index
