@@ -368,6 +368,41 @@ class TestInvariantChecks:
         )
         assert message == "node 2 heard degrees 1 and 2 from node 1"
 
+    @pytest.mark.parametrize(
+        "sends, expected",
+        [
+            (
+                {(1, 4): (AllOkay(4), None), (1, 2): (AllOkay(2), [3])},
+                "node 1 got AllOkay during phase 1",
+            ),
+            (
+                {(1, 4): (AllOkay(4), [2]), (1, 2): (AllOkay(2), [3])},
+                "node 2 got AllOkay during phase 1",
+            ),
+            (
+                {(2, 5): (Announce(5, 7), [3, 1])},
+                "node 1 heard degrees 1 and 7 from node 5",
+            ),
+        ],
+        ids=["broadcast-before-mail", "mail-by-receiver", "mailed-degree-change"],
+    )
+    def test_phase1_violation_reporter(self, monkeypatch, sends, expected):
+        """A round's broadcasts are checked before its mail; a broadcast is
+        reported by its sender's first live peer, mail by its receiver, the
+        lowest receiver first. `sends` maps (round, node) to the message and
+        recipients it sends instead, None meaning its whole peer list."""
+
+        class Rogue(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                msg, recipients = super()._emit_phase1(rnd)
+                msg, to = sends.get((rnd, self.index), (msg, None))
+                return msg, recipients if to is None else to
+
+        message = self.run_with(
+            monkeypatch, Rogue, SimConfig(n=5, degrees=(1,) * 5), NoneAdversary()
+        )
+        assert message == expected
+
     def test_broadcast_violation_names_the_lowest_listener(self, monkeypatch):
         class Tampered(ProtocolNode):
             def _classify(self):

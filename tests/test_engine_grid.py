@@ -10,10 +10,10 @@ engine schedules its nodes that alters any observable step shows here.
 The grid holds the cases such a change gets wrong first: a node that exits
 inside `emit` (n=1, and every terminator whose list is empty) and an ncc
 node that is active in a round with no recipients (at n=2 and n=3, a node
-sending to its own one-member group). A cc-only block at n=64 and n=128
+sending to its own one-member group). A block per model at n=64 and n=128
 adds many crashes with partial delivery in phase 1, where the small sizes
-have few, so the broadcasts that reach every peer mix with per-recipient
-mail.
+have few: in cc the broadcasts that reach every peer mix with per-recipient
+mail, and in ncc all of phase 1 is per-recipient mail.
 
 Regenerate the data file, only for an intended behaviour change, with
 
@@ -34,7 +34,7 @@ from cliquesim.trace import round_records
 
 GOLDEN = Path(__file__).parent / "data" / "golden_engine_grid.sha256"
 SIZES = (1, 2, 3, 5, 9, 17, 40)
-LARGE_CC_SIZES = (64, 128)
+LARGE_SIZES = (64, 128)
 RANDOM_SEEDS = range(25)
 
 
@@ -98,8 +98,8 @@ def grid_lines() -> list[str]:
     return digest_lines(grid_cases())
 
 
-def large_cc_lines() -> list[str]:
-    return digest_lines(grid_cases(models=("cc",), sizes=LARGE_CC_SIZES))
+def large_lines(model: str) -> list[str]:
+    return digest_lines(grid_cases(models=(model,), sizes=LARGE_SIZES))
 
 
 def verify_lines() -> list[str]:
@@ -127,7 +127,11 @@ def test_grid_runs_match_golden_digests():
 
 
 def test_large_cc_runs_match_golden_digests():
-    assert_golden(large_cc_lines())
+    assert_golden(large_lines("cc"))
+
+
+def test_large_ncc_runs_match_golden_digests():
+    assert_golden(large_lines("ncc"))
 
 
 def test_exhaustive_n3_matches_golden_digests():
@@ -137,4 +141,6 @@ def test_exhaustive_n3_matches_golden_digests():
 
 
 if __name__ == "__main__":
-    print("\n".join(grid_lines() + verify_lines() + large_cc_lines()))
+    print(
+        "\n".join(grid_lines() + verify_lines() + large_lines("cc") + large_lines("ncc"))
+    )
