@@ -4,17 +4,20 @@ Round structure: every live node due to emit computes its one send (a
 message and its recipients) or stays silent, the adversary then picks which
 nodes crash this round and which of each crasher's recipients still get the
 message, all deliveries land, and finally every live node with mail
-processes its inbox. In phase 1 every live node is due and every live node
-receives, mail or not; afterwards a node is due only in the round its
-`next_emit` names, since `emit` in any other round and `receive` with an
-empty inbox change nothing. A node that crashes is silent in all later
-rounds; a sender that does not crash reaches all its recipients.
+processes its inbox. One rule holds in every round: a node is due only in
+the round its `next_emit` names (each round of phase 1, then as the
+protocol schedules it) and receives only when it has mail, since `emit` in
+any other round and `receive` with an empty inbox change nothing. A node
+that crashes is silent in all later rounds; a sender that does not crash
+reaches all its recipients.
 
 Delivery. A send from a sender that does not crash, to its whole peer list
 (`ProtocolNode.all_peers`: every cc send names it, no ncc send does), is a
 broadcast and is not copied per recipient. In phase 1 the run's
 `Phase1Tally` counts it once for all receivers, and each node's `receive`
-gets only its per-recipient mail. Later, in a round whose only send is a
+hands its per-recipient mail to the same tally; in the last phase-1 round
+the engine closes the tally, which classifies every live node. The engine
+does not know how phase 1 counts. Later, in a round whose only send is a
 broadcast, one `ProtocolNode.hear` call applies the message to every live
 node in index order; no listener's `receive` runs. All other mail (a
 crasher's partial delivery, a narrower send, every ncc send) goes to
@@ -26,9 +29,10 @@ Every run keeps one raw `RoundLog` per round, carried by the result (or a
 
 The engine also asserts the model-level invariants that the protocol's
 correctness argument relies on (at most one active transmitter, the
-phase-1 heard-twice/heard-zero exclusion, no smite rebroadcast for a
-degree someone accepted) so that rule mutations or harness bugs surface
-as explicit violations instead of silent divergence.
+phase-1 heard-twice/heard-zero exclusion, which closing the tally checks,
+and no smite rebroadcast for a degree someone accepted) so that rule
+mutations or harness bugs surface as explicit violations instead of
+silent divergence.
 """
 
 from __future__ import annotations
@@ -196,7 +200,8 @@ class RoundEngine:
         self.crash_log: list[tuple[int, int, tuple[int, ...]]] = []
         self.metrics = Metrics()
         self.round_log: list[RoundLog] = []
-        # Subject -> first live node, in index order, that heard it twice.
+        # Subject -> first live node, in index order, that heard it twice,
+        # from closing the tally.
         self._heard_twice: dict[int, int] = {}
         self._phase1_len = self.nodes[0].phase1_len
         self._unsettled = set(range(1, config.n + 1))
@@ -237,11 +242,7 @@ class RoundEngine:
         rnd = self.round
         # Node -> new state, made on the first move: quiet rounds allocate nothing.
         moved: dict[int, str] | None = None
-        in_phase1 = rnd <= self._phase1_len
-        if in_phase1:
-            due = self._live
-        else:
-            due = [node for node in self._live if node.next_emit == rnd]
+        due = [node for node in self._live if node.next_emit == rnd]
         self.outboxes = outboxes = {}
         for node in due:
             state = node.state
@@ -256,6 +257,7 @@ class RoundEngine:
         # A send from a sender that does not crash, to its whole peer list,
         # is kept once in `broadcasts`: in phase 1 always, later when it is
         # the round's only send. All other mail is copied per recipient.
+        in_phase1 = rnd <= self._phase1_len
         shareable = in_phase1 or len(outboxes) == 1
         broadcasts: list[tuple[int, Any]] = []
         mailboxes: dict[int, list[Any]] = {}
@@ -301,24 +303,20 @@ class RoundEngine:
         self.metrics.per_round_counts.append(delivered_count)
 
         if in_phase1:
-            receivers = self._live
-            if len(receivers) > 1:  # else no peer is left to hear a broadcast
-                self.tally.add(broadcasts, receivers[0].index, receivers[1].index)
+            self.tally.add(broadcasts, self._live)
         elif broadcasts:
             # One call for every live node; its sender does not listen. Only
             # a cc send is a broadcast after phase 1, so no capacity applies.
             [(_, msg)] = broadcasts
-            receivers = ()
             for node in ProtocolNode.hear(rnd, msg, self._live):
                 moved = moved or {}
                 moved[node.index] = node.state._value_
-        else:
-            crashed = self.crashed_round
-            receivers = [
-                self.nodes[j - 1] for j in sorted(mailboxes) if j not in crashed
-            ]
-        for node in receivers:
-            inbox = mailboxes.get(node.index, ())
+        crashed = self.crashed_round
+        for j in sorted(mailboxes):
+            if j in crashed:
+                continue
+            node = self.nodes[j - 1]
+            inbox = mailboxes[j]
             if self.capacity is not None:
                 self.metrics.max_recv_per_round = max(
                     self.metrics.max_recv_per_round, len(inbox)
@@ -341,7 +339,7 @@ class RoundEngine:
         # round, so this round's due nodes hold every active one.
         self._check_single_active(due)
         if rnd == self._phase1_len:
-            self._check_phase1_exclusion()
+            self._heard_twice = self.tally.close(self._live)
         transitions = ()
         if moved:
             transitions = tuple(sorted(moved.items()))
@@ -392,48 +390,6 @@ class RoundEngine:
                     )
                 first = node.index
 
-    def _check_phase1_exclusion(self) -> None:
-        """Note the first live node to hear each subject twice (the smite
-        check's table), and check that no subject was heard twice by one node
-        and never by another. Counts never change after phase 1.
-
-        A node hears a subject's shared broadcasts, counted in the tally,
-        unless it is the subject, plus its own per-recipient mail. So when
-        the tally holds two copies, or no live node got the subject by
-        mail, every live peer heard it equally often or at least twice."""
-        live = self._live
-        shared = self.tally.count
-        mailed = set().union(*(node.heard_count for node in live))
-        first = live[0].index
-        second = live[1].index if len(live) > 1 else None
-        for subject in range(1, self.config.n + 1):
-            base = shared[subject]
-            if base >= 2 or subject not in mailed:
-                peer = second if subject == first else first
-                if base >= 2 and peer is not None:
-                    self._heard_twice[subject] = peer
-                continue
-            # With fewer than two shared copies, counting them for the
-            # subject itself too changes neither who heard it twice nor which
-            # peer never heard it.
-            column = [base + node.heard_count.get(subject, 0) for node in live]
-            if max(column) < 2:
-                continue
-            k = next(k for k, c in enumerate(column) if c >= 2)
-            self._heard_twice[subject] = live[k].index
-            own = None if subject in self.crashed_round else self.nodes[subject - 1]
-            own_zero = own is not None and base + own.heard_count.get(subject, 0) == 0
-            if column.count(0) == own_zero:
-                continue  # no other node missed it
-            others = [(n.index, c) for n, c in zip(live, column) if n.index != subject]
-            twice = [i for i, c in others if c >= 2]
-            never = [i for i, c in others if c == 0]
-            if twice and never:
-                raise ProtocolViolation(
-                    f"phase-1 exclusion broken for node {subject}: heard twice "
-                    f"by {twice}, never by {never}"
-                )
-
     # -- reporting -----------------------------------------------------------
 
     def _last_exit_round(self) -> int:
@@ -456,7 +412,7 @@ class RoundEngine:
                     state=state,
                     crashed_round=crashed,
                     exit_round=node.exit_round,
-                    view=dict(node.view),
+                    view=node.view,
                 )
             )
         return ExecutionResult(

@@ -11,23 +11,25 @@ next surviving index. A node that exhausts its list folds leftovers into
 its view and broadcasts a termination signal; listeners that receive the
 signal fold in and stop without rebroadcasting.
 
-Phase-1 counting is shared. An announcement that reaches every peer of its
-sender is counted once, in the run's `Phase1Tally`, for all receivers at
-once; a node counts in its own `heard_count` and `heard_degree` only the
-announcements it gets as per-recipient mail (a crasher's partial delivery,
-a narrower send). A node never hears its own broadcast, so the tally's
+Phase 1 lives in the run's `Phase1Tally`, which counts, checks and
+classifies every announcement. A broadcast that reaches every peer of its
+sender is counted once for all receivers; every other copy (a crasher's
+partial delivery, a narrower send, every ncc send) is counted for its
+receiver, whose `receive` hands the tally its whole phase-1 inbox. One rule
+checks both kinds. A node never hears its own broadcast, so the tally's
 count of a node's own index does not count for that node. The tally's
-counts are classified once; each node copies that classification and
-patches in its own index and its per-recipient mail.
+`close` classifies the broadcast counts once; each live node copies that
+and patches in its own index and its mail.
 
 Nodes are stepped by the round engine: `emit(round)` produces this round's
 one send (and applies send-side transitions), `receive(round, inbox)` applies
 reception rules. Both are deterministic; all cross-node interaction flows
-through the engine. After phase 1 a node keeps `next_emit`, the only round in
-which `emit` can act: its activation round while listening, the next round
-while active or while termination signals are pending, and None once there
-is nothing left to send. A call in any other round, or a `receive` with an
-empty inbox, changes nothing, so the engine skips them.
+through the engine. A node keeps `next_emit`, the only round in which `emit`
+can act: the next round in phase 1 (1 at the start), then its activation
+round while listening, the next round while active or while termination
+signals are pending, and None once there is nothing left to send. A call in
+any other round, or a `receive` with an empty inbox, changes nothing, so the
+engine skips them.
 
 After phase 1 the reception rules live in one place, `ProtocolNode.hear`,
 which applies one message to a list of listeners: the message is decoded
@@ -105,66 +107,110 @@ class NodeState(Enum):
     EXIT = "exit"
 
 
-def _bad_announce(msg, receiver: int, prior: int | None = None) -> ProtocolViolation:
-    """What node `receiver` reports for a phase-1 message that is no
-    announcement, or that announces a degree other than `prior`."""
-    if not isinstance(msg, Announce):
-        return ProtocolViolation(
-            f"node {receiver} got {type(msg).__name__} during phase 1"
-        )
-    return ProtocolViolation(
-        f"node {receiver} heard degrees {prior} and {msg.degree} from node "
-        f"{msg.sender}"
-    )
-
-
 class Phase1Tally:
-    """The phase-1 announcements of one run that reached every peer of
-    their sender, counted once for all receivers.
-
-    Announcements name their sender, so `count[j]` is how often every peer
-    of j heard j. The engine adds each such broadcast; a node without a
-    shared tally gets an empty one of its own.
-    """
+    """Every phase-1 announcement of one run. `count[j]` is how often every
+    peer of j heard j by broadcast, counted once for all receivers; `mail`
+    counts every other copy per receiver (receiver -> sender -> copies);
+    `degree` holds one degree per sender, fixed by the first copy counted,
+    whichever way it came. A node without a shared tally gets its own."""
 
     def __init__(self, n: int) -> None:
         self.count = [0] * (n + 1)
         self.degree: dict[int, int] = {}
-        self._classes: tuple[dict[int, int], dict[int, Entry]] | None = None
+        self.mail: dict[int, dict[int, int]] = {}
+        # (view, list) of every index by `count` alone, set by `close`.
+        self.classes: tuple[dict[int, int], dict[int, Entry]] = ({}, {})
+
+    def _sender(self, msg, receiver: int) -> int:
+        """The sender of one phase-1 copy, which must announce its sender's
+        one degree; node `receiver` reports it otherwise."""
+        if not isinstance(msg, Announce):
+            raise ProtocolViolation(
+                f"node {receiver} got {type(msg).__name__} during phase 1"
+            )
+        sender, degree = msg
+        prior = self.degree.setdefault(sender, degree)
+        if prior != degree:
+            raise ProtocolViolation(
+                f"node {receiver} heard degrees {prior} and {degree} from node "
+                f"{sender}"
+            )
+        return sender
 
     def add(
-        self, broadcasts: list[tuple[int, object]], first: int, second: int
+        self, broadcasts: list[tuple[int, object]], live: list[ProtocolNode]
     ) -> None:
-        """Count a round's (sender, message) broadcasts. `first` and `second`
-        are the two lowest live indexes: a bad message is reported by its
-        sender's first live peer, the node that would have read it first."""
-        count, known = self.count, self.degree
+        """Count a round's (sender, message) broadcasts, before its mail. A
+        bad one is reported by its sender's first live peer, the node that
+        would have read it first."""
+        if len(live) < 2:
+            return  # no peer is left to hear a broadcast
+        first, second = live[0].index, live[1].index
+        count = self.count
         for sender, msg in broadcasts:
-            peer = second if sender == first else first
-            if not isinstance(msg, Announce):
-                raise _bad_announce(msg, peer)
-            prior = known.setdefault(msg.sender, msg.degree)
-            if prior != msg.degree:
-                raise _bad_announce(msg, peer, prior)
-            count[msg.sender] += 1
+            count[self._sender(msg, second if sender == first else first)] += 1
 
-    def classes(self) -> tuple[dict[int, int], dict[int, Entry]]:
-        """(view, list) of every index by these counts alone, in index order,
-        built once at the end of phase 1: heard twice into the view (degree
-        accepted), once into the list as faulty with its degree, never into
-        the list as smite. Callers copy before they change them."""
-        if self._classes is None:
-            view: dict[int, int] = {}
-            flist: dict[int, Entry] = {}
-            for j, heard in enumerate(self.count[1:], start=1):
-                if heard >= 2:
-                    view[j] = self.degree[j]
-                elif heard == 1:
-                    flist[j] = Entry(FAULTY, self.degree[j])
-                else:
-                    flist[j] = _SMITE_ENTRY
-            self._classes = view, flist
-        return self._classes
+    def add_mail(self, receiver: int, inbox: list) -> None:
+        """Count node `receiver`'s mail of one round."""
+        heard = self.mail.setdefault(receiver, {})
+        for msg in inbox:
+            sender = self._sender(msg, receiver)
+            heard[sender] = heard.get(sender, 0) + 1
+
+    def close(self, live: list[ProtocolNode]) -> dict[int, int]:
+        """End phase 1: classify the broadcast counts (heard twice into the
+        view, once into the list as faulty with its degree, never into the
+        list as smite) and every live node, in index order; check that no
+        subject was heard twice by one live node and never by another; and
+        return subject -> first live node, in index order, that heard it
+        twice.
+
+        A node hears a subject's broadcasts, unless it is the subject, plus
+        its own mail. So when `count` holds two copies, or no live node got
+        the subject by mail, every live peer heard it equally often or at
+        least twice."""
+        count, degree = self.count, self.degree
+        view: dict[int, int] = {}
+        flist: dict[int, Entry] = {}
+        for j, heard in enumerate(count[1:], start=1):
+            if heard >= 2:
+                view[j] = degree[j]
+            elif heard == 1:
+                flist[j] = Entry(FAULTY, degree[j])
+            else:
+                flist[j] = _SMITE_ENTRY
+        self.classes = view, flist
+        for node in live:
+            node._classify()
+
+        first = live[0].index
+        second = live[1].index if len(live) > 1 else None
+        mail = [self.mail.get(node.index, {}) for node in live]
+        mailed = set().union(*mail)
+        heard_twice: dict[int, int] = {}
+        for subject, base in enumerate(count[1:], start=1):
+            if base >= 2 or subject not in mailed:
+                peer = second if subject == first else first
+                if base >= 2 and peer is not None:
+                    heard_twice[subject] = peer
+                continue
+            # With fewer than two broadcast copies, counting them for the
+            # subject itself too changes neither who heard it twice nor which
+            # peer never heard it.
+            column = [base + heard.get(subject, 0) for heard in mail]
+            if max(column) < 2:
+                continue
+            k = next(k for k, c in enumerate(column) if c >= 2)
+            heard_twice[subject] = live[k].index
+            others = [(n.index, c) for n, c in zip(live, column) if n.index != subject]
+            twice = [i for i, c in others if c >= 2]
+            never = [i for i, c in others if c == 0]
+            if twice and never:
+                raise ProtocolViolation(
+                    f"phase-1 exclusion broken for node {subject}: heard twice "
+                    f"by {twice}, never by {never}"
+                )
+        return heard_twice
 
 
 class ProtocolNode:
@@ -199,14 +245,11 @@ class ProtocolNode:
 
         self.state = NodeState.LISTENING
         self.tally = Phase1Tally(n) if tally is None else tally
-        # Phase-1 announcements from per-recipient mail only.
-        self.heard_count: dict[int, int] = {}
-        self.heard_degree: dict[int, int] = {}
         self.view: dict[int, int] = {}
         self.flist: dict[int, Entry] = {}
         self.last_active = 1
         self.last_heard = 0
-        self.next_emit: int | None = None
+        self.next_emit: int | None = 1
         self.exit_round: int | None = None
 
         self.current_subject: int | None = None
@@ -239,6 +282,7 @@ class ProtocolNode:
         """Compute this round's one send as a (message, recipients) pair, or
         None when the node is silent, applying send-side state transitions."""
         if rnd <= self.phase1_len:
+            self.next_emit = rnd + 1  # after phase 1, `_classify` sets it
             return self._emit_phase1(rnd)
         if self.state is NodeState.LISTENING:
             if rnd != self.activation_due():
@@ -305,25 +349,10 @@ class ProtocolNode:
     # -- receiving --------------------------------------------------------
 
     def receive(self, rnd: int, inbox: list) -> None:
-        """Apply this node's mail of round `rnd`: phase-1 announcements are
-        counted, and each later message goes through `hear`."""
+        """Apply this node's mail of round `rnd`: the tally counts phase-1
+        announcements, and each later message goes through `hear`."""
         if rnd <= self.phase1_len:
-            heard_count, known = self.heard_count, self.heard_degree
-            shared = self.tally.degree
-            for msg in inbox:
-                if not isinstance(msg, Announce):
-                    raise _bad_announce(msg, self.index)
-                sender, degree = msg
-                prior = known.get(sender)
-                if prior is None:  # first mail from this sender
-                    prior = known[sender] = shared.get(sender, degree)
-                    heard_count[sender] = 1
-                else:
-                    heard_count[sender] += 1
-                if prior != degree:
-                    raise _bad_announce(msg, self.index, prior)
-            if rnd == self.phase1_len:
-                self._classify()
+            self.tally.add_mail(self.index, inbox)
             return
         if len(inbox) > 1:
             # Entries in sender order, then the termination signal.
@@ -404,15 +433,16 @@ class ProtocolNode:
         return []
 
     def _classify(self) -> None:
+        """Copy the tally's classification and patch in this node's own
+        index and its mail."""
         own = self.index
-        shared = self.tally.count
-        degree = self.heard_degree
-        view, flist = self.tally.classes()
-        view, flist = dict(view), dict(flist)
+        tally = self.tally
+        shared, degree = tally.count, tally.degree
+        view, flist = map(dict, tally.classes)
         view.pop(own, None)
         flist.pop(own, None)
         moved = False
-        for s, c in self.heard_count.items():
+        for s, c in tally.mail.get(own, {}).items():
             base = shared[s]
             if base >= 2 or s == own:
                 continue

@@ -368,6 +368,28 @@ class TestInvariantChecks:
         )
         assert message == "node 2 heard degrees 1 and 2 from node 1"
 
+    def test_phase1_degree_change_after_mail(self, monkeypatch):
+        """Node 1's round-1 announcement travels as mail, since it names a
+        copy of the peer list, and its round-2 broadcast names another
+        degree: one degree check covers both delivery kinds."""
+
+        class MailThenFickle(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                msg, recipients = super()._emit_phase1(rnd)
+                if self.index == 1 and rnd == 1:
+                    recipients = list(recipients)
+                elif self.index == 1:
+                    msg = Announce(1, self.degree + 1)
+                return msg, recipients
+
+        message = self.run_with(
+            monkeypatch,
+            MailThenFickle,
+            SimConfig(n=4, degrees=(1, 1, 1, 1)),
+            NoneAdversary(),
+        )
+        assert message == "node 2 heard degrees 1 and 2 from node 1"
+
     @pytest.mark.parametrize(
         "sends, expected",
         [

@@ -141,6 +141,5 @@ def test_exhaustive_n3_matches_golden_digests():
 
 
 if __name__ == "__main__":
-    print(
-        "\n".join(grid_lines() + verify_lines() + large_lines("cc") + large_lines("ncc"))
-    )
+    lines = grid_lines() + verify_lines() + large_lines("cc") + large_lines("ncc")
+    print("\n".join(lines))

@@ -31,6 +31,7 @@ def make_classified_node(index, n, degree=1, heard=None):
     node.receive(1, round1)
     node.emit(2)
     node.receive(2, round2)
+    node.tally.close([node])
     return node
 
 
@@ -263,6 +264,7 @@ class TestDegenerateClique:
         assert node.emit(1) is None and node.emit(2) is None
         node.receive(1, [])
         node.receive(2, [])
+        node.tally.close([node])
         assert node.view == {1: 4}
         out = node.emit(3)
         assert node.state is NodeState.EXIT
