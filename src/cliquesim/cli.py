@@ -57,14 +57,15 @@ def _parse_degree_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _resolve_degrees(args, n: int) -> tuple[int, ...]:
+def _resolve_degrees(args, seed: int) -> tuple[int, ...]:
+    """The degrees the options give, else random ones drawn from `seed`."""
     if args.degrees is not None:
         return _parse_degree_list(args.degrees)
     if args.degree_file is not None:
         return _parse_degree_list(Path(args.degree_file).read_text())
     if args.degree_uniform is not None:
-        return (args.degree_uniform,) * n
-    return random_graphic_degrees(n, random.Random(f"{args.seed}-degrees"))
+        return (args.degree_uniform,) * args.n
+    return random_graphic_degrees(args.n, random.Random(f"{seed}-degrees"))
 
 
 def _sim_config(args, degrees: tuple[int, ...], seed: int) -> SimConfig:
@@ -81,7 +82,7 @@ def _sim_config(args, degrees: tuple[int, ...], seed: int) -> SimConfig:
 def _build_adversary(name: str, f: int, seed: int, args) -> tuple[object, str]:
     """Return the adversary and the description a trace header records."""
     if name == "none":
-        return NoneAdversary(), "none"
+        return NoneAdversary(f), "none"
     if name == "random":
         return (
             RandomAdversary(seed, f, args.crash_prob),
@@ -113,7 +114,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _sim_config(args, _resolve_degrees(args, args.n), args.seed)
+    config = _sim_config(args, _resolve_degrees(args, args.seed), args.seed)
     adversary, desc = _build_adversary(args.adversary, args.f, args.seed, args)
     result = run_simulation(config, adversary)
     if args.trace is not None:
@@ -196,8 +197,7 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_row(args, f: int, name: str, seed: int) -> dict:
-    degrees = random_graphic_degrees(args.n, random.Random(f"{seed}-degrees"))
-    config = _sim_config(args, degrees, seed)
+    config = _sim_config(args, _resolve_degrees(args, seed), seed)
     adversary, _ = _build_adversary(name, f, seed, args)
     result = run_simulation(config, adversary)
     issues = check_execution(result)
@@ -242,7 +242,7 @@ def _print_sweep_summary(rows: list[dict]) -> None:
 
 
 def cmd_verify(args) -> int:
-    config = _sim_config(args, _resolve_degrees(args, args.n), args.seed)
+    config = _sim_config(args, _resolve_degrees(args, args.seed), args.seed)
     report = verify_exhaustive(
         config, f=args.f, horizon=args.horizon, workers=args.workers
     )

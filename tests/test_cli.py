@@ -292,6 +292,25 @@ class TestSweep:
                 bound = 2 * n * (n - 1) + 2 * f * (n - 1) + (n - 1)
                 assert int(row["messages"]) <= bound
 
+    def test_degree_options_reach_every_row(self, capsys):
+        argv = ["sweep", "--n", "4", "--f", "0,1", "--adversary", "none,worst"]
+        assert main(argv + ["--degrees", "3,3,3,1"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 4
+        assert {row["verdict"] for row in rows} == {"unrealizable"}
+
+    def test_bad_degree_options_status_two(self, tmp_path, capsys):
+        argv = ["sweep", "--n", "4", "--f", "0", "--adversary", "none"]
+        for extra, expected in [
+            (["--degrees", "1,1,1"], "degree list has 3 entries for n=4"),
+            (["--degree-file", str(tmp_path / "missing")], "No such file"),
+        ]:
+            assert main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert expected in captured.err
+
 
 class TestVerify:
     def test_small_pass(self, capsys):
@@ -381,6 +400,8 @@ SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
         ),
         (["simulate", "--n", "x"], "argument --n: invalid int value: 'x'"),
         (SIMULATE_N4 + ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (SIMULATE_N4 + ["--adversary", "none", "--f", "-3"], "fault budget -3"),
+        (["sweep", "--n", "4", "--f", "4", "--adversary", "none"], "fault budget 4"),
     ],
 )
 def test_bad_option_value_status_two(argv, expected, capsys):
