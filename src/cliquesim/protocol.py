@@ -158,17 +158,14 @@ class Phase1Tally:
             heard[sender] = heard.get(sender, 0) + 1
 
     def close(self, live: list[ProtocolNode]) -> dict[int, int]:
-        """End phase 1: classify the broadcast counts (heard twice into the
-        view, once into the list as faulty with its degree, never into the
-        list as smite) and every live node, in index order; check that no
-        subject was heard twice by one live node and never by another; and
-        return subject -> first live node, in index order, that heard it
-        twice.
-
-        A node hears a subject's broadcasts, unless it is the subject, plus
-        its own mail. So when `count` holds two copies, or no live node got
-        the subject by mail, every live peer heard it equally often or at
-        least twice."""
+        """End phase 1: classify the broadcast counts once (heard twice into
+        the view, once into the list as faulty, never as smite), then every
+        live node in index order; check that no subject was heard twice by
+        one live node and never by another; return subject -> first live
+        node that heard it twice. A node hears a subject's broadcasts,
+        unless it is the subject, plus its own mail, so when `count` holds
+        two copies or no live node got the subject by mail, every live peer
+        heard it equally often or at least twice."""
         count, degree = self.count, self.degree
         view: dict[int, int] = {}
         flist: dict[int, Entry] = {}
