@@ -1,7 +1,6 @@
-"""Crash strategies: benign, scripted, randomized, an adaptive worst-case
-heuristic, a scripted adversary that records what each round sent (the
-schedule explorer's probe), and the brute-force small-instance plan
-enumerator.
+"""Crash strategies: benign, scripted (which the schedule explorer plays),
+randomized, an adaptive worst-case heuristic, and the brute-force
+small-instance plan enumerator.
 
 An adversary is any object with a `budget` attribute and a
 `decide(engine, round) -> dict[node, recipients] | None` method, called once
@@ -16,10 +15,10 @@ complete observability).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .protocol import FaultEntry
 
@@ -28,7 +27,6 @@ __all__ = [
     "CrashPlan",
     "NoneAdversary",
     "ScriptedAdversary",
-    "RecordingAdversary",
     "RandomAdversary",
     "WorstCaseAdversary",
     "PlanSpace",
@@ -83,24 +81,6 @@ class ScriptedAdversary:
             self._by_round.setdefault(event.round, {})[event.node] = event.recipients
 
     def decide(self, engine, rnd: int):
-        return self._by_round.get(rnd)
-
-
-class RecordingAdversary(ScriptedAdversary):
-    """Plays a crash plan and keeps every round's outboxes, so a schedule
-    explorer can branch on what each node actually sent.
-
-    `outboxes[r - 1]` is round r's `engine.outboxes` (sender -> (message,
-    recipients)); its length is the last round whose crash decision the
-    engine asked for, which is the last round a crash can take effect.
-    """
-
-    def __init__(self, plan: CrashPlan):
-        super().__init__(plan)
-        self.outboxes: list[dict[int, tuple[Any, list[int]]]] = []
-
-    def decide(self, engine, rnd: int):
-        self.outboxes.append(engine.outboxes)
         return self._by_round.get(rnd)
 
 
@@ -200,15 +180,9 @@ class PlanSpace(Sequence):
     def __getitem__(self, index: int) -> CrashPlan:
         if not 0 <= index < self._total:
             raise IndexError(index)
-        lo, hi = 0, len(self._node_sets) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._offsets[mid] <= index:
-                lo = mid
-            else:
-                hi = mid - 1
-        nodes = self._node_sets[lo]
-        rest = index - self._offsets[lo]
+        block = bisect_right(self._offsets, index) - 1
+        nodes = self._node_sets[block]
+        rest = index - self._offsets[block]
         events = []
         for node in reversed(nodes):
             rest, option = divmod(rest, self.options)
@@ -219,10 +193,6 @@ class PlanSpace(Sequence):
             )
             events.append(CrashEvent(rnd + 1, node, recipients))
         return CrashPlan(tuple(reversed(events)))
-
-    def __iter__(self) -> Iterator[CrashPlan]:
-        for i in range(self._total):
-            yield self[i]
 
 
 def format_plan(plan: CrashPlan) -> str:

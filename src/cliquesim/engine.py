@@ -24,8 +24,10 @@ crasher's partial delivery, a narrower send, every ncc send) goes to
 per-recipient mailboxes and `receive`. `outboxes`, the round log and the
 message counts do not depend on the path.
 
-Every run keeps one raw `RoundLog` per round, carried by the result (or a
-`RoundLimitExceeded`); only `trace.py` turns it into trace records.
+Every run keeps one raw `RoundLog` per round, the run's one record of its
+sends, crashes and transitions. The result carries it, and so does every
+`ProtocolViolation` or `SimulationError` that escapes `run`, up to the
+round that raised; only `trace.py` turns it into trace records.
 
 The engine also asserts the model-level invariants that the protocol's
 correctness argument relies on (at most one active transmitter, the
@@ -79,11 +81,7 @@ class AdversaryError(SimulationError):
 
 
 class RoundLimitExceeded(SimulationError):
-    """Watchdog tripped; carries the partial round log for diagnosis."""
-
-    def __init__(self, message: str, round_log: list[RoundLog]):
-        super().__init__(message)
-        self.round_log = round_log
+    """Watchdog tripped."""
 
 
 class CapacityViolation(SimulationError):
@@ -142,12 +140,14 @@ class NodeOutcome:
 
 
 class RoundLog(NamedTuple):
-    """One round as run, kept by reference. `transitions` holds (node, new
-    state), "crashed" for a crasher, for each node whose state moved."""
+    """One round as run, kept by reference and logged once the round's crash
+    decisions are made; `crashes` and `transitions` fill in as the round
+    goes on. `transitions` holds (node, new state), "crashed" for a crasher,
+    for each node whose state moved."""
 
     sends: dict[int, tuple[Any, list[int]]]  # the round's `outboxes`
     crashes: list[tuple[int, tuple[int, ...]]]  # sorted (node, delivered)
-    transitions: tuple[tuple[int, str], ...]  # in node order
+    transitions: list[tuple[int, str]]  # in node order
 
 
 @dataclass
@@ -197,7 +197,6 @@ class RoundEngine:
         self.round = 0
         self._live = list(self.nodes)
         self.crashed_round: dict[int, int] = {}
-        self.crash_log: list[tuple[int, int, tuple[int, ...]]] = []
         self.metrics = Metrics()
         self.round_log: list[RoundLog] = []
         # Subject -> first live node, in index order, that heard it twice,
@@ -223,15 +222,18 @@ class RoundEngine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> ExecutionResult:
-        while self._unsettled:
-            self.round += 1
-            if self.round > self.round_cap:
-                raise RoundLimitExceeded(
-                    f"no termination within {self.round_cap} rounds "
-                    f"(n={self.config.n}, model={self.config.model})",
-                    self.round_log,
-                )
-            self._step()
+        try:
+            while self._unsettled:
+                self.round += 1
+                if self.round > self.round_cap:
+                    raise RoundLimitExceeded(
+                        f"no termination within {self.round_cap} rounds "
+                        f"(n={self.config.n}, model={self.config.model})"
+                    )
+                self._step()
+        except (ProtocolViolation, SimulationError) as exc:
+            exc.round_log = self.round_log
+            raise
         self.metrics.rounds_to_termination = self._last_exit_round()
         self.metrics.allokay_broadcasters = sum(
             1 for node in self.nodes if node.allokay_broadcast
@@ -254,6 +256,12 @@ class RoundEngine:
                 moved[node.index] = node.state._value_
 
         decisions = self._crash_decisions(rnd)
+        round_crashes: list[tuple[int, tuple[int, ...]]] = []
+        transitions: list[tuple[int, str]] = []
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        self.round_log.append(
+            tuple.__new__(RoundLog, (outboxes, round_crashes, transitions))
+        )
         # A send from a sender that does not crash, to its whole peer list,
         # is kept once in `broadcasts`: in phase 1 always, later when it is
         # the round's only send. All other mail is copied per recipient.
@@ -262,7 +270,6 @@ class RoundEngine:
         broadcasts: list[tuple[int, Any]] = []
         mailboxes: dict[int, list[Any]] = {}
         delivered_count = 0
-        round_crashes: list[tuple[int, tuple[int, ...]]] = []
         for sender, (msg, recipients) in outboxes.items():
             self._check_outgoing(msg)
             if self.capacity is not None:
@@ -291,9 +298,8 @@ class RoundEngine:
         if round_crashes:
             round_crashes.sort()
             moved = moved or {}
-            for node_index, delivered in round_crashes:
+            for node_index, _ in round_crashes:
                 self.crashed_round[node_index] = rnd
-                self.crash_log.append((rnd, node_index, delivered))
                 moved[node_index] = "crashed"
             self._live = [
                 node for node in self._live if node.index not in self.crashed_round
@@ -340,16 +346,11 @@ class RoundEngine:
         self._check_single_active(due)
         if rnd == self._phase1_len:
             self._heard_twice = self.tally.close(self._live)
-        transitions = ()
         if moved:
-            transitions = tuple(sorted(moved.items()))
+            transitions.extend(sorted(moved.items()))
             # Every move but listening -> active settles the node.
             settled = [i for i, to in transitions if to != "active"]
             self._unsettled.difference_update(settled)
-        # tuple.__new__ skips the named tuple's Python-level constructor.
-        self.round_log.append(
-            tuple.__new__(RoundLog, (outboxes, round_crashes, transitions))
-        )
 
     def _crash_decisions(self, rnd: int) -> dict[int, frozenset[int]]:
         raw = self.adversary.decide(self, rnd)
@@ -419,7 +420,11 @@ class RoundEngine:
             config=self.config,
             metrics=self.metrics,
             nodes=outcomes,
-            crashes=list(self.crash_log),
+            crashes=[
+                (rnd, node, delivered)
+                for rnd, log in enumerate(self.round_log, start=1)
+                for node, delivered in log.crashes
+            ],
             round_log=self.round_log,
         )
 

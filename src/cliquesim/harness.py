@@ -13,13 +13,13 @@ over its n-1 peers) without running each plan. Many plans run the same
 execution: a mask only matters on the recipients the crasher actually had
 that round, and a crash scheduled after the run's last round never happens.
 So the verifier explores depth first over effective crash logs, each run
-once through `run_plan` with a `RecordingAdversary`: the children of a log
-are its extensions by new crashes in a later round the run reached, each
-crasher delivering to a subset of what it really sent. Each run is weighted
-by the plans it stands for, so the report still counts plans. A violation
-is reported as its effective crash log, which is itself a plan that
-reproduces the failure. This is stateless model checking in the style of
-Godefroid's VeriSoft (POPL 1997).
+once through `run_plan`, which hands back the run's round log: the children
+of a crash log are its extensions by new crashes in a later round the run
+reached, each crasher delivering to a subset of what the round log shows it
+really sent. Each run is weighted by the plans it stands for, so the report
+still counts plans. A violation is reported as its effective crash log,
+which is itself a plan that reproduces the failure. This is stateless
+model checking in the style of Godefroid's VeriSoft (POPL 1997).
 """
 
 from __future__ import annotations
@@ -32,19 +32,14 @@ from itertools import combinations, product, repeat
 from math import comb
 from typing import Iterator
 
-from .adversary import (
-    CrashEvent,
-    CrashPlan,
-    PlanSpace,
-    RecordingAdversary,
-    ScriptedAdversary,
-)
+from .adversary import CrashEvent, CrashPlan, PlanSpace, ScriptedAdversary
 from .degseq import DegreeSequence, RealizationOutcome, havel_hakimi
 from .engine import (
     AdversaryError,
     ConfigError,
     ExecutionResult,
     NodeOutcome,
+    RoundLog,
     SimConfig,
     SimulationError,
     run_simulation,
@@ -166,19 +161,21 @@ def _realize(view: tuple[tuple[int, int], ...]) -> RealizationOutcome:
 
 def run_plan(
     config: SimConfig, adversary: ScriptedAdversary
-) -> tuple[list[str], int, int]:
-    """Run one execution of `adversary`'s crash plan (a ScriptedAdversary,
-    such as a RecordingAdversary); return (issues, rounds, messages)."""
+) -> tuple[list[str], int, int, list[RoundLog]]:
+    """Run one execution of `adversary`'s crash plan; return (issues, rounds,
+    messages, round log). A run that raises reports the error as its one
+    issue, with the round log up to the round that raised."""
     try:
         result = run_simulation(config, adversary)
     except (ProtocolViolation, SimulationError) as exc:
         if isinstance(exc, (AdversaryError, ConfigError)):
             raise
-        return [f"{type(exc).__name__}: {exc}"], 0, 0
+        return [f"{type(exc).__name__}: {exc}"], 0, 0, exc.round_log
     return (
         check_execution(result),
         result.metrics.rounds_to_termination,
         result.metrics.messages_sent,
+        result.round_log,
     )
 
 
@@ -233,9 +230,11 @@ def _run_log(
     the horizon, with any mask; such a crash never takes effect.
     """
     n = config.n
-    adversary = RecordingAdversary(CrashPlan(events))
-    issues, rounds, messages = run_plan(config, adversary)
-    stepped = len(adversary.outboxes)
+    adversary = ScriptedAdversary(CrashPlan(events))
+    issues, rounds, messages, log = run_plan(config, adversary)
+    # Every stepped round is logged once its crash decisions are made, so
+    # the log reaches the last round a crash can take effect in.
+    stepped = len(log)
     crashed = {e.node for e in events}
     free = [v for v in range(1, n + 1) if v not in crashed]
     spare = f - len(events)
@@ -250,17 +249,15 @@ def _run_log(
         report.violating_plans += plans
     first = events[-1].round + 1 if events else 1
     branch_rounds = range(first, min(stepped, horizon) + 1)
-    return _children(n, events, factor, free, spare, branch_rounds, adversary.outboxes)
+    return _children(n, events, factor, free, spare, branch_rounds, log)
 
 
-def _children(
-    n, events, factor, free, spare, branch_rounds, outboxes
-) -> Iterator[_Child]:
+def _children(n, events, factor, free, spare, branch_rounds, log) -> Iterator[_Child]:
     """Each log that extends `events` by one round's new crashes: every set
     of up to `spare` free nodes, each delivering to every subset of the
     recipients it actually had that round (none when it was silent)."""
     for rnd in branch_rounds:
-        sent = outboxes[rnd - 1]
+        sent = log[rnd - 1].sends
         choices = {}
         for v in free:
             _, recipients = sent.get(v, (None, ()))

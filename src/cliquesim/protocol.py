@@ -132,8 +132,8 @@ class Phase1Tally:
         prior = self.degree.setdefault(sender, degree)
         if prior != degree:
             raise ProtocolViolation(
-                f"node {receiver} heard degrees {prior} and {degree} from node "
-                f"{sender}"
+                f"node {receiver} heard degree {degree} from node {sender}, "
+                f"which announced {prior} before"
             )
         return sender
 

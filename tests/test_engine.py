@@ -27,6 +27,7 @@ from cliquesim.protocol import (
     AllOkay,
     Announce,
     Entry,
+    FaultEntry,
     ProtocolNode,
     ProtocolViolation,
 )
@@ -140,6 +141,17 @@ class TestScriptedCrashes:
         result = run_simulation(config, ScriptedAdversary(plan))
         # by round 9 the run is long over; the event is recorded as a no-op
         assert result.metrics.rounds_to_termination == 3
+
+    def test_last_node_to_settle_crashes_instead_of_exiting(self):
+        """Node 3 never hears an AllOkay and crashes in round 5, so the run
+        logs five rounds but terminates, by its last exit, in round 3."""
+        config = SimConfig(n=3, degrees=(1, 1, 0))
+        plan = CrashPlan((CrashEvent(3, 1, (2,)), CrashEvent(5, 3, ())))
+        result = run_simulation(config, ScriptedAdversary(plan))
+        assert result.crashes == [(3, 1, (2,)), (5, 3, ())]
+        assert result.metrics.per_round_counts == [6, 6, 1, 0, 0]
+        assert result.metrics.rounds_to_termination == 3
+        assert check_execution(result) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,6 +307,17 @@ class TestEngineContracts:
             run_simulation(config, ScriptedAdversary(plan))
 
 
+class Forgetful(ProtocolNode):
+    """Node 1 forgets, after phase 1, the degree of node 4, which it heard
+    twice, and so rebroadcasts a smite for it in round 3."""
+
+    def _classify(self):
+        super()._classify()
+        if self.index == 1:
+            del self.view[4]
+            self.flist[4] = Entry(SMITE, None)
+
+
 class TestInvariantChecks:
     """Each engine invariant fires on a node forced to break it; the crash
     model itself never produces these states."""
@@ -366,7 +389,7 @@ class TestInvariantChecks:
         message = self.run_with(
             monkeypatch, Fickle, SimConfig(n=4, degrees=(1, 1, 1, 1)), NoneAdversary()
         )
-        assert message == "node 2 heard degrees 1 and 2 from node 1"
+        assert message == "node 2 heard degree 2 from node 1, which announced 1 before"
 
     def test_phase1_degree_change_after_mail(self, monkeypatch):
         """Node 1's round-1 announcement travels as mail, since it names a
@@ -388,7 +411,7 @@ class TestInvariantChecks:
             SimConfig(n=4, degrees=(1, 1, 1, 1)),
             NoneAdversary(),
         )
-        assert message == "node 2 heard degrees 1 and 2 from node 1"
+        assert message == "node 2 heard degree 2 from node 1, which announced 1 before"
 
     @pytest.mark.parametrize(
         "sends, expected",
@@ -403,16 +426,26 @@ class TestInvariantChecks:
             ),
             (
                 {(2, 5): (Announce(5, 7), [3, 1])},
-                "node 1 heard degrees 1 and 7 from node 5",
+                "node 1 heard degree 7 from node 5, which announced 1 before",
+            ),
+            (
+                {(1, 1): (Announce(1, 1), [3]), (2, 1): (Announce(1, 2), [2])},
+                "node 2 heard degree 2 from node 1, which announced 1 before",
             ),
         ],
-        ids=["broadcast-before-mail", "mail-by-receiver", "mailed-degree-change"],
+        ids=[
+            "broadcast-before-mail",
+            "mail-by-receiver",
+            "mailed-degree-change",
+            "degree-its-reporter-heard",
+        ],
     )
     def test_phase1_violation_reporter(self, monkeypatch, sends, expected):
         """A round's broadcasts are checked before its mail; a broadcast is
         reported by its sender's first live peer, mail by its receiver, the
-        lowest receiver first. `sends` maps (round, node) to the message and
-        recipients it sends instead, None meaning its whole peer list."""
+        lowest receiver first, naming the degree that receiver heard. `sends`
+        maps (round, node) to the message and recipients it sends instead,
+        None meaning its whole peer list."""
 
         class Rogue(ProtocolNode):
             def _emit_phase1(self, rnd):
@@ -444,14 +477,35 @@ class TestInvariantChecks:
             "node 3 got a smite rebroadcast for 6 whose degree is already accepted"
         )
 
-    def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
-        class Forgetful(ProtocolNode):
-            def _classify(self):
-                super()._classify()
-                if self.index == 1:
-                    del self.view[4]
-                    self.flist[4] = Entry(SMITE, None)
+    def test_send_over_capacity(self, monkeypatch):
+        class Shouter(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                send = super()._emit_phase1(rnd)
+                if self.index == 1 and rnd == 1:
+                    return send[0], list(range(2, 10))
+                return send
 
+        # ncc n=9 has groups of 4, so a node may send 4 messages a round.
+        message = self.run_with(
+            monkeypatch,
+            Shouter,
+            SimConfig(n=9, degrees=(1,) * 9, model="ncc"),
+            NoneAdversary(),
+        )
+        assert message == "node 1 sent 8 messages in round 1, capacity 4"
+
+    def test_violation_carries_the_round_log(self, monkeypatch):
+        """The round that raised is logged too, with the send that broke the
+        invariant."""
+        monkeypatch.setattr("cliquesim.engine.ProtocolNode", Forgetful)
+        config = SimConfig(n=4, degrees=(1, 1, 1, 1))
+        with pytest.raises(ProtocolViolation) as excinfo:
+            run_simulation(config, NoneAdversary())
+        log = excinfo.value.round_log
+        assert len(log) == 3
+        assert log[-1].sends == {1: (FaultEntry(1, 4, SMITE, None), [2, 3, 4])}
+
+    def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
         message = self.run_with(
             monkeypatch,
             Forgetful,

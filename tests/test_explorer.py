@@ -51,7 +51,7 @@ def brute_force(config: SimConfig, f: int):
     violating = max_rounds = max_messages = 0
     for plan in PlanSpace(config.n, f, HORIZON):
         adversary = EffectiveLog(plan)
-        issues, rounds, messages = run_plan(config, adversary)
+        issues, rounds, messages, _ = run_plan(config, adversary)
         logs.add(tuple(adversary.log))
         violating += bool(issues)
         max_rounds = max(max_rounds, rounds)

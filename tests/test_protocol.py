@@ -61,7 +61,8 @@ class TestPhase1Classification:
         node.emit(1)
         node.receive(1, [Announce(2, 5)])
         node.emit(2)
-        with pytest.raises(ProtocolViolation, match="heard degrees"):
+        message = "heard degree 6 from node 2, which announced 5 before"
+        with pytest.raises(ProtocolViolation, match=message):
             node.receive(2, [Announce(2, 6)])
 
 
