@@ -1,5 +1,6 @@
 """Trace serialization, golden-trace stability, and replay fidelity."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from cliquesim.adversary import (
     RandomAdversary,
     ScriptedAdversary,
 )
+from cliquesim.cli import main
 from cliquesim.engine import SimConfig, run_simulation
 from cliquesim.trace import (
     TraceError,
@@ -135,3 +137,17 @@ class TestReplay:
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "random:3")
         assert replay_trace(read_trace(path)).identical
+
+
+def test_large_ncc_trace_is_pinned(tmp_path, capsys):
+    """An ncc n=128 trace, whose end record repeats one verdict and view for
+    most nodes, hashes to the value the benchmark pins and replays."""
+    path = tmp_path / "run.jsonl"
+    args = ["simulate", "--n", "128", "--model", "ncc", "--strict"]
+    args += ["--adversary", "worst", "--f", "4", "--degree-uniform", "64"]
+    assert main([*args, "--seed", "0", "--trace", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "f69172673ecd5196f4c952600595ccd9195f7f643f41a031a1567185651fc86e"
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "identical"
