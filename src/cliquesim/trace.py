@@ -6,10 +6,16 @@ states and metrics. Records are serialized with sorted keys and fixed
 separators, so identical executions produce byte-identical traces and a
 replayed run can be compared line by line. Only this module knows the
 record format; it writes any result's round log.
+
+The end record repeats each node's verdict and view, and most nodes of a
+run share them, so the writer encodes each distinct verdict and view once
+and reuses the text. Reading pauses the cyclic garbage collector while the
+lines are parsed.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +45,7 @@ class TraceError(ValueError):
     pass
 
 
-def _dumps(record: dict) -> str:
+def _dumps(record: object) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
@@ -82,38 +88,52 @@ def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
         "seed": config.seed,
         "adversary": adversary_desc,
     }
-    # One JSON verdict per distinct outcome; None is a node that never exited.
-    shown: dict = {None: None}
-    nodes = []
-    for o in result.nodes:
-        outcome = verdict(o)
-        if outcome not in shown:
-            shown[outcome] = {"realizable": outcome.realizable}
-            if outcome.realizable:
-                edges = outcome.graph.sorted_edges()
-                shown[outcome]["edges"] = [list(e) for e in edges]
-        nodes.append(
-            {
-                "node": o.index,
-                "state": o.state,
-                "crashed_round": o.crashed_round,
-                "exit_round": o.exit_round,
-                "view": {str(k): v for k, v in sorted(o.view.items())},
-                "verdict": shown[outcome],
-            }
-        )
-    end = {
-        "record": "end",
-        "rounds": result.metrics.rounds_to_termination,
-        "messages": result.metrics.messages_sent,
-        "allokay_broadcasters": result.metrics.allokay_broadcasters,
-        "dropped_messages": result.metrics.dropped_messages,
-        "nodes": nodes,
-    }
     lines = [_dumps(header)]
     lines.extend(_dumps(r) for r in round_records(result))
-    lines.append(_dumps(end))
+    lines.append(_end_line(result))
     return lines
+
+
+def _end_line(result: ExecutionResult) -> str:
+    """The end record, byte for byte as `_dumps` writes it.
+
+    Each node record repeats the node's verdict and view, and most nodes of
+    a run share them: at ncc n=128 they are most of the trace. So each
+    distinct (exited, view) pair is encoded once, and the line is joined
+    once from those fragments, with the keys in sorted order.
+    """
+    metrics = result.metrics
+    parts = [
+        '{"allokay_broadcasters":', _dumps(metrics.allokay_broadcasters),
+        ',"dropped_messages":', _dumps(metrics.dropped_messages),
+        ',"messages":', _dumps(metrics.messages_sent),
+        ',"nodes":[',
+    ]
+    shown: dict[tuple, tuple[str, str]] = {}
+    opening = '{"crashed_round":'
+    for o in result.nodes:
+        view = tuple(sorted(o.view.items()))
+        key = (o.exit_round is not None, view)
+        if key not in shown:
+            outcome = verdict(o)
+            record = None
+            if outcome is not None:
+                record = {"realizable": outcome.realizable}
+                if outcome.realizable:
+                    record["edges"] = outcome.graph.sorted_edges()
+            shown[key] = (_dumps(record), _dumps({str(k): v for k, v in view}))
+        verdict_json, view_json = shown[key]
+        parts += [
+            opening, _dumps(o.crashed_round),
+            ',"exit_round":', _dumps(o.exit_round),
+            ',"node":', _dumps(o.index),
+            ',"state":', _dumps(o.state),
+            ',"verdict":', verdict_json,
+            ',"view":', view_json, "}",
+        ]
+        opening = ',{"crashed_round":'
+    parts += ['],"record":"end","rounds":', _dumps(metrics.rounds_to_termination), "}"]
+    return "".join(parts)
 
 
 def write_trace(path: str | Path, result: ExecutionResult, adversary_desc: str) -> None:
@@ -131,9 +151,15 @@ class ParsedTrace:
         h = self.header
         degrees = h["degrees"]
         if not isinstance(degrees, list) or not all(
-            isinstance(x, int) for x in [h["n"], h["capacity_c"], *degrees]
+            _is_int(x) for x in [h["n"], h["capacity_c"], h["seed"], *degrees]
         ):
-            raise TraceError("trace header: n, capacity_c and degrees must be integers")
+            raise TraceError(
+                "trace header: n, capacity_c, seed and degrees must be integers"
+            )
+        if not isinstance(h["strict"], bool):
+            raise TraceError("trace header: strict must be true or false")
+        if not isinstance(h["adversary"], str):
+            raise TraceError("trace header: adversary must be a string")
         return SimConfig(
             n=h["n"],
             degrees=tuple(degrees),
@@ -159,12 +185,21 @@ def read_trace(path: str | Path) -> ParsedTrace:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise TraceError("empty trace file")
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"line {lineno}: not valid JSON ({exc})") from exc
+    # JSON builds no reference cycles, but the end record's hundreds of
+    # thousands of fresh lists would set the cyclic collector walking them
+    # over and over while they are parsed.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        records = []
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"line {lineno}: not valid JSON ({exc})") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not all(isinstance(r, dict) for r in records):
         raise TraceError("every record must be a JSON object")
     header, *body = records
@@ -187,19 +222,25 @@ def read_trace(path: str | Path) -> ParsedTrace:
     return ParsedTrace(header=header, rounds=rounds, end=body[-1], lines=lines)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: `true` and `false` parse as Python bools, which are
+    ints too, and are not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_round_record(record: dict) -> bool:
     """An integer round and a list of crashes, each an object with an
     integer node and a list of integer delivered recipients."""
     crashes = record.get("crashes")
     return (
         record.get("record") == "round"
-        and isinstance(record.get("round"), int)
+        and _is_int(record.get("round"))
         and isinstance(crashes, list)
         and all(
             isinstance(c, dict)
-            and isinstance(c.get("node"), int)
+            and _is_int(c.get("node"))
             and isinstance(c.get("delivered"), list)
-            and all(isinstance(j, int) for j in c["delivered"])
+            and all(_is_int(j) for j in c["delivered"])
             for c in crashes
         )
     )

@@ -1,7 +1,10 @@
 """Trace serialization, golden-trace stability, and replay fidelity."""
 
+import gc
 import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +14,11 @@ from cliquesim.adversary import (
     NoneAdversary,
     RandomAdversary,
     ScriptedAdversary,
+    WorstCaseAdversary,
 )
-from cliquesim.cli import main
+from cliquesim.cli import main, random_graphic_degrees
 from cliquesim.engine import SimConfig, run_simulation
+from cliquesim.harness import verdict
 from cliquesim.trace import (
     TraceError,
     read_trace,
@@ -21,6 +26,58 @@ from cliquesim.trace import (
     trace_lines,
     write_trace,
 )
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_scripted_n4.jsonl"
+
+
+def dumps(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def oracle_end(result) -> dict:
+    """The end record built as one dict per node, each with its own verdict
+    and view: the plain form the writer's shared fragments must match."""
+    nodes = []
+    for o in result.nodes:
+        outcome = verdict(o)
+        shown = None
+        if outcome is not None:
+            shown = {"realizable": outcome.realizable}
+            if outcome.realizable:
+                shown["edges"] = [list(e) for e in outcome.graph.sorted_edges()]
+        nodes.append(
+            {
+                "node": o.index,
+                "state": o.state,
+                "crashed_round": o.crashed_round,
+                "exit_round": o.exit_round,
+                "view": {str(k): v for k, v in sorted(o.view.items())},
+                "verdict": shown,
+            }
+        )
+    return {
+        "record": "end",
+        "rounds": result.metrics.rounds_to_termination,
+        "messages": result.metrics.messages_sent,
+        "allokay_broadcasters": result.metrics.allokay_broadcasters,
+        "dropped_messages": result.metrics.dropped_messages,
+        "nodes": nodes,
+    }
+
+
+def end_kinds(nodes) -> set[str]:
+    """Which kinds of node record an end record holds."""
+    kinds = set()
+    exited_views = [o["view"] for o in nodes if o["verdict"] is not None]
+    for o in nodes:
+        if o["verdict"] is None:
+            kinds.add("never exited")
+            if exited_views and o["view"] != exited_views[0]:
+                kinds.add("own view")
+        else:
+            kinds.add("realizable" if o["verdict"]["realizable"] else "unrealizable")
+    return kinds
 
 
 def run_traced(config, adversary, desc):
@@ -66,14 +123,34 @@ class TestSerialization:
     def test_checked_in_golden_trace(self, tmp_path):
         """Regenerating the golden scenario must reproduce the checked-in
         file byte for byte (schema and execution stability)."""
-        from pathlib import Path
-
-        golden = Path(__file__).parent / "data" / "golden_scripted_n4.jsonl"
         config = SimConfig(n=4, degrees=(1, 2, 2, 1), seed=0)
         plan = CrashPlan((CrashEvent(1, 2, (3,)),))
         result = run_simulation(config, ScriptedAdversary(plan))
         lines = trace_lines(result, "scripted:u2-round1-to-u3")
-        assert "\n".join(lines) + "\n" == golden.read_text()
+        assert "\n".join(lines) + "\n" == GOLDEN.read_text()
+
+    def test_end_record_matches_the_plain_encoding(self):
+        """cc and ncc, worst and seeded random crashes, realizable and
+        unrealizable degrees: the end line equals the oracle's encoding,
+        and the grid holds each kind of node the writer shares text for."""
+        seen = set()
+        for model in ("cc", "ncc"):
+            for n in (2, 3, 7, 16, 40):
+                realizable = random_graphic_degrees(n, random.Random(n))
+                unrealizable = (n - 1,) * (n - 1) + (0,)
+                for degrees in (realizable, unrealizable):
+                    config = SimConfig(n=n, degrees=degrees, model=model, seed=n)
+                    for adversary in (
+                        WorstCaseAdversary(n // 3),
+                        RandomAdversary(n, n // 2, 0.3),
+                        RandomAdversary(n + 1, n - 1, 0.5),
+                    ):
+                        result = run_simulation(config, adversary)
+                        end = oracle_end(result)
+                        line = trace_lines(result, "grid")[-1]
+                        assert line == dumps(end), (model, n, degrees, adversary)
+                        seen |= end_kinds(end["nodes"])
+        assert seen == {"realizable", "unrealizable", "never exited", "own view"}
 
 
 class TestReplay:
@@ -129,6 +206,41 @@ class TestReplay:
         with pytest.raises(TraceError, match="integers"):
             replay_trace(read_trace(path))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("strict", "yes", "strict must be true or false"),
+            ("strict", 1, "strict must be true or false"),
+            ("seed", "abc", "must be integers"),
+            ("seed", [1], "must be integers"),
+            ("capacity_c", True, "must be integers"),
+            ("n", True, "must be integers"),
+            ("degrees", [1, True, 2, 1], "must be integers"),
+            ("adversary", 5, "adversary must be a string"),
+        ],
+    )
+    def test_wrongly_typed_header_status_two(
+        self, tmp_path, capsys, field, value, message
+    ):
+        """A wrongly typed header field is a one-line error. Written in
+        canonical form, most such traces would otherwise replay as
+        identical."""
+        header, *rest = GOLDEN.read_text().splitlines()
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([dumps({**json.loads(header), field: value}), *rest]))
+        assert main(["replay", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace header: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_boolean_round_number_status_two(self, tmp_path, capsys):
+        lines = GOLDEN.read_text().splitlines()
+        lines[1] = lines[1].replace('"round":1,', '"round":true,', 1)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["replay", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: malformed round record\n"
+
     def test_plain_run_replays_identically(self, tmp_path):
         """Every result carries its round log, so any run can be written as
         a trace and replayed."""
@@ -137,6 +249,36 @@ class TestReplay:
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "random:3")
         assert replay_trace(read_trace(path)).identical
+
+
+class TestCollector:
+    """`read_trace` pauses the cyclic collector while it parses and leaves
+    it as it found it."""
+
+    def write(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        result = run_simulation(SimConfig(n=3, degrees=(1, 1, 2)), NoneAdversary())
+        write_trace(path, result, "none")
+        return path
+
+    def test_enabled_collector_stays_enabled(self, tmp_path):
+        path = self.write(tmp_path)
+        assert gc.isenabled()
+        read_trace(path)
+        assert gc.isenabled()
+        path.write_text(path.read_text().replace('"record":"round"', "{", 1))
+        with pytest.raises(TraceError, match="line 2: not valid JSON"):
+            read_trace(path)
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, tmp_path):
+        path = self.write(tmp_path)
+        gc.disable()
+        try:
+            read_trace(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def test_large_ncc_trace_is_pinned(tmp_path, capsys):
