@@ -16,6 +16,7 @@ from cliquesim.adversary import (
 )
 from cliquesim.engine import (
     AdversaryError,
+    CapacityViolation,
     ConfigError,
     RoundEngine,
     SimConfig,
@@ -493,6 +494,35 @@ class TestInvariantChecks:
             NoneAdversary(),
         )
         assert message == "node 1 sent 8 messages in round 1, capacity 4"
+
+    class Crowder(ProtocolNode):
+        """In round 1 nodes 1-4 mail their announcement to node 9 instead of
+        group 2 (nodes 5-8). In ncc n=9 (groups 1-4, 5-8 and 9, capacity 4)
+        node 9 hears nodes 5-8 in that round as well, so eight copies meet a
+        capacity of four."""
+
+        def _emit_phase1(self, rnd):
+            send = super()._emit_phase1(rnd)
+            return (send[0], [9]) if rnd == 1 and self.index <= 4 else send
+
+    def test_over_full_inbox_drops_the_highest_senders(self, monkeypatch):
+        monkeypatch.setattr("cliquesim.engine.ProtocolNode", self.Crowder)
+        engine = RoundEngine(
+            SimConfig(n=9, degrees=(1,) * 9, model="ncc"), NoneAdversary()
+        )
+        result = engine.run()
+        assert result.metrics.dropped_messages == 4
+        assert result.metrics.max_recv_per_round == 8
+        # Node 9 kept nodes 1-4's round-1 copies, which their two sweeps
+        # repeat, and heard nodes 5-8 only in their second sweep.
+        assert engine.tally.mail[9] == {1: 3, 2: 3, 3: 3, 4: 3, 5: 1, 6: 1, 7: 1, 8: 1}
+
+    def test_strict_over_full_inbox_raises(self, monkeypatch):
+        monkeypatch.setattr("cliquesim.engine.ProtocolNode", self.Crowder)
+        config = SimConfig(n=9, degrees=(1,) * 9, model="ncc", strict=True)
+        with pytest.raises(CapacityViolation) as excinfo:
+            run_simulation(config, NoneAdversary())
+        assert str(excinfo.value) == "node 9 dropped 4 messages in round 1"
 
     def test_violation_carries_the_round_log(self, monkeypatch):
         """The round that raised is logged too, with the send that broke the
