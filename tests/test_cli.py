@@ -299,6 +299,22 @@ class TestSweep:
         assert len(rows) == 4
         assert {row["verdict"] for row in rows} == {"unrealizable"}
 
+    def test_disagreeing_row(self, monkeypatch, capsys):
+        """Under a mutated fold rule one random run ends with two views."""
+        mutated = functools.partial(
+            cli.SimConfig, mutations=frozenset({MUTATE_BELOW_FOLD_DISCARDS})
+        )
+        monkeypatch.setattr(cli, "SimConfig", mutated)
+        argv = ["sweep", "--n", "6", "--f", "2", "--adversary", "random"]
+        argv += ["--seeds", "3", "--crash-prob", "0.3", "--degrees", "1,2,2,1,2,2"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["seed"], r["agreement_ok"], r["verdict"]) for r in rows] == [
+            ("0", "True", "unrealizable"),
+            ("1", "True", "realizable"),
+            ("2", "False", "disagree"),
+        ]
+
     def test_bad_degree_options_status_two(self, tmp_path, capsys):
         argv = ["sweep", "--n", "4", "--f", "0", "--adversary", "none"]
         for extra, expected in [

@@ -223,6 +223,20 @@ def test_failing_views_are_reported_node_by_node():
     ]
 
 
+def test_survivor_that_never_terminated_is_reported():
+    result = run_simulation(SimConfig(n=4, degrees=(1, 1, 1, 1)), NoneAdversary())
+    result.nodes[2] = dataclasses.replace(result.nodes[2], exit_round=None)
+    assert check_execution(result) == ["termination: survivor 3 never terminated"]
+
+
+def test_messages_over_the_bound_are_reported():
+    result = run_simulation(SimConfig(n=4, degrees=(1, 1, 1, 1)), NoneAdversary())
+    bound = message_bound(4, 0, result.metrics.allokay_broadcasters)
+    assert result.metrics.messages_sent == bound == 27
+    result.metrics = dataclasses.replace(result.metrics, messages_sent=bound + 1)
+    assert check_execution(result) == ["messages: 28 exceed bound 27"]
+
+
 def test_large_cc_run_under_worst_adversary():
     """The benchmark's cc instance: n=1024 under the worst adversary with
     f=512, the one run that delivers broadcasts at scale."""

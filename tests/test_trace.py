@@ -241,6 +241,28 @@ class TestReplay:
         assert main(["replay", "--trace", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 2: malformed round record\n"
 
+    def test_empty_trace_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n  \n")
+        with pytest.raises(TraceError, match="^empty trace file$"):
+            read_trace(path)
+
+    def test_trace_without_end_record_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(GOLDEN.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(TraceError, match="^trace has no end record$"):
+            read_trace(path)
+
+    def test_lost_round_record_reports_the_length(self, tmp_path):
+        """The golden run's last round holds no crash, so a trace without
+        it still replays the same five rounds, one line more."""
+        *head, _, end = GOLDEN.read_text().splitlines()
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([*head, end]) + "\n")
+        outcome = replay_trace(read_trace(path))
+        assert not outcome.identical
+        assert outcome.divergence == "trace length differs: 6 recorded vs 7 replayed"
+
     def test_plain_run_replays_identically(self, tmp_path):
         """Every result carries its round log, so any run can be written as
         a trace and replayed."""
