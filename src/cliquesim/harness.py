@@ -73,36 +73,37 @@ def check_execution(result: ExecutionResult) -> list[str]:
     crashed = {o.index for o in result.nodes if o.crashed_round is not None}
     exited = result.exited()
     survivors = result.survivors()
-    # Each distinct exited view once; a run that agrees has one.
+    # Each distinct exited view once, with the first node that holds it. A
+    # run that agrees has one; the second holder is the first node whose
+    # view differs from the first's.
     views: list[dict[int, int]] = []
+    holders: list[NodeOutcome] = []
     for o in exited:
         if o.view not in views:
             views.append(o.view)
+            holders.append(o)
 
     for o in survivors:
         if o.exit_round is None:
             issues.append(f"termination: survivor {o.index} never terminated")
 
-    if exited:
-        ref = exited[0]
-        for o in exited[1:]:
-            if o.view != ref.view:
-                issues.append(
-                    f"agreement: view disagreement between nodes {ref.index} "
-                    f"and {o.index}: {ref.view} vs {o.view}"
-                )
-                break
-        # One verdict per distinct view. Two verdicts agree when both are
-        # unrealizable or both realize the same edge set.
-        verdicts = set()
-        for view in views:
-            graph = _realize(tuple(sorted(view.items()))).graph
-            verdicts.add(None if graph is None else graph.edges)
-        if len(verdicts) > 1:
-            issues.append(
-                f"agreement: verdict disagreement among exited nodes "
-                f"{[o.index for o in exited]}"
-            )
+    if len(holders) > 1:
+        ref, o = holders[:2]
+        issues.append(
+            f"agreement: view disagreement between nodes {ref.index} "
+            f"and {o.index}: {ref.view} vs {o.view}"
+        )
+    # One verdict per distinct view. Two verdicts agree when both are
+    # unrealizable or both realize the same edge set.
+    verdicts = set()
+    for view in views:
+        graph = _realize(tuple(sorted(view.items()))).graph
+        verdicts.add(None if graph is None else graph.edges)
+    if len(verdicts) > 1:
+        issues.append(
+            f"agreement: verdict disagreement among exited nodes "
+            f"{[o.index for o in exited]}"
+        )
 
     degrees = result.config.degrees
     everyone = set(range(1, n + 1))
