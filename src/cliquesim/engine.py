@@ -3,9 +3,10 @@
 Round structure: every live node due to emit computes its one send (a
 message and its recipients) or stays silent, the adversary then picks which
 nodes crash this round and which of each crasher's recipients still get the
-message, all deliveries land, and finally every live node with mail
-processes its inbox. One rule holds in every round: a node is due only in
-the round its `next_emit` names (each round of phase 1, then as the
+message, all deliveries land, and finally the mail of every live node is
+applied: in phase 1 the run's `Phase1Tally` counts it, later the node's
+`receive` processes it. One rule holds in every round: a node is due only
+in the round its `next_emit` names (each round of phase 1, then as the
 protocol schedules it) and receives only when it has mail, since `emit` in
 any other round and `receive` with an empty inbox change nothing. A node
 that crashes is silent in all later rounds; a sender that does not crash
@@ -13,16 +14,16 @@ reaches all its recipients.
 
 Delivery. A send from a sender that does not crash, to its whole peer list
 (`ProtocolNode.all_peers`: every cc send names it, no ncc send does), is a
-broadcast and is not copied per recipient. In phase 1 the run's
-`Phase1Tally` counts it once for all receivers, and each node's `receive`
-hands its per-recipient mail to the same tally; in the last phase-1 round
-the engine closes the tally, which classifies every live node. The engine
-does not know how phase 1 counts. Later, in a round whose only send is a
-broadcast, one `ProtocolNode.hear` call applies the message to every live
-node in index order; no listener's `receive` runs. All other mail (a
-crasher's partial delivery, a narrower send, every ncc send) goes to
-per-recipient mailboxes and `receive`. `outboxes`, the round log and the
-message counts do not depend on the path.
+broadcast and is not copied per recipient. In phase 1 the engine hands the
+tally every copy: each broadcast once for all receivers, then each live
+receiver's mailbox, after capacity enforcement, in receiver order. In the
+last phase-1 round it closes the tally, which classifies every live node.
+The engine does not know how phase 1 counts. Later, in a round whose only
+send is a broadcast, one `ProtocolNode.hear` call applies the message to
+every live node in index order; no listener's `receive` runs. All other
+mail (a crasher's partial delivery, a narrower send, every ncc send) goes
+to per-recipient mailboxes and `receive`. `outboxes`, the round log and
+the message counts do not depend on the path.
 
 Every run keeps one raw `RoundLog` per round, the run's one record of its
 sends, crashes and transitions. The result carries it, and so does every
@@ -183,14 +184,7 @@ class RoundEngine:
             self.capacity = None
         self.tally = Phase1Tally(config.n)
         self.nodes = [
-            ProtocolNode(
-                i + 1,
-                config.degrees[i],
-                config.n,
-                self.layout,
-                config.mutations,
-                self.tally,
-            )
+            ProtocolNode(i + 1, config.degrees[i], self.layout, config.mutations)
             for i in range(config.n)
         ]
         self.budget = budget
@@ -199,9 +193,6 @@ class RoundEngine:
         self.crashed_round: dict[int, int] = {}
         self.metrics = Metrics()
         self.round_log: list[RoundLog] = []
-        # Subject -> first live node, in index order, that heard it twice,
-        # from closing the tally.
-        self._heard_twice: dict[int, int] = {}
         self._phase1_len = self.nodes[0].phase1_len
         self._unsettled = set(range(1, config.n + 1))
         # Watchdog: every timeout and transmission is stretched by the group
@@ -321,7 +312,6 @@ class RoundEngine:
         for j in sorted(mailboxes):
             if j in crashed:
                 continue
-            node = self.nodes[j - 1]
             inbox = mailboxes[j]
             if self.capacity is not None:
                 self.metrics.max_recv_per_round = max(
@@ -332,9 +322,13 @@ class RoundEngine:
                     self.metrics.dropped_messages += len(dropped)
                     if self.config.strict:
                         raise CapacityViolation(
-                            f"node {node.index} dropped {len(dropped)} messages "
+                            f"node {j} dropped {len(dropped)} messages "
                             f"in round {rnd}"
                         )
+            if in_phase1:
+                self.tally.add_mail(j, inbox)
+                continue
+            node = self.nodes[j - 1]
             state = node.state
             node.receive(rnd, inbox)
             if node.state is not state:
@@ -345,7 +339,7 @@ class RoundEngine:
         # round, so this round's due nodes hold every active one.
         self._check_single_active(due)
         if rnd == self._phase1_len:
-            self._heard_twice = self.tally.close(self._live)
+            self.tally.close(self._live)
         if moved:
             transitions.extend(sorted(moved.items()))
             # Every move but listening -> active settles the node.
@@ -373,7 +367,7 @@ class RoundEngine:
 
     def _check_outgoing(self, msg: Any) -> None:
         if isinstance(msg, FaultEntry) and msg.status == SMITE:
-            witness = self._heard_twice.get(msg.subject)
+            witness = self.tally.heard_twice.get(msg.subject)
             if witness is not None:
                 raise ProtocolViolation(
                     f"smite rebroadcast for node {msg.subject}, which node "

@@ -11,25 +11,28 @@ next surviving index. A node that exhausts its list folds leftovers into
 its view and broadcasts a termination signal; listeners that receive the
 signal fold in and stop without rebroadcasting.
 
-Phase 1 lives in the run's `Phase1Tally`, which counts, checks and
-classifies every announcement. A broadcast that reaches every peer of its
-sender is counted once for all receivers; every other copy (a crasher's
-partial delivery, a narrower send, every ncc send) is counted for its
-receiver, whose `receive` hands the tally its whole phase-1 inbox. One rule
-checks both kinds. A node never hears its own broadcast, so the tally's
-count of a node's own index does not count for that node. The tally's
-`close` classifies the broadcast counts once; each live node copies that
-and patches in its own index and its mail.
+Phase 1 lives in the run's `Phase1Tally`, the only code that reads or
+writes phase-1 data: the engine hands it every copy, and it counts, checks
+and classifies them. A broadcast that reaches every peer of its sender is
+counted once for all receivers; every other copy (a crasher's partial
+delivery, a narrower send, every ncc send) is counted for its receiver. One
+rule checks both kinds. A node never hears its own broadcast, so the
+tally's count of a node's own index does not count for that node. The
+tally's `close` classifies the broadcast counts once, patches in each live
+node's own index and mail, and hands the node its view and list through
+`end_phase1`. A node holds only its own state and the run's read-only
+layout.
 
 Nodes are stepped by the round engine: `emit(round)` produces this round's
-one send (and applies send-side transitions), `receive(round, inbox)` applies
-reception rules. Both are deterministic; all cross-node interaction flows
-through the engine. A node keeps `next_emit`, the only round in which `emit`
-can act: the next round in phase 1 (1 at the start), then its activation
-round while listening, the next round while active or while termination
-signals are pending, and None once there is nothing left to send. A call in
-any other round, or a `receive` with an empty inbox, changes nothing, so the
-engine skips them.
+one send (and applies send-side transitions), `receive(round, inbox)`
+applies the reception rules to mail that arrives after phase 1. Both are
+deterministic; all cross-node interaction flows through the engine. A
+node keeps `next_emit`, the only round in which `emit` can act: the next
+round in phase 1 (1 at the start), then its activation round while
+listening, the next round while active or while termination signals are
+pending, and None once there is nothing left to send. A call in any other
+round, or a `receive` with an empty inbox, changes nothing, so the engine
+skips them.
 
 After phase 1 the reception rules live in one place, `ProtocolNode.hear`,
 which applies one message to a list of listeners: the message is decoded
@@ -112,14 +115,14 @@ class Phase1Tally:
     peer of j heard j by broadcast, counted once for all receivers; `mail`
     counts every other copy per receiver (receiver -> sender -> copies);
     `degree` holds one degree per sender, fixed by the first copy counted,
-    whichever way it came. A node without a shared tally gets its own."""
+    whichever way it came. `heard_twice`, set by `close`, maps a subject to
+    the first live node, in index order, that heard it twice."""
 
     def __init__(self, n: int) -> None:
         self.count = [0] * (n + 1)
         self.degree: dict[int, int] = {}
         self.mail: dict[int, dict[int, int]] = {}
-        # (view, list) of every index by `count` alone, set by `close`.
-        self.classes: tuple[dict[int, int], dict[int, Entry]] = ({}, {})
+        self.heard_twice: dict[int, int] = {}
 
     def _sender(self, msg, receiver: int) -> int:
         """The sender of one phase-1 copy, which must announce its sender's
@@ -157,34 +160,52 @@ class Phase1Tally:
             sender = self._sender(msg, receiver)
             heard[sender] = heard.get(sender, 0) + 1
 
-    def close(self, live: list[ProtocolNode]) -> dict[int, int]:
+    def close(self, live: list[ProtocolNode]) -> None:
         """End phase 1: classify the broadcast counts once (heard twice into
-        the view, once into the list as faulty, never as smite), then every
-        live node in index order; check that no subject was heard twice by
-        one live node and never by another; return subject -> first live
-        node that heard it twice. A node hears a subject's broadcasts,
-        unless it is the subject, plus its own mail, so when `count` holds
-        two copies or no live node got the subject by mail, every live peer
-        heard it equally often or at least twice."""
+        the view, once into the list as faulty, never as smite), then hand
+        every live node, in index order, that classification with its own
+        index and its mail patched in; check that no subject was heard
+        twice by one live node and never by another, and fill
+        `heard_twice`. A node hears a subject's broadcasts, unless it is
+        the subject, plus its own mail, so when `count` holds two copies or
+        no live node got the subject by mail, every live peer heard it
+        equally often or at least twice."""
         count, degree = self.count, self.degree
-        view: dict[int, int] = {}
-        flist: dict[int, Entry] = {}
+        shared_view: dict[int, int] = {}
+        shared_list: dict[int, Entry] = {}
         for j, heard in enumerate(count[1:], start=1):
             if heard >= 2:
-                view[j] = degree[j]
+                shared_view[j] = degree[j]
             elif heard == 1:
-                flist[j] = Entry(FAULTY, degree[j])
+                shared_list[j] = Entry(FAULTY, degree[j])
             else:
-                flist[j] = _SMITE_ENTRY
-        self.classes = view, flist
-        for node in live:
-            node._classify()
+                shared_list[j] = _SMITE_ENTRY
+        mail = [self.mail.get(node.index, {}) for node in live]
+        for node, heard in zip(live, mail):
+            own = node.index
+            view, flist = dict(shared_view), dict(shared_list)
+            view.pop(own, None)
+            flist.pop(own, None)
+            moved = False
+            for s, c in heard.items():
+                base = count[s]
+                if base >= 2 or s == own:
+                    continue
+                if base + c == 1:  # heard once, by mail
+                    flist[s] = Entry(FAULTY, degree[s])
+                else:  # mail completed the two
+                    del flist[s]
+                    view[s] = degree[s]
+                    moved = True
+            if moved:
+                view = dict(sorted(view.items()))  # the view stays in index order
+            view[own] = node.degree
+            node.end_phase1(view, flist)
 
         first = live[0].index
         second = live[1].index if len(live) > 1 else None
-        mail = [self.mail.get(node.index, {}) for node in live]
         mailed = set().union(*mail)
-        heard_twice: dict[int, int] = {}
+        heard_twice = self.heard_twice
         for subject, base in enumerate(count[1:], start=1):
             if base >= 2 or subject not in mailed:
                 peer = second if subject == first else first
@@ -207,7 +228,6 @@ class Phase1Tally:
                     f"phase-1 exclusion broken for node {subject}: heard twice "
                     f"by {twice}, never by {never}"
                 )
-        return heard_twice
 
 
 class ProtocolNode:
@@ -216,23 +236,19 @@ class ProtocolNode:
     The node follows its layout's staggered group schedules, sending to one
     group per round, which multiplies the two-round phases and the 3-round
     failover gap by the group count. The uncapacitated model runs the same
-    schedules with one group of n (the default, `layout=None`), so every
-    send is a full broadcast.
+    schedules with one group of n (`GroupLayout(n, n, 1)`), so every send
+    is a full broadcast.
     """
 
     def __init__(
         self,
         index: int,
         degree: int,
-        n: int,
-        layout: GroupLayout | None = None,
+        layout: GroupLayout,
         mutations: frozenset[str] = frozenset(),
-        tally: Phase1Tally | None = None,
     ) -> None:
         self.index = index
         self.degree = degree
-        if layout is None:
-            layout = GroupLayout(n, n, 1)
         self.layout = layout
         self.mutations = mutations
         g = layout.group_count
@@ -241,7 +257,6 @@ class ProtocolNode:
         self.copies_per_entry = 2 * g
 
         self.state = NodeState.LISTENING
-        self.tally = Phase1Tally(n) if tally is None else tally
         self.view: dict[int, int] = {}
         self.flist: dict[int, Entry] = {}
         self.last_active = 1
@@ -279,7 +294,7 @@ class ProtocolNode:
         """Compute this round's one send as a (message, recipients) pair, or
         None when the node is silent, applying send-side state transitions."""
         if rnd <= self.phase1_len:
-            self.next_emit = rnd + 1  # after phase 1, `_classify` sets it
+            self.next_emit = rnd + 1  # after phase 1, `end_phase1` sets it
             return self._emit_phase1(rnd)
         if self.state is NodeState.LISTENING:
             if rnd != self.activation_due():
@@ -346,11 +361,8 @@ class ProtocolNode:
     # -- receiving --------------------------------------------------------
 
     def receive(self, rnd: int, inbox: list) -> None:
-        """Apply this node's mail of round `rnd`: the tally counts phase-1
-        announcements, and each later message goes through `hear`."""
-        if rnd <= self.phase1_len:
-            self.tally.add_mail(self.index, inbox)
-            return
+        """Apply this node's mail of round `rnd`, after phase 1: each message
+        goes through `hear`."""
         if len(inbox) > 1:
             # Entries in sender order, then the termination signal.
             inbox = sorted(inbox, key=lambda m: (isinstance(m, AllOkay), m.sender))
@@ -429,29 +441,9 @@ class ProtocolNode:
                     node._fold_below(s)
         return []
 
-    def _classify(self) -> None:
-        """Copy the tally's classification and patch in this node's own
-        index and its mail."""
-        own = self.index
-        tally = self.tally
-        shared, degree = tally.count, tally.degree
-        view, flist = map(dict, tally.classes)
-        view.pop(own, None)
-        flist.pop(own, None)
-        moved = False
-        for s, c in tally.mail.get(own, {}).items():
-            base = shared[s]
-            if base >= 2 or s == own:
-                continue
-            if base + c == 1:  # heard once, by mail
-                flist[s] = Entry(FAULTY, degree[s])
-            else:  # mail completed the two
-                del flist[s]
-                view[s] = degree[s]
-                moved = True
-        if moved:
-            view = dict(sorted(view.items()))  # the view stays in index order
-        view[own] = self.degree
+    def end_phase1(self, view: dict[int, int], flist: dict[int, Entry]) -> None:
+        """Install the view and list `Phase1Tally.close` classified for this
+        node and start its activation timer."""
         self.view, self.flist = view, flist
         # Virtual timer: the minimum index is due right after phase 1, and
         # index i is due 3 gaps later per step when nothing is ever heard.

@@ -326,8 +326,8 @@ class Forgetful(ProtocolNode):
     """Node 1 forgets, after phase 1, the degree of node 4, which it heard
     twice, and so rebroadcasts a smite for it in round 3."""
 
-    def _classify(self):
-        super()._classify()
+    def end_phase1(self, view, flist):
+        super().end_phase1(view, flist)
         if self.index == 1:
             del self.view[4]
             self.flist[4] = Entry(SMITE, None)
@@ -475,8 +475,8 @@ class TestInvariantChecks:
 
     def test_broadcast_violation_names_the_lowest_listener(self, monkeypatch):
         class Tampered(ProtocolNode):
-            def _classify(self):
-                super()._classify()
+            def end_phase1(self, view, flist):
+                super().end_phase1(view, flist)
                 if self.index in (3, 5):
                     self.view[6] = 1
 

@@ -123,7 +123,7 @@ class TestNccExecution:
     def test_scaled_activation_timeout(self):
         n = 16  # G = 4: successor gap of one waits 12 rounds
         layout = GroupLayout.for_clique(n)
-        node = ProtocolNode(2, 1, n, layout)
+        node = ProtocolNode(2, 1, layout)
         node.last_active = 1
         node.last_heard = 20
         assert node.activation_due() == 20 + 3 * layout.group_count

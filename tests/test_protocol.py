@@ -6,6 +6,7 @@ the listener update rules.
 import pytest
 
 from cliquesim.engine import NodeOutcome
+from cliquesim.groups import GroupLayout
 from cliquesim.harness import verdict
 from cliquesim.protocol import (
     AllOkay,
@@ -14,24 +15,32 @@ from cliquesim.protocol import (
     FAULTY,
     FaultEntry,
     NodeState,
+    Phase1Tally,
     ProtocolNode,
     ProtocolViolation,
     SMITE,
 )
 
 
+def cc_node(index, degree, n):
+    """A node of the uncapacitated model: one group of n."""
+    return ProtocolNode(index, degree, GroupLayout(n, n, 1))
+
+
 def make_classified_node(index, n, degree=1, heard=None):
-    """Build a node and run it through phase 1; `heard` maps peer -> list of
-    announced degrees (one per reception)."""
-    node = ProtocolNode(index, degree, n)
+    """Build a node and run it through phase 1, with its mail fed to a
+    tally of its own; `heard` maps peer -> list of announced degrees (one
+    per reception)."""
+    node = cc_node(index, degree, n)
+    tally = Phase1Tally(n)
     heard = heard or {}
     round1 = [Announce(j, ds[0]) for j, ds in heard.items() if len(ds) >= 1]
     round2 = [Announce(j, ds[1]) for j, ds in heard.items() if len(ds) >= 2]
     node.emit(1)
-    node.receive(1, round1)
+    tally.add_mail(index, round1)
     node.emit(2)
-    node.receive(2, round2)
-    node.tally.close([node])
+    tally.add_mail(index, round2)
+    tally.close([node])
     return node
 
 
@@ -57,13 +66,11 @@ class TestPhase1Classification:
         assert node.view[1] == 9
 
     def test_conflicting_degrees_are_a_violation(self):
-        node = ProtocolNode(1, 1, 3)
-        node.emit(1)
-        node.receive(1, [Announce(2, 5)])
-        node.emit(2)
-        message = "heard degree 6 from node 2, which announced 5 before"
+        tally = Phase1Tally(3)
+        tally.add_mail(1, [Announce(2, 5)])
+        message = "node 1 heard degree 6 from node 2, which announced 5 before"
         with pytest.raises(ProtocolViolation, match=message):
-            node.receive(2, [Announce(2, 6)])
+            tally.add_mail(1, [Announce(2, 6)])
 
 
 class TestActivationTiming:
@@ -261,11 +268,9 @@ class TestExitBehavior:
 
 class TestDegenerateClique:
     def test_single_node_runs_alone(self):
-        node = ProtocolNode(1, 4, 1)
+        node = cc_node(1, 4, 1)
         assert node.emit(1) is None and node.emit(2) is None
-        node.receive(1, [])
-        node.receive(2, [])
-        node.tally.close([node])
+        Phase1Tally(1).close([node])
         assert node.view == {1: 4}
         out = node.emit(3)
         assert node.state is NodeState.EXIT
