@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["GroupLayout", "enforce_capacity", "log2_ceil"]
 
@@ -41,10 +42,15 @@ class GroupLayout:
         """1-based group id of a node index."""
         return (index - 1) // self.group_size + 1
 
-    def members(self, group: int) -> range:
-        lo = (group - 1) * self.group_size + 1
-        hi = min(group * self.group_size, self.n)
-        return range(lo, hi + 1)
+    @cached_property
+    def _indexes(self) -> list[int]:
+        return list(range(1, self.n + 1))
+
+    def members(self, group: int) -> list[int]:
+        """A new list of the group's indexes, sliced from one list of 1..n,
+        so every member list of the layout shares its int objects."""
+        lo = (group - 1) * self.group_size
+        return self._indexes[lo : lo + self.group_size]
 
     def phase1_dest(self, group: int, sweep_round: int) -> int:
         """Destination group for a sender group in round-robin sweep round

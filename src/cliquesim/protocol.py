@@ -275,7 +275,7 @@ class ProtocolNode:
         # Recipients per group (its members but this node), shared by all
         # the node's sends to it: nothing downstream may mutate them.
         self._group = layout.group_of(index)
-        self._group_peers = [list(layout.members(group)) for group in range(1, g + 1)]
+        self._group_peers = [layout.members(group) for group in range(1, g + 1)]
         self._group_peers[self._group - 1].remove(index)
         # The recipient list naming every other node, when one group holds
         # them all: the engine delivers a send to it once for all receivers.
