@@ -322,8 +322,7 @@ class RoundEngine:
                     self.metrics.dropped_messages += len(dropped)
                     if self.config.strict:
                         raise CapacityViolation(
-                            f"node {j} dropped {len(dropped)} messages "
-                            f"in round {rnd}"
+                            f"node {j} dropped {len(dropped)} messages in round {rnd}"
                         )
             if in_phase1:
                 self.tally.add_mail(j, inbox)

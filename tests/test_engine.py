@@ -527,8 +527,8 @@ class TestInvariantChecks:
         result = engine.run()
         assert result.metrics.dropped_messages == 4
         assert result.metrics.max_recv_per_round == 8
-        # Node 9 kept nodes 1-4's round-1 copies, which their two sweeps
-        # repeat, and heard nodes 5-8 only in their second sweep.
+        # Node 9 kept round 1's lowest senders, nodes 1-4, and heard them
+        # again in both sweeps; it heard nodes 5-8 only in their second.
         assert engine.tally.mail[9] == {1: 3, 2: 3, 3: 3, 4: 3, 5: 1, 6: 1, 7: 1, 8: 1}
 
     def test_strict_over_full_inbox_raises(self, monkeypatch):
