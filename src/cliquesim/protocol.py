@@ -28,11 +28,14 @@ one send (and applies send-side transitions), `receive(round, inbox)`
 applies the reception rules to mail that arrives after phase 1. Both are
 deterministic; all cross-node interaction flows through the engine. A
 node keeps `next_emit`, the only round in which `emit` can act: the next
-round in phase 1 (1 at the start), then its activation round while
-listening, the next round while active or while termination signals are
-pending, and None once there is nothing left to send. A call in any other
-round, or a `receive` with an empty inbox, changes nothing, so the engine
-skips them.
+round in phase 1 (1 at the start), then, while listening, its activation
+round, the next round while active or while termination signals are
+pending, and None once there is nothing left to send. A listener's
+activation round is its one timer: `end_phase1` starts it as if node 1 had
+been heard in the round after phase 1, and `hear` sets it from the sender
+of each entry heard, one failover gap per index between the two, or None
+for a listener below that sender. A call to `emit` in any other round, or a
+`receive` with an empty inbox, changes nothing, so the engine skips them.
 
 After phase 1 the reception rules live in one place, `ProtocolNode.hear`,
 which applies one message to a list of listeners: the message is decoded
@@ -52,7 +55,6 @@ __all__ = [
     "Announce",
     "FaultEntry",
     "AllOkay",
-    "Entry",
     "SMITE",
     "FAULTY",
     "NodeState",
@@ -93,15 +95,6 @@ class FaultEntry(NamedTuple):
 
 class AllOkay(NamedTuple):
     sender: int
-
-
-class Entry(NamedTuple):
-    kind: str  # SMITE or FAULTY
-    degree: Optional[int]
-
-
-# The one entry for a subject whose degree is unknown.
-_SMITE_ENTRY = Entry(SMITE, None)
 
 
 class NodeState(Enum):
@@ -172,14 +165,12 @@ class Phase1Tally:
         equally often or at least twice."""
         count, degree = self.count, self.degree
         shared_view: dict[int, int] = {}
-        shared_list: dict[int, Entry] = {}
+        shared_list: dict[int, int | None] = {}
         for j, heard in enumerate(count[1:], start=1):
             if heard >= 2:
                 shared_view[j] = degree[j]
-            elif heard == 1:
-                shared_list[j] = Entry(FAULTY, degree[j])
             else:
-                shared_list[j] = _SMITE_ENTRY
+                shared_list[j] = degree[j] if heard == 1 else None
         mail = [self.mail.get(node.index, {}) for node in live]
         for node, heard in zip(live, mail):
             own = node.index
@@ -192,7 +183,7 @@ class Phase1Tally:
                 if base >= 2 or s == own:
                     continue
                 if base + c == 1:  # heard once, by mail
-                    flist[s] = Entry(FAULTY, degree[s])
+                    flist[s] = degree[s]
                 else:  # mail completed the two
                     del flist[s]
                     view[s] = degree[s]
@@ -238,6 +229,11 @@ class ProtocolNode:
     failover gap by the group count. The uncapacitated model runs the same
     schedules with one group of n (`GroupLayout(n, n, 1)`), so every send
     is a full broadcast.
+
+    `view` maps each accepted subject to its degree. `flist`, the list of
+    subjects still to resolve, maps each to its degree, or to None for a
+    smite, whose degree is unknown. While the node listens, `next_emit` is
+    its activation round, set from the last sender heard.
     """
 
     def __init__(
@@ -258,9 +254,7 @@ class ProtocolNode:
 
         self.state = NodeState.LISTENING
         self.view: dict[int, int] = {}
-        self.flist: dict[int, Entry] = {}
-        self.last_active = 1
-        self.last_heard = 0
+        self.flist: dict[int, int | None] = {}
         self.next_emit: int | None = 1
         self.exit_round: int | None = None
 
@@ -284,12 +278,6 @@ class ProtocolNode:
 
     # -- sending ----------------------------------------------------------
 
-    def activation_due(self) -> int | None:
-        """Round at which this node goes active if it hears nothing more."""
-        if self.index < self.last_active:
-            return None
-        return self.last_heard + self.gap * (self.index - self.last_active)
-
     def emit(self, rnd: int) -> tuple[object, list[int]] | None:
         """Compute this round's one send as a (message, recipients) pair, or
         None when the node is silent, applying send-side state transitions."""
@@ -297,7 +285,7 @@ class ProtocolNode:
             self.next_emit = rnd + 1  # after phase 1, `end_phase1` sets it
             return self._emit_phase1(rnd)
         if self.state is NodeState.LISTENING:
-            if rnd != self.activation_due():
+            if rnd != self.next_emit:
                 return None
             self.state = NodeState.ACTIVE
         send = None
@@ -327,16 +315,13 @@ class ProtocolNode:
             self.current_subject = min(self.flist)
             self.sends_done = 0
         subject = self.current_subject
-        entry = self.flist[subject]
-        if entry.kind == FAULTY and entry.degree is None:
-            raise ProtocolViolation(
-                f"node {self.index} holds a faulty entry for {subject} with no degree"
-            )
-        msg = FaultEntry(self.index, subject, entry.kind, entry.degree)
+        degree = self.flist[subject]
+        status = SMITE if degree is None else FAULTY
+        msg = FaultEntry(self.index, subject, status, degree)
         recipients = self._group_peers[self.sends_done % self.layout.group_count]
         self.sends_done += 1
         if self.sends_done == self.copies_per_entry:
-            self._resolve_own(subject, entry)
+            self._resolve_own(subject, degree)
             self.current_subject = None
         return (msg, recipients) if recipients else None
 
@@ -390,14 +375,11 @@ class ProtocolNode:
         sender, s, status, degree = msg
         window = sender, s
         smite = status == SMITE
-        entry = None if smite else Entry(FAULTY, degree)
         listening = NodeState.LISTENING
         for node in listeners:
             if node.state is not listening:
                 continue
-            node.last_active = sender
-            node.last_heard = rnd
-            i = node.index  # next_emit is activation_due(), inline
+            i = node.index
             node.next_emit = None if i < sender else rnd + node.gap * (i - sender)
             if node._window == window:
                 count = node._window_count = node._window_count + 1
@@ -418,7 +400,7 @@ class ProtocolNode:
                     )
                 if count == 1:
                     if MUTATE_NO_HEARD_ONCE_UPDATE not in node.mutations:
-                        flist[s] = _SMITE_ENTRY
+                        flist[s] = None
                 else:
                     flist.pop(s, None)
                     node._fold_below(s)
@@ -430,10 +412,10 @@ class ProtocolNode:
             if count == 1 and s not in view:
                 # Most updates repeat the entry already held: skip them.
                 if (
-                    flist.get(s) != entry
+                    flist.get(s) != degree
                     and MUTATE_NO_HEARD_ONCE_UPDATE not in node.mutations
                 ):
-                    flist[s] = entry
+                    flist[s] = degree
             else:
                 node._insert_view(s, degree)
                 if count == 2:
@@ -441,41 +423,35 @@ class ProtocolNode:
                     node._fold_below(s)
         return []
 
-    def end_phase1(self, view: dict[int, int], flist: dict[int, Entry]) -> None:
+    def end_phase1(self, view: dict[int, int], flist: dict[int, int | None]) -> None:
         """Install the view and list `Phase1Tally.close` classified for this
         node and start its activation timer."""
         self.view, self.flist = view, flist
         # Virtual timer: the minimum index is due right after phase 1, and
-        # index i is due 3 gaps later per step when nothing is ever heard.
-        self.last_active = 1
-        self.last_heard = self.phase1_len + 1
-        self.next_emit = self.activation_due()
+        # index i is due one gap later per step when nothing is ever heard.
+        self.next_emit = self.phase1_len + 1 + self.gap * (self.index - 1)
 
     def _fold_below(self, subject: int) -> None:
         """A completed rebroadcast for `subject` implies every lower-index
         classification was already settled network-wide: fold them in."""
         discard = MUTATE_BELOW_FOLD_DISCARDS in self.mutations
         for p in [k for k in self.flist if k < subject]:
-            entry = self.flist.pop(p)
-            if entry.kind == FAULTY and not discard:
-                self._insert_view(p, entry.degree)
+            degree = self.flist.pop(p)
+            if degree is not None and not discard:
+                self._insert_view(p, degree)
 
-    def _resolve_own(self, subject: int, entry: Entry) -> None:
+    def _resolve_own(self, subject: int, degree: int | None) -> None:
         self.flist.pop(subject, None)
-        if entry.kind == FAULTY:
-            self._insert_view(subject, entry.degree)
+        if degree is not None:
+            self._insert_view(subject, degree)
 
     def _fold_in(self) -> None:
-        for subject, entry in sorted(self.flist.items()):
-            if entry.kind == FAULTY:
-                self._insert_view(subject, entry.degree)
+        for subject, degree in sorted(self.flist.items()):
+            if degree is not None:
+                self._insert_view(subject, degree)
         self.flist.clear()
 
-    def _insert_view(self, subject: int, degree: int | None) -> None:
-        if degree is None:
-            raise ProtocolViolation(
-                f"node {self.index} tried to accept a missing degree for {subject}"
-            )
+    def _insert_view(self, subject: int, degree: int) -> None:
         prior = self.view.get(subject)
         if prior is None:
             self.view[subject] = degree

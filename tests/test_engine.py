@@ -27,7 +27,6 @@ from cliquesim.protocol import (
     SMITE,
     AllOkay,
     Announce,
-    Entry,
     FaultEntry,
     ProtocolNode,
     ProtocolViolation,
@@ -330,7 +329,7 @@ class Forgetful(ProtocolNode):
         super().end_phase1(view, flist)
         if self.index == 1:
             del self.view[4]
-            self.flist[4] = Entry(SMITE, None)
+            self.flist[4] = None
 
 
 class TestInvariantChecks:
@@ -345,8 +344,9 @@ class TestInvariantChecks:
 
     def test_two_simultaneously_active_nodes(self, monkeypatch):
         class EagerTimer(ProtocolNode):
-            def activation_due(self):
-                return None if self.index < self.last_active else self.last_heard
+            def end_phase1(self, view, flist):
+                super().end_phase1(view, flist)
+                self.next_emit = self.phase1_len + 1
 
         # Node 4 is never heard, so every list holds a smite entry for it
         # and the eager nodes 1-3 all go active right after phase 1.

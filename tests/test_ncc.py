@@ -15,7 +15,13 @@ from cliquesim.engine import RoundEngine, SimConfig, run_simulation
 from cliquesim.groups import GroupLayout, enforce_capacity, log2_ceil
 from cliquesim.harness import check_execution, verify_exhaustive
 from cliquesim.adversary import PlanSpace
-from cliquesim.protocol import AllOkay, ProtocolNode
+from cliquesim.protocol import (
+    AllOkay,
+    FaultEntry,
+    Phase1Tally,
+    ProtocolNode,
+    SMITE,
+)
 from cliquesim.trace import round_records
 
 
@@ -124,9 +130,9 @@ class TestNccExecution:
         n = 16  # G = 4: successor gap of one waits 12 rounds
         layout = GroupLayout.for_clique(n)
         node = ProtocolNode(2, 1, layout)
-        node.last_active = 1
-        node.last_heard = 20
-        assert node.activation_due() == 20 + 3 * layout.group_count
+        Phase1Tally(n).close([node])
+        node.receive(20, [FaultEntry(1, 3, SMITE, None)])
+        assert node.next_emit == 20 + 3 * layout.group_count
 
     def test_staggered_allokay_order_and_termination(self):
         n = 8

@@ -11,7 +11,6 @@ from cliquesim.harness import verdict
 from cliquesim.protocol import (
     AllOkay,
     Announce,
-    Entry,
     FAULTY,
     FaultEntry,
     NodeState,
@@ -54,12 +53,12 @@ class TestPhase1Classification:
 
     def test_heard_once_becomes_faulty_with_degree(self):
         node = make_classified_node(1, 4, heard={2: [5], 3: [2, 2], 4: [0, 0]})
-        assert node.flist == {2: Entry(FAULTY, 5)}
+        assert node.flist == {2: 5}
         assert 2 not in node.view
 
     def test_heard_never_becomes_smite(self):
         node = make_classified_node(1, 4, heard={2: [5, 5], 3: [2, 2]})
-        assert node.flist == {4: Entry(SMITE, None)}
+        assert node.flist == {4: None}
 
     def test_own_degree_always_present(self):
         node = make_classified_node(1, 2, degree=9)
@@ -76,23 +75,21 @@ class TestPhase1Classification:
 class TestActivationTiming:
     def test_min_index_activates_right_after_phase1(self):
         node = make_classified_node(1, 4)
-        assert node.activation_due() == 3
+        assert node.next_emit == 3
 
     def test_second_index_waits_one_gap(self):
         node = make_classified_node(2, 4)
-        assert node.activation_due() == 6
+        assert node.next_emit == 6
 
     def test_gap_scales_with_index_distance(self):
         node = make_classified_node(5, 6)
-        node.last_active = 2
-        node.last_heard = 9
-        assert node.activation_due() == 18
+        node.receive(9, [FaultEntry(2, 1, SMITE, None)])
+        assert node.next_emit == 18
 
     def test_no_reactivation_below_last_active(self):
         node = make_classified_node(2, 6)
-        node.last_active = 4
-        node.last_heard = 10
-        assert node.activation_due() is None
+        node.receive(10, [FaultEntry(4, 1, SMITE, None)])
+        assert node.next_emit is None
 
     def test_listener_stays_quiet_before_due(self):
         node = make_classified_node(2, 4)
@@ -169,9 +166,9 @@ class TestListeningUpdates:
         node = self.listener()
         node.receive(3, [FaultEntry(1, 4, SMITE, None)])
         # the received smite replaces the local faulty(5), degree discarded
-        assert node.flist[4] == Entry(SMITE, None)
+        assert node.flist[4] is None
         node.receive(7, [FaultEntry(3, 4, FAULTY, 5)])
-        assert node.flist[4] == Entry(FAULTY, 5)
+        assert node.flist[4] == 5
 
     def test_below_index_fold_on_heard_twice(self):
         node = self.listener()
@@ -184,8 +181,7 @@ class TestListeningUpdates:
     def test_timer_refresh_on_reception(self):
         node = self.listener()
         node.receive(9, [FaultEntry(3, 4, FAULTY, 5)])
-        assert node.last_active == 3 and node.last_heard == 9
-        assert node.activation_due() is None  # index 2 < last active 3
+        assert node.next_emit is None  # index 2 < sender 3
 
     def test_smite_for_accepted_degree_is_a_violation(self):
         node = self.listener()
@@ -209,7 +205,7 @@ class TestListeningUpdates:
         node.receive(3, [FaultEntry(1, 4, FAULTY, 5)])
         node.receive(9, [FaultEntry(3, 4, FAULTY, 5)])
         # one copy from each sender: still heard-once, entry stays
-        assert node.flist[4] == Entry(FAULTY, 5)
+        assert node.flist[4] == 5
         assert 4 not in node.view
 
 
@@ -225,9 +221,8 @@ class TestMultiMessageInbox:
         node = self.listener()
         node.receive(6, [FaultEntry(2, 5, FAULTY, 3), FaultEntry(1, 5, SMITE, None)])
         # node 1's smite first, then node 2's faulty entry replaces it
-        assert node.flist == {3: Entry(FAULTY, 7), 5: Entry(FAULTY, 3)}
+        assert node.flist == {3: 7, 5: 3}
         assert node.view == {1: 0, 2: 1, 4: 1}
-        assert node.last_active == 2 and node.last_heard == 6
         assert node.next_emit == 6 + 3 * (4 - 2)
         assert node.state is NodeState.LISTENING
 
@@ -237,7 +232,6 @@ class TestMultiMessageInbox:
         # the entry lands first, then the signal folds both entries in
         assert node.flist == {}
         assert node.view == {1: 0, 2: 1, 4: 1, 3: 7, 5: 3}
-        assert node.last_active == 1 and node.last_heard == 6
         assert node.next_emit is None
         assert node.state is NodeState.EXIT and node.exit_round == 6
         assert not node.allokay_broadcast
