@@ -179,11 +179,15 @@ def cmd_sweep(args) -> int:
         if name not in ("none", "random", "worst"):
             raise ConfigError(f"sweep adversary {name!r} is not none, random or worst")
     rows = []
+    failed = False
     for f in f_values:
         for name in adversaries:
             seeds = range(args.seeds) if name == "random" else [args.seed]
             for seed in seeds:
-                rows.append(_sweep_row(args, f, name, seed))
+                row, issues = _sweep_row(args, f, name, seed)
+                rows.append(row)
+                if issues:
+                    failed = True
     out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out_stream, fieldnames=REPORT_COLUMNS)
@@ -193,10 +197,11 @@ def cmd_sweep(args) -> int:
         if args.out:
             out_stream.close()
     _print_sweep_summary(rows)
-    return 0
+    return 1 if failed else 0
 
 
-def _sweep_row(args, f: int, name: str, seed: int) -> dict:
+def _sweep_row(args, f: int, name: str, seed: int) -> tuple[dict, list[str]]:
+    """One CSV row of the sweep and the run's `check_execution` issues."""
     config = _sim_config(args, _resolve_degrees(args, seed), seed)
     adversary, _ = _build_adversary(name, f, seed, args)
     result = run_simulation(config, adversary)
@@ -221,7 +226,7 @@ def _sweep_row(args, f: int, name: str, seed: int) -> dict:
         "agreement_ok": agreement_ok,
         "validity_ok": validity_ok,
         "verdict": shown,
-    }
+    }, issues
 
 
 def _print_sweep_summary(rows: list[dict]) -> None:

@@ -307,7 +307,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "SimConfig", mutated)
         argv = ["sweep", "--n", "6", "--f", "2", "--adversary", "random"]
         argv += ["--seeds", "3", "--crash-prob", "0.3", "--degrees", "1,2,2,1,2,2"]
-        assert main(argv) == 0
+        assert main(argv) == 1
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [(r["seed"], r["agreement_ok"], r["verdict"]) for r in rows] == [
             ("0", "True", "unrealizable"),
@@ -334,6 +334,17 @@ class TestVerify:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "violations=0" in out
+
+    def test_report_to_file(self, tmp_path, capsys):
+        """`--out` writes exactly the report printed on stdout and leaves the
+        exit status as it is without it."""
+        argv = ["verify", "--n", "3", "--f", "1", "--degrees", "1,1,2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out_path = tmp_path / "report.txt"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == printed
+        assert out_path.read_text() == printed
 
     def test_caps_exceeded_status_two(self, capsys):
         rc = main(["verify", "--n", "5", "--f", "1", "--degree-uniform", "1"])
