@@ -144,7 +144,6 @@ def write_trace(path: str | Path, result: ExecutionResult, adversary_desc: str) 
 class ParsedTrace:
     header: dict
     rounds: list[dict]
-    end: dict
     lines: list[str]
 
     def config(self) -> SimConfig:
@@ -219,7 +218,7 @@ def read_trace(path: str | Path) -> ParsedTrace:
     for lineno, record in enumerate(rounds, start=2):
         if not _is_round_record(record):
             raise TraceError(f"line {lineno}: malformed round record")
-    return ParsedTrace(header=header, rounds=rounds, end=body[-1], lines=lines)
+    return ParsedTrace(header=header, rounds=rounds, lines=lines)
 
 
 def _is_int(value: object) -> bool:
