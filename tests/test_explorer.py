@@ -14,7 +14,7 @@ import pytest
 
 from cliquesim import harness
 from cliquesim.adversary import CrashEvent, CrashPlan, PlanSpace, ScriptedAdversary
-from cliquesim.engine import SimConfig
+from cliquesim.engine import AdversaryError, SimConfig
 from cliquesim.harness import run_plan, verify_exhaustive
 from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE
 
@@ -100,3 +100,12 @@ def test_reported_violations_reproduce(mutation):
         assert run_plan(config, ScriptedAdversary(CrashPlan(events)))[0] == issues
     stopped = verify_exhaustive(config, f=2, horizon=HORIZON, stop_on_first=True)
     assert stopped.violations and stopped.executions_run < report.executions_run
+
+
+def test_run_plan_raises_a_plan_the_engine_rejects():
+    """A plan that crashes an unknown node is the caller's error: `run_plan`
+    raises it instead of reporting it as one of the run's issues."""
+    config = SimConfig(n=4, degrees=(1, 2, 2, 1))
+    plan = CrashPlan((CrashEvent(1, 9, ()),))
+    with pytest.raises(AdversaryError, match="crash of unknown node 9"):
+        run_plan(config, ScriptedAdversary(plan))
