@@ -1,6 +1,6 @@
 """Crash strategies: benign, scripted (which the schedule explorer plays),
-randomized, an adaptive worst-case heuristic, and the brute-force
-small-instance plan enumerator.
+randomized, an adaptive worst-case heuristic, and the brute-force plan
+space that the tests run as the explorer's oracle.
 
 An adversary is any object with a `budget` attribute and a
 `decide(engine, round) -> dict[node, recipients] | None` method, called once
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 from .protocol import FaultEntry
@@ -33,10 +33,6 @@ __all__ = [
     "parse_plan_file",
     "format_plan",
 ]
-
-ENUM_MAX_N = 4
-ENUM_MAX_F = 3
-ENUM_MAX_HORIZON = 14
 
 
 class CrashEvent(NamedTuple):
@@ -144,41 +140,33 @@ class PlanSpace(Sequence):
     """Every crash schedule with up to f crashers, crash rounds in
     [1, horizon], and per-crasher delivery subsets over the other n-1 nodes.
 
-    The verifier takes its caps and its plan count from here; tests run it
-    in full as the brute-force oracle for the verifier's schedule explorer.
-    Index-addressable, so no plan list is ever materialized.
+    Tests run it in full as the brute-force oracle for the verifier's
+    schedule explorer, which counts the same plans in closed form. Plans
+    are decoded by index, but every crasher set is held: small n and f only.
     """
 
     def __init__(self, n: int, f: int, horizon: int):
-        if not (
-            0 <= f < n <= ENUM_MAX_N
-            and f <= ENUM_MAX_F
-            and 1 <= horizon <= ENUM_MAX_HORIZON
-        ):
+        if not (0 <= f < n and 1 <= horizon):
             raise ValueError(
-                f"enumeration capped at 0<=f<n<={ENUM_MAX_N}, f<={ENUM_MAX_F}, "
-                f"1<=horizon<={ENUM_MAX_HORIZON}; got n={n}, f={f}, horizon={horizon}"
+                f"a plan space needs 0<=f<n and 1<=horizon; "
+                f"got n={n}, f={f}, horizon={horizon}"
             )
         self.n = n
-        self.f = f
-        self.horizon = horizon
         self.subsets_per_node = 1 << (n - 1)
         self.options = horizon * self.subsets_per_node
-        self._node_sets: list[tuple[int, ...]] = []
-        for k in range(f + 1):
-            self._node_sets.extend(combinations(range(1, n + 1), k))
-        self._offsets: list[int] = []
-        total = 0
-        for nodes in self._node_sets:
-            self._offsets.append(total)
-            total += self.options ** len(nodes)
-        self._total = total
+        self._node_sets = [
+            nodes for k in range(f + 1) for nodes in combinations(range(1, n + 1), k)
+        ]
+        # The plans of crasher set b start at _offsets[b]; the last is the total.
+        self._offsets = list(
+            accumulate((self.options ** len(s) for s in self._node_sets), initial=0)
+        )
 
     def __len__(self) -> int:
-        return self._total
+        return self._offsets[-1]
 
     def __getitem__(self, index: int) -> CrashPlan:
-        if not 0 <= index < self._total:
+        if not 0 <= index < len(self):
             raise IndexError(index)
         block = bisect_right(self._offsets, index) - 1
         nodes = self._node_sets[block]

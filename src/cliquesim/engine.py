@@ -26,7 +26,8 @@ to per-recipient mailboxes and `receive`. `outboxes`, the round log and
 the message counts do not depend on the path.
 
 Every run keeps one raw `RoundLog` per round, the run's one record of its
-sends, crashes and transitions. The result carries it, and so does every
+sends, crashes and transitions; a round's crashes are logged before its
+deliveries, which read them. The result carries it, and so does every
 `ProtocolViolation` or `SimulationError` that escapes `run`, up to the
 round that raised; only `trace.py` turns it into trace records.
 
@@ -41,7 +42,8 @@ silent divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Optional
 
 from .groups import GroupLayout, enforce_capacity
 from .protocol import (
@@ -142,9 +144,9 @@ class NodeOutcome:
 
 class RoundLog(NamedTuple):
     """One round as run, kept by reference and logged once the round's crash
-    decisions are made; `crashes` and `transitions` fill in as the round
-    goes on. `transitions` holds (node, new state), "crashed" for a crasher,
-    for each node whose state moved."""
+    decisions are made, with its whole crash record; `transitions` fills in
+    as the round goes on. It holds (node, new state), "crashed" for a
+    crasher, for each node whose state moved."""
 
     sends: dict[int, tuple[Any, list[int]]]  # the round's `outboxes`
     crashes: list[tuple[int, tuple[int, ...]]]  # sorted (node, delivered)
@@ -168,6 +170,9 @@ class ExecutionResult:
 
 class RoundEngine:
     """Single-use: build, call run() once."""
+
+    # The crash decisions of every round without crashes.
+    _quiet: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 
     def __init__(self, config: SimConfig, adversary):
         self.config = config
@@ -247,11 +252,10 @@ class RoundEngine:
                 moved[node.index] = node.state._value_
 
         decisions = self._crash_decisions(rnd)
-        round_crashes: list[tuple[int, tuple[int, ...]]] = []
         transitions: list[tuple[int, str]] = []
         # tuple.__new__ skips the named tuple's Python-level constructor.
         self.round_log.append(
-            tuple.__new__(RoundLog, (outboxes, round_crashes, transitions))
+            tuple.__new__(RoundLog, (outboxes, [*decisions.items()], transitions))
         )
         # A send from a sender that does not crash, to its whole peer list,
         # is kept once in `broadcasts`: in phase 1 always, later when it is
@@ -272,24 +276,17 @@ class RoundEngine:
                         f"node {sender} sent {len(recipients)} messages in round "
                         f"{rnd}, capacity {self.capacity}"
                     )
-            allowed = decisions.get(sender)
-            whole = recipients is self.nodes[sender - 1].all_peers
-            if shareable and whole and allowed is None:
+            # A crasher's delivery is a new tuple, never its peer list.
+            delivered = decisions.get(sender, recipients)
+            if shareable and delivered is self.nodes[sender - 1].all_peers:
                 broadcasts.append((sender, msg))
             else:
-                if allowed is not None:
-                    recipients = [j for j in recipients if j in allowed]
-                    round_crashes.append((sender, tuple(sorted(recipients))))
-                for j in recipients:
+                for j in delivered:
                     mailboxes.setdefault(j, []).append(msg)
-            delivered_count += len(recipients)
-        for node_index in decisions:
-            if node_index not in outboxes:
-                round_crashes.append((node_index, ()))
-        if round_crashes:
-            round_crashes.sort()
+            delivered_count += len(delivered)
+        if decisions:
             moved = moved or {}
-            for node_index, _ in round_crashes:
+            for node_index in decisions:
                 self.crashed_round[node_index] = rnd
                 moved[node_index] = "crashed"
             self._live = [
@@ -345,17 +342,20 @@ class RoundEngine:
             settled = [i for i, to in transitions if to != "active"]
             self._unsettled.difference_update(settled)
 
-    def _crash_decisions(self, rnd: int) -> dict[int, frozenset[int]]:
+    def _crash_decisions(self, rnd: int) -> Mapping[int, tuple[int, ...]]:
+        """Each crasher, in node order, to the recipients it still reaches."""
         raw = self.adversary.decide(self, rnd)
         if not raw:
-            return {}
-        decisions: dict[int, frozenset[int]] = {}
-        for node_index, recipients in raw.items():
+            return self._quiet
+        decisions: dict[int, tuple[int, ...]] = {}
+        for node_index in sorted(raw):
             if not 1 <= node_index <= self.config.n:
                 raise AdversaryError(f"crash of unknown node {node_index}")
             if self.is_crashed(node_index):
                 raise AdversaryError(f"node {node_index} crashed twice")
-            decisions[node_index] = frozenset(recipients)
+            allowed = frozenset(raw[node_index])
+            _, sent = self.outboxes.get(node_index, (None, ()))
+            decisions[node_index] = tuple(sorted(j for j in sent if j in allowed))
         if len(self.crashed_round) + len(decisions) > self.budget:
             raise AdversaryError(
                 f"fault budget {self.budget} exceeded in round {rnd}"
@@ -387,28 +387,21 @@ class RoundEngine:
     # -- reporting -----------------------------------------------------------
 
     def _last_exit_round(self) -> int:
-        exits = [
-            node.exit_round for node in self.nodes if node.exit_round is not None
-        ]
-        return max(exits) if exits else self.round
+        exits = (node.exit_round for node in self.nodes if node.exit_round is not None)
+        return max(exits, default=self.round)
 
     def _result(self) -> ExecutionResult:
-        outcomes = []
-        for node in self.nodes:
-            crashed = self.crashed_round.get(node.index)
-            if crashed is not None:
-                state = "crashed"
-            else:
-                state = node.state.value
-            outcomes.append(
-                NodeOutcome(
-                    index=node.index,
-                    state=state,
-                    crashed_round=crashed,
-                    exit_round=node.exit_round,
-                    view=node.view,
-                )
+        crashed = self.crashed_round
+        outcomes = [
+            NodeOutcome(
+                index=node.index,
+                state="crashed" if node.index in crashed else node.state.value,
+                crashed_round=crashed.get(node.index),
+                exit_round=node.exit_round,
+                view=node.view,
             )
+            for node in self.nodes
+        ]
         return ExecutionResult(
             config=self.config,
             metrics=self.metrics,

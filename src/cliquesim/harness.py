@@ -7,18 +7,19 @@ may be missing, every survivor's degree is everywhere, and the message
 total respects the broadcast accounting bound. `verdict` is the one place
 a node's realization verdict is computed, cached per sorted view.
 
-`verify_exhaustive` covers every plan of the brute-force `PlanSpace` (up to
-f crashers, each with a crash round up to the horizon and a delivery mask
-over its n-1 peers) without running each plan. Many plans run the same
-execution: a mask only matters on the recipients the crasher actually had
-that round, and a crash scheduled after the run's last round never happens.
-So the verifier explores depth first over effective crash logs, each run
-once through `run_plan`, which hands back the run's round log: the children
-of a crash log are its extensions by new crashes in a later round the run
-reached, each crasher delivering to a subset of what the round log shows it
-really sent. Each run is weighted by the plans it stands for, so the report
-still counts plans. A violation is reported as its effective crash log,
-which is itself a plan that reproduces the failure. This is stateless
+`verify_exhaustive` covers every crash plan (up to f crashers, each with a
+crash round up to the horizon and a delivery mask over its n-1 peers)
+without running each plan. Many plans run the same execution: a mask only
+matters on the recipients the crasher actually had that round, and a crash
+scheduled after the run's last round never happens. So the verifier
+explores depth first over effective crash logs, each run once through
+`run_plan`, which hands back the run's round log: the children of a crash
+log are its extensions by new crashes in a later round the run reached,
+each crasher delivering to a subset of what the round log shows it really
+sent. Each run is weighted by the plans it stands for, counted in closed
+form, so nothing caps n, f or the horizon; a horizon at the engine's round
+cap branches every run to termination. A violation is reported as its
+effective crash log, itself a plan that reproduces the failure: stateless
 model checking in the style of Godefroid's VeriSoft (POPL 1997).
 """
 
@@ -32,7 +33,7 @@ from itertools import combinations, product, repeat
 from math import comb
 from typing import Iterator
 
-from .adversary import CrashEvent, CrashPlan, PlanSpace, ScriptedAdversary
+from .adversary import CrashEvent, CrashPlan, ScriptedAdversary
 from .degseq import DegreeSequence, RealizationOutcome, havel_hakimi
 from .engine import (
     AdversaryError,
@@ -153,10 +154,10 @@ def verdict(node: NodeOutcome) -> RealizationOutcome | None:
     return _realize(tuple(sorted(node.view.items())))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=16)
 def _realize(view: tuple[tuple[int, int], ...]) -> RealizationOutcome:
-    """Havel-Hakimi on a sorted degree view; cached because the same views
-    recur across a run's nodes and across enumerated executions."""
+    """Havel-Hakimi on a sorted degree view; cached, a few views at a time,
+    because the same views recur across a run's nodes and across runs."""
     return havel_hakimi(DegreeSequence(view))
 
 
@@ -182,9 +183,9 @@ def run_plan(
 
 @dataclass
 class VerifyReport:
-    """Counts are in plans of the brute-force space (`PlanSpace`), except
-    `runs`, the engine runs made. Each violation is an effective crash log
-    with its issues; `violating_plans` counts the plans it stands for."""
+    """Counts are in crash plans, except `runs`, the engine runs made. Each
+    violation is an effective crash log with its issues; `violating_plans`
+    counts the plans it stands for."""
 
     plans_total: int
     executions_run: int  # plans covered
@@ -213,6 +214,11 @@ class VerifyReport:
 _Child = tuple[tuple[CrashEvent, ...], int]  # (crash log, crasher factor)
 
 
+def _plan_count(nodes: int, crashes: int, options: int) -> int:
+    """Plans that crash up to `crashes` of `nodes` nodes, `options` ways each."""
+    return sum(comb(nodes, k) * options**k for k in range(crashes + 1))
+
+
 def _run_log(
     config: SimConfig,
     f: int,
@@ -222,7 +228,7 @@ def _run_log(
     report: VerifyReport,
 ) -> Iterator[_Child]:
     """Run one effective crash log, add it to `report` weighted by the
-    brute-force plans it stands for, and return its children.
+    crash plans it stands for, and return its children.
 
     `factor` is the plans per crash in `events`: a crasher whose round's
     send went to A of its n-1 peers is reached by the 2^(n-1-|A|) delivery
@@ -240,7 +246,7 @@ def _run_log(
     free = [v for v in range(1, n + 1) if v not in crashed]
     spare = f - len(events)
     phantom = max(horizon - stepped, 0) << (n - 1)
-    plans = factor * sum(comb(len(free), k) * phantom**k for k in range(spare + 1))
+    plans = factor * _plan_count(len(free), spare, phantom)
     report.executions_run += plans
     report.runs += 1
     report.max_rounds = max(report.max_rounds, rounds)
@@ -300,17 +306,22 @@ def verify_exhaustive(
     workers: int = 1,
     stop_on_first: bool = False,
 ) -> VerifyReport:
-    """Cover every `PlanSpace` plan for the given caps with one engine run
-    per distinct effective crash log.
+    """Cover every crash plan with up to `f` crashers and crash rounds up
+    to `horizon` with one engine run per distinct effective crash log.
 
     The run without crashes is made here; the subtrees of its children
     are the tasks, spread over `workers` processes when workers > 1 and
     merged in task order, so the report does not depend on the worker
     count.
     """
+    n = config.n
+    if not (0 <= f < n and 1 <= horizon):
+        raise ConfigError(
+            f"verify needs 0<=f<n and 1<=horizon; got n={n}, f={f}, horizon={horizon}"
+        )
     if workers < 1:
         raise ConfigError(f"workers {workers} must be >= 1")
-    total = len(PlanSpace(config.n, f, horizon))
+    total = _plan_count(n, f, horizon << (n - 1))
     report = VerifyReport(plans_total=total, executions_run=0)
     root = _run_log(config, f, horizon, (), 1, report)
     if stop_on_first and report.violations:

@@ -58,13 +58,20 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def enum_reports():
-    """Criterion 1/2/9 oracle: every crash plan at n=3 (f<=2) and n=4
-    (f<=3), all crash rounds up to the horizon, all delivery subsets."""
+    """Criterion 1/2/5/9 oracle: every crash plan at cc n=3 (f<=2) and n=4
+    (f<=3), all crash rounds up to the horizon, all delivery subsets; and,
+    explored to termination (the horizon is the engine's round cap), cc
+    n=5 (f<=2) and ncc n=4 (f<=2)."""
     reports = {}
-    for n, f, degrees in ((3, 2, (1, 1, 2)), (4, 3, (1, 2, 2, 1))):
-        config = SimConfig(n=n, degrees=degrees)
-        reports[(n, f)] = verify_exhaustive(
-            config, f=f, horizon=ENUM_HORIZON, workers=WORKERS
+    for model, n, f, degrees, horizon in (
+        ("cc", 3, 2, (1, 1, 2), ENUM_HORIZON),
+        ("cc", 4, 3, (1, 2, 2, 1), ENUM_HORIZON),
+        ("cc", 5, 2, (1, 2, 2, 1, 2), 90),
+        ("ncc", 4, 2, (1, 2, 2, 1), 160),
+    ):
+        config = SimConfig(n=n, degrees=degrees, model=model)
+        reports[(model, n, f)] = verify_exhaustive(
+            config, f=f, horizon=horizon, workers=WORKERS
         )
     return reports
 
@@ -126,10 +133,10 @@ def ncc_runs():
 def test_criterion_01_agreement_oracle(enum_reports):
     details = []
     ok = True
-    for (n, f), rep in enum_reports.items():
+    for (model, n, f), rep in enum_reports.items():
         ok &= rep.executions_run == rep.plans_total and not rep.violations
         details.append(
-            f"n={n},f<={f}: {rep.executions_run} executions, "
+            f"{model} n={n},f<={f}: {rep.executions_run} executions, "
             f"{len(rep.violations)} violations"
         )
         if rep.violations:
@@ -201,7 +208,7 @@ def test_criterion_05_message_bound(enum_reports, scaling_runs):
         if any(m.startswith("messages:") for m in r["issues"])
     ]
     enum_ceiling_ok = all(
-        rep.max_messages <= 5 * n * n for (n, _), rep in enum_reports.items()
+        rep.max_messages <= 5 * n * n for (_, n, _), rep in enum_reports.items()
     )
     sweep_ceiling_ok = all(r["messages"] <= 5 * 64 * 64 for r in scaling_runs)
     ok = not bound_violations and enum_ceiling_ok and sweep_ceiling_ok

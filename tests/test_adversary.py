@@ -1,6 +1,8 @@
 """Adversary strategy tests: baselines, scripted replays, seed-pinned random
 regressions, worst-case trace structure, and the plan enumerator."""
 
+from math import comb
+
 import pytest
 
 from cliquesim.adversary import (
@@ -172,15 +174,14 @@ class TestPlanSpace:
         seen = {tuple(space[i].events) for i in range(len(space))}
         assert len(seen) == len(space)
 
-    def test_caps_enforced(self):
-        with pytest.raises(ValueError, match="capped"):
-            PlanSpace(5, 1, 5)
-        with pytest.raises(ValueError, match="capped"):
-            PlanSpace(4, 4, 5)
-        with pytest.raises(ValueError, match="capped"):
-            PlanSpace(4, 3, 15)
-        for n, f, horizon in ((4, -1, 5), (3, 3, 5), (4, 1, 0), (4, 1, -1)):
-            with pytest.raises(ValueError, match="capped"):
+    def test_only_invalid_spaces_rejected(self):
+        # n > 4, f > 3 and horizons past 14 are spaces like any other.
+        for n, f, horizon in ((5, 1, 5), (5, 4, 5), (4, 3, 15)):
+            options = horizon << (n - 1)
+            expected = sum(comb(n, k) * options**k for k in range(f + 1))
+            assert len(PlanSpace(n, f, horizon)) == expected
+        for n, f, horizon in ((4, -1, 5), (3, 3, 5), (4, 4, 5), (4, 1, 0), (4, 1, -1)):
+            with pytest.raises(ValueError, match="0<=f<n and 1<=horizon"):
                 PlanSpace(n, f, horizon)
 
     def test_subset_encoding_covers_power_set(self):

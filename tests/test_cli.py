@@ -346,9 +346,13 @@ class TestVerify:
         assert capsys.readouterr().out == printed
         assert out_path.read_text() == printed
 
-    def test_caps_exceeded_status_two(self, capsys):
+    def test_n5_pass(self, capsys):
         rc = main(["verify", "--n", "5", "--f", "1", "--degree-uniform", "1"])
-        assert rc == 2
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "plans=1121 executions=1121 runs=181 violations=0 max_rounds=15",
+            "PASS",
+        ]
 
     def test_report_line_counts_plans_and_runs(self, capsys):
         rc = main(["verify", "--n", "4", "--f", "2", "--degrees", "1,2,2,1"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquesim import harness
 from cliquesim.adversary import (
     CrashEvent,
     CrashPlan,
@@ -18,6 +19,7 @@ from cliquesim.engine import (
     AdversaryError,
     CapacityViolation,
     ConfigError,
+    NodeOutcome,
     RoundEngine,
     SimConfig,
     run_simulation,
@@ -234,6 +236,16 @@ def test_messages_over_the_bound_are_reported():
     assert result.metrics.messages_sent == bound == 27
     result.metrics = dataclasses.replace(result.metrics, messages_sent=bound + 1)
     assert check_execution(result) == ["messages: 28 exceed bound 27"]
+
+
+def test_verdict_cache_is_bounded():
+    """A long sweep realizes one view per row; only the last few stay
+    cached."""
+    harness._realize.cache_clear()
+    for d in range(40):
+        view = {1: d, 2: d, 3: 0}
+        assert verdict(NodeOutcome(1, "exited", None, 3, view)).realizable == (d < 2)
+    assert harness._realize.cache_info().currsize == 16
 
 
 def test_large_cc_run_under_worst_adversary():
@@ -492,18 +504,20 @@ class TestInvariantChecks:
             "node 3 got a smite rebroadcast for 6 whose degree is already accepted"
         )
 
-    def test_send_over_capacity(self, monkeypatch):
-        class Shouter(ProtocolNode):
-            def _emit_phase1(self, rnd):
-                send = super()._emit_phase1(rnd)
-                if self.index == 1 and rnd == 1:
-                    return send[0], list(range(2, 10))
-                return send
+    class Shouter(ProtocolNode):
+        """In round 1 node 1 mails its announcement to all 8 peers. ncc n=9
+        has groups of 4, so a node may send 4 messages a round."""
 
-        # ncc n=9 has groups of 4, so a node may send 4 messages a round.
+        def _emit_phase1(self, rnd):
+            send = super()._emit_phase1(rnd)
+            if self.index == 1 and rnd == 1:
+                return send[0], list(range(2, 10))
+            return send
+
+    def test_send_over_capacity(self, monkeypatch):
         message = self.run_with(
             monkeypatch,
-            Shouter,
+            self.Shouter,
             SimConfig(n=9, degrees=(1,) * 9, model="ncc"),
             NoneAdversary(),
         )
@@ -548,6 +562,17 @@ class TestInvariantChecks:
         log = excinfo.value.round_log
         assert len(log) == 3
         assert log[-1].sends == {1: (FaultEntry(1, 4, SMITE, None), [2, 3, 4])}
+
+    def test_raising_round_keeps_its_whole_crash_record(self, monkeypatch):
+        """Node 1's send, the first of round 1, breaks capacity, and nodes
+        5 and 7 crash in that round delivering nothing: the logged round
+        holds both crashes all the same."""
+        monkeypatch.setattr("cliquesim.engine.ProtocolNode", self.Shouter)
+        config = SimConfig(n=9, degrees=(1,) * 9, model="ncc")
+        plan = CrashPlan((CrashEvent(1, 5, ()), CrashEvent(1, 7, ())))
+        with pytest.raises(ProtocolViolation, match="node 1 sent 8") as excinfo:
+            run_simulation(config, ScriptedAdversary(plan))
+        assert excinfo.value.round_log[-1].crashes == [(5, ()), (7, ())]
 
     def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
         message = self.run_with(

@@ -5,25 +5,37 @@ Each plan's effective crash log is what its run actually does: the crashes
 in rounds the engine reached, each delivering to its mask cut down to the
 recipients the crasher really had. The explorer runs each such log once and
 weights it by the plans it stands for, so both sides must agree on the set
-of logs, on the number of violating plans and on the round and message
-maxima, with no mutation and with each `MUTATE_*` rule. The workers=2
-report must equal the serial one.
+of logs, on the plan count, on the number of violating plans and on the
+round and message maxima, with no mutation and with each `MUTATE_*` rule.
+The workers=2 report must equal the serial one.
+
+Past the oracle's reach, the explorer is checked against itself: a horizon
+at the engine's round cap already branches every run to its end, and the
+runs it explores do not depend on the degree values.
 """
 
 import pytest
 
 from cliquesim import harness
-from cliquesim.adversary import CrashEvent, CrashPlan, PlanSpace, ScriptedAdversary
-from cliquesim.engine import AdversaryError, SimConfig
+from cliquesim.adversary import (
+    CrashEvent,
+    CrashPlan,
+    NoneAdversary,
+    PlanSpace,
+    ScriptedAdversary,
+)
+from cliquesim.engine import AdversaryError, RoundEngine, SimConfig
 from cliquesim.harness import run_plan, verify_exhaustive
 from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE
 
 HORIZON = 14
 MUTATIONS = (None, MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE)
 INSTANCES = [
-    pytest.param(3, (1, 1, 2), "cc", id="n3"),
-    pytest.param(4, (1, 2, 2, 1), "cc", id="n4", marks=pytest.mark.slow),
-    pytest.param(3, (1, 1, 2), "ncc", id="ncc-n3", marks=pytest.mark.slow),
+    pytest.param(3, 2, (1, 1, 2), "cc", id="n3"),
+    pytest.param(4, 2, (1, 2, 2, 1), "cc", id="n4", marks=pytest.mark.slow),
+    pytest.param(3, 2, (1, 1, 2), "ncc", id="ncc-n3", marks=pytest.mark.slow),
+    pytest.param(5, 1, (1, 2, 2, 1, 2), "cc", id="n5-f1"),
+    pytest.param(5, 1, (1, 2, 2, 1, 2), "ncc", id="ncc-n5-f1"),
 ]
 
 
@@ -59,36 +71,79 @@ def brute_force(config: SimConfig, f: int):
     return logs, violating, max_rounds, max_messages
 
 
-def explored(config: SimConfig, f: int, monkeypatch):
-    """The explorer's report and the crash log of every run it made."""
-    logs = []
+def explored(config: SimConfig, f: int, monkeypatch, horizon: int = HORIZON):
+    """The explorer's report and, for every run it made, its crash log,
+    rounds and messages."""
+    runs = []
 
     def spy(config, adversary):
-        logs.append(adversary.plan.events)
-        return run_plan(config, adversary)
+        outcome = run_plan(config, adversary)
+        runs.append((adversary.plan.events, *outcome[1:3]))
+        return outcome
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "run_plan", spy)
-        report = verify_exhaustive(config, f=f, horizon=HORIZON, workers=1)
-    return report, logs
+        report = verify_exhaustive(config, f=f, horizon=horizon, workers=1)
+    return report, runs
+
+
+def round_cap(config: SimConfig, f: int) -> int:
+    """The engine's watchdog: no run with up to f crashes lasts longer."""
+    return RoundEngine(config, NoneAdversary(f)).round_cap
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
-@pytest.mark.parametrize("n, degrees, model", INSTANCES)
-def test_explorer_matches_brute_force(n, degrees, model, mutation, monkeypatch):
+@pytest.mark.parametrize("n, f, degrees, model", INSTANCES)
+def test_explorer_matches_brute_force(n, f, degrees, model, mutation, monkeypatch):
     mutations = frozenset({mutation}) if mutation else frozenset()
     config = SimConfig(n=n, degrees=degrees, model=model, mutations=mutations)
-    f = 2
     logs, violating, max_rounds, max_messages = brute_force(config, f)
     report, runs = explored(config, f, monkeypatch)
 
     assert len(runs) == len(set(runs)) == report.runs
-    assert set(runs) == logs
+    assert {events for events, _, _ in runs} == logs
     assert report.plans_total == report.executions_run == len(PlanSpace(n, f, HORIZON))
     assert report.violating_plans == violating
     assert len(report.violations) == len({events for events, _ in report.violations})
     assert (report.max_rounds, report.max_messages) == (max_rounds, max_messages)
     assert verify_exhaustive(config, f=f, horizon=HORIZON, workers=2) == report
+
+
+def test_horizon_past_the_round_cap_adds_no_run(monkeypatch):
+    """At ncc n=4, f<=2 runs last up to 27 rounds, so horizon 14 leaves
+    crash logs untried. The round cap, 160 rounds, is as far as any run
+    goes, so a horizon there branches every run to its end, and one of
+    1,000 finds nothing more. The plan count stays exact throughout."""
+    config = SimConfig(n=4, degrees=(1, 2, 2, 1), model="ncc")
+    assert round_cap(config, 2) == 160
+    reports = {}
+    for horizon in (HORIZON, 160, 1000):
+        report, runs = explored(config, 2, monkeypatch, horizon=horizon)
+        assert report.ok and report.executions_run == report.plans_total
+        reports[horizon] = report.runs, set(runs)
+    assert reports[HORIZON][0] == 2437
+    assert reports[160] == reports[1000] and reports[160][0] == 2605
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        pytest.param("cc", 3, id="cc-n3"),
+        pytest.param("ncc", 3, id="ncc-n3"),
+        pytest.param("cc", 4, id="cc-n4", marks=pytest.mark.slow),
+        pytest.param("ncc", 4, id="ncc-n4", marks=pytest.mark.slow),
+    ],
+)
+def test_explored_runs_do_not_depend_on_degrees(model, n, monkeypatch):
+    """No protocol branch tests a degree value, so explored to termination
+    two degree lists give the same crash logs with the same rounds and
+    messages: data independence (Wolper, POPL 1986)."""
+    explorations = []
+    for degrees in ((1, 2, 2, 1)[:n], tuple(range(n))):
+        config = SimConfig(n=n, degrees=degrees, model=model)
+        horizon = round_cap(config, 2)
+        explorations.append(set(explored(config, 2, monkeypatch, horizon)[1]))
+    assert explorations[0] == explorations[1]
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS[1:])
