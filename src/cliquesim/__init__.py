@@ -3,15 +3,14 @@
 A deterministic round simulator for the uncapacitated (cc) and
 node-capacitated (ncc) clique models, the degree-agreement protocol run on
 them under an adaptive crash adversary, and the degree-sequence toolkit
-(graphicality test, constructive realization, exhaustive oracle) the
-protocol's outputs feed into.
+(graphicality test, constructive realization, graph check) the protocol's
+outputs feed into. The package needs only the standard library.
 """
 
 from .degseq import (
     DegreeSequence,
     RealizationOutcome,
     RealizedGraph,
-    brute_force_realizable,
     erdos_gallai,
     havel_hakimi,
     verify_degrees,
@@ -27,7 +26,6 @@ from .adversary import (
     CrashEvent,
     CrashPlan,
     NoneAdversary,
-    PlanSpace,
     RandomAdversary,
     ScriptedAdversary,
     WorstCaseAdversary,
@@ -40,7 +38,6 @@ __all__ = [
     "DegreeSequence",
     "RealizationOutcome",
     "RealizedGraph",
-    "brute_force_realizable",
     "erdos_gallai",
     "havel_hakimi",
     "verify_degrees",
@@ -52,7 +49,6 @@ __all__ = [
     "CrashEvent",
     "CrashPlan",
     "NoneAdversary",
-    "PlanSpace",
     "RandomAdversary",
     "ScriptedAdversary",
     "WorstCaseAdversary",

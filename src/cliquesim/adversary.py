@@ -29,7 +29,6 @@ __all__ = [
     "ScriptedAdversary",
     "RandomAdversary",
     "WorstCaseAdversary",
-    "PlanSpace",
     "parse_plan_file",
     "format_plan",
 ]
@@ -143,6 +142,8 @@ class PlanSpace(Sequence):
     Tests run it in full as the brute-force oracle for the verifier's
     schedule explorer, which counts the same plans in closed form. Plans
     are decoded by index, but every crasher set is held: small n and f only.
+    It is not exported, and moves into the tests once the benchmark's
+    tracer (`perfbench/tracer.py`) stops wrapping its `__getitem__`.
     """
 
     def __init__(self, n: int, f: int, horizon: int):

@@ -16,7 +16,6 @@ from cliquesim.adversary import (
 )
 from cliquesim.degseq import (
     DegreeSequence,
-    brute_force_realizable,
     erdos_gallai,
     havel_hakimi,
     verify_degrees,
@@ -29,6 +28,7 @@ from cliquesim.protocol import (
     MUTATE_NO_HEARD_ONCE_UPDATE,
 )
 from cliquesim.trace import read_trace, replay_trace, write_trace
+from oracles import brute_force_realizable
 
 pytestmark = pytest.mark.slow
 

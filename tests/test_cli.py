@@ -443,13 +443,22 @@ def test_bad_option_value_status_two(argv, expected, capsys):
     assert expected in captured.err
 
 
-def test_import_leaves_numpy_unloaded():
-    """Only the brute-force realizability oracle needs numpy, so loading the
-    command line must not import it."""
+def test_import_loads_only_the_standard_library():
+    """The package has no runtime dependency: importing every `cliquesim`
+    module loads no module outside the standard library (numpy, which the
+    tests' oracle needs, included)."""
     src = Path(cli.__file__).resolve().parents[1]
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import cliquesim.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import cliquesim\n"
+        "for info in pkgutil.iter_modules(cliquesim.__path__, 'cliquesim.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        # multiprocessing registers __main__ again as __mp_main__.
+        "ours = {'cliquesim', '__mp_main__'}\n"
+        "print(sorted(tops - sys.stdlib_module_names - ours))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60

@@ -1,8 +1,9 @@
 """Degree-sequence toolkit tests.
 
 Expected values for the non-obvious cases were computed by exhaustively
-enumerating labeled simple graphs (the same method brute_force_realizable
-uses, cross-checked here against the analytic tests).
+enumerating labeled simple graphs, the method of the tests' own oracle
+`oracles.brute_force_realizable`, which is cross-checked here against the
+analytic tests.
 """
 
 import itertools
@@ -12,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquesim.degseq import (
-    BRUTE_FORCE_MAX_NODES,
     DegreeSequence,
     RealizedGraph,
-    brute_force_realizable,
     erdos_gallai,
     havel_hakimi,
     verify_degrees,
 )
+from oracles import BRUTE_FORCE_MAX_NODES, brute_force_realizable
 
 
 class TestErdosGallai:
