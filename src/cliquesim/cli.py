@@ -3,8 +3,8 @@ trace capture, parameter sweeps with CSV reports, exhaustive small-instance
 verification, and trace replay.
 
 Exit codes: 0 success (realizable / identical / verified), 1 for a negative
-result (unrealizable, divergence, violations found), 2 for bad input or
-configuration.
+result (unrealizable, divergence, violations found, a run that raised), 2
+for bad input or configuration.
 """
 
 from __future__ import annotations
@@ -26,8 +26,15 @@ from .adversary import (
     parse_plan_file,
 )
 from .degseq import DegreeSequence, erdos_gallai, havel_hakimi
-from .engine import AdversaryError, ConfigError, SimConfig, run_simulation
+from .engine import (
+    AdversaryError,
+    ConfigError,
+    SimConfig,
+    SimulationError,
+    run_simulation,
+)
 from .harness import check_execution, verdict, verify_exhaustive
+from .protocol import ProtocolViolation
 from .trace import TraceError, read_trace, replay_trace, write_trace
 
 REPORT_COLUMNS = [
@@ -286,9 +293,10 @@ def cmd_replay(args) -> int:
 
 def _add_common_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="clique size")
-    p.add_argument("--degrees", help="comma- or space-separated degree list")
-    p.add_argument("--degree-file", help="file containing the degree list")
-    p.add_argument(
+    degrees = p.add_mutually_exclusive_group()
+    degrees.add_argument("--degrees", help="comma- or space-separated degree list")
+    degrees.add_argument("--degree-file", help="file containing the degree list")
+    degrees.add_argument(
         "--degree-uniform", type=int, help="assign every node this degree"
     )
     p.add_argument(
@@ -384,6 +392,9 @@ def main(argv=None) -> int:
     except (AdversaryError, ConfigError, TraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ProtocolViolation, SimulationError) as exc:  # a failed run
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

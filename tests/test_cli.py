@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from cliquesim import cli
 from cliquesim.cli import REPORT_COLUMNS, main
-from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS
+from cliquesim.engine import CapacityViolation, RoundLimitExceeded
+from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS, ProtocolViolation
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_LINES = (DATA / "golden_scripted_n4.jsonl").read_text().splitlines()
@@ -441,6 +442,57 @@ def test_bad_option_value_status_two(argv, expected, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert expected in captured.err
+
+
+@pytest.mark.parametrize("option", ["--degree-uniform", "--degree-file"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "verify"])
+def test_contradictory_degree_options_status_two(command, option, capsys):
+    """Two of --degrees, --degree-file and --degree-uniform cannot both
+    hold, so neither silently wins."""
+    argv = [command, "--n", "4", "--degrees", "1,1,1,1", "--f", "1", option, "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: argument {option}: not allowed with argument --degrees\n"
+    )
+
+
+def test_uniform_degree_with_degree_file_status_two(tmp_path, capsys):
+    degree_file = tmp_path / "d.txt"
+    degree_file.write_text("1 1 1 1\n")
+    argv = ["simulate", "--n", "4", "--degree-file", str(degree_file)]
+    assert main(argv + ["--degree-uniform", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument --degree-uniform: not allowed with argument --degree-file\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, target, error",
+    [
+        (SIMULATE_N4, "cliquesim.cli.run_simulation", RoundLimitExceeded),
+        (SWEEP_N4, "cliquesim.cli.run_simulation", CapacityViolation),
+        (
+            ["replay", "--trace", str(DATA / "golden_scripted_n4.jsonl")],
+            "cliquesim.trace.run_simulation",
+            ProtocolViolation,
+        ),
+    ],
+    ids=["simulate", "sweep", "replay"],
+)
+def test_run_that_raises_status_one(argv, target, error, monkeypatch, capsys):
+    """A run that raises is a failed run: one `error:` line naming the
+    error's type, exit 1, no traceback."""
+
+    def fail(config, adversary):
+        raise error("the run broke")
+
+    monkeypatch.setattr(target, fail)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error.__name__}: the run broke\n"
 
 
 def test_import_loads_only_the_standard_library():
