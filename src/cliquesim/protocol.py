@@ -363,7 +363,8 @@ class ProtocolNode:
         An exited node ignores everything, and an active node ignores
         entries: another transmitter exists and the engine's single-active
         invariant reports it. So neither a FaultEntry's sender (active) nor
-        an AllOkay's (exited) hears its own message.
+        an AllOkay's (exited) hears its own message. Any other kind is a
+        violation, reported by the first listener that is not its sender.
         """
         if isinstance(msg, AllOkay):
             stopped = [node for node in listeners if node.state is not NodeState.EXIT]
@@ -371,6 +372,12 @@ class ProtocolNode:
                 node._enter_exit(rnd, broadcast=False)
             return stopped
         if not isinstance(msg, FaultEntry):
+            sender = getattr(msg, "sender", None)
+            for node in listeners:
+                if node.index != sender:
+                    raise ProtocolViolation(
+                        f"node {node.index} got {type(msg).__name__} after phase 1"
+                    )
             return []
         sender, s, status, degree = msg
         window = sender, s

@@ -574,6 +574,41 @@ class TestInvariantChecks:
             run_simulation(config, ScriptedAdversary(plan))
         assert excinfo.value.round_log[-1].crashes == [(5, ()), (7, ())]
 
+    @pytest.mark.parametrize(
+        "shouter, expected",
+        [
+            (1, "node 2 got Announce after phase 1"),
+            (2, "node 1 got Announce after phase 1"),
+        ],
+        ids=["lone-broadcast", "beside-another-send"],
+    )
+    def test_announcement_after_phase1(self, monkeypatch, shouter, expected):
+        """In round 3 of a fault-free cc n=4 run, node `shouter` announces a
+        degree instead of its own send. Node 1's announcement is the round's
+        only send, a broadcast that one `hear` call applies to every live
+        node; node 2's goes beside node 1's AllOkay, so both travel as mail
+        to `receive`. Either way the first listener that is not the sender
+        reports it."""
+
+        class LateAnnouncer(ProtocolNode):
+            def end_phase1(self, view, flist):
+                super().end_phase1(view, flist)
+                if self.index == shouter:
+                    self.next_emit = 3
+
+            def emit(self, rnd):
+                if self.index == shouter and rnd == 3:
+                    return Announce(self.index, 9), self.all_peers
+                return super().emit(rnd)
+
+        message = self.run_with(
+            monkeypatch,
+            LateAnnouncer,
+            SimConfig(n=4, degrees=(1, 1, 1, 1)),
+            NoneAdversary(),
+        )
+        assert message == expected
+
     def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
         message = self.run_with(
             monkeypatch,
