@@ -61,15 +61,17 @@ def enum_reports():
     """Criterion 1/2/5/9 oracle: every crash plan at cc n=3 (f<=2) and n=4
     (f<=3), all crash rounds up to the horizon, all delivery subsets; and,
     explored to termination (the horizon is the engine's round cap), cc
-    n=5 (f<=2) and ncc n=4 (f<=2)."""
+    n=5 (f<=2), ncc n=4 (f<=2) and ncc n=6 (f<=1). The ncc runs are strict,
+    so a dropped message is a violation: capacity is judged exhaustively."""
     reports = {}
     for model, n, f, degrees, horizon in (
         ("cc", 3, 2, (1, 1, 2), ENUM_HORIZON),
         ("cc", 4, 3, (1, 2, 2, 1), ENUM_HORIZON),
         ("cc", 5, 2, (1, 2, 2, 1, 2), 90),
         ("ncc", 4, 2, (1, 2, 2, 1), 160),
+        ("ncc", 6, 1, (1, 2, 2, 1, 2, 2), 180),
     ):
-        config = SimConfig(n=n, degrees=degrees, model=model)
+        config = SimConfig(n=n, degrees=degrees, model=model, strict=model == "ncc")
         reports[(model, n, f)] = verify_exhaustive(
             config, f=f, horizon=horizon, workers=WORKERS
         )

@@ -16,9 +16,9 @@ from cliquesim.adversary import (
     format_plan,
     parse_plan_file,
 )
-from cliquesim.engine import SimConfig, run_simulation
+from cliquesim.engine import RoundEngine, SimConfig, run_simulation
 from cliquesim.harness import check_execution
-from cliquesim.trace import round_records
+from cliquesim.trace import round_records, trace_lines
 
 
 class TestNoneAdversary:
@@ -58,6 +58,25 @@ class TestScripted:
         plan = CrashPlan((CrashEvent(1, 2, ()), CrashEvent(4, 1, (3,))))
         result = run_simulation(config, ScriptedAdversary(plan))
         assert check_execution(result) == []
+
+    @pytest.mark.parametrize("model, n, rounds", [("cc", 6, 11), ("ncc", 8, 39)])
+    def test_run_does_not_depend_on_the_budget(self, model, n, rounds):
+        """The protocol works without knowledge of f: one plan run under a
+        budget of its own length and under the largest budget, n - 1, gives
+        the same trace and metrics. The budget sets only the engine's round
+        cap and its budget check."""
+
+        config = SimConfig(n=n, degrees=tuple(range(1, n + 1)), model=model)
+        plan = CrashPlan((CrashEvent(1, 2, (3,)), CrashEvent(4, 1, ())))
+        tight = run_simulation(config, ScriptedAdversary(plan))
+        unspent = ScriptedAdversary(plan)
+        unspent.budget = n - 1
+        engine = RoundEngine(config, unspent)
+        assert engine.budget == n - 1 > len(plan)
+        loose = engine.run()
+        assert tight.metrics.rounds_to_termination == rounds
+        assert trace_lines(loose, "plan") == trace_lines(tight, "plan")
+        assert loose.metrics == tight.metrics
 
     def test_one_crash_per_node_enforced(self):
         with pytest.raises(ValueError, match="at most once"):
