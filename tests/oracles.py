@@ -1,9 +1,8 @@
-"""Brute-force oracles the tests check the package against.
+"""Brute-force realizability oracle for the tests.
 
-`brute_force_realizable` decides realizability by enumerating every labeled
-simple graph on the sequence's nodes, independently of the Erdos-Gallai and
-Havel-Hakimi tests it cross-validates. It needs numpy, which comes with the
-`test` extra.
+`brute_force_realizable` enumerates every labeled simple graph on the
+sequence's nodes, independently of the Erdős–Gallai and Havel–Hakimi tests
+it cross-validates. It needs numpy, which the `test` extra installs.
 """
 
 from __future__ import annotations

@@ -65,7 +65,6 @@ class TestScripted:
         budget of its own length and under the largest budget, n - 1, gives
         the same trace and metrics. The budget sets only the engine's round
         cap and its budget check."""
-
         config = SimConfig(n=n, degrees=tuple(range(1, n + 1)), model=model)
         plan = CrashPlan((CrashEvent(1, 2, (3,)), CrashEvent(4, 1, ())))
         tight = run_simulation(config, ScriptedAdversary(plan))
