@@ -10,6 +10,7 @@ for bad input or configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import random
 import statistics
@@ -185,32 +186,41 @@ def cmd_sweep(args) -> int:
     for name in adversaries:
         if name not in ("none", "random", "worst"):
             raise ConfigError(f"sweep adversary {name!r} is not none, random or worst")
-    rows = []
-    failed = False
+    # Every run is set up before the first starts, so a bad input exits 2
+    # with no CSV written.
+    grid = []
     for f in f_values:
         for name in adversaries:
             seeds = range(args.seeds) if name == "random" else [args.seed]
             for seed in seeds:
-                row, issues = _sweep_row(args, f, name, seed)
-                rows.append(row)
-                if issues:
-                    failed = True
-    out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out_stream, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
+                config = _sim_config(args, _resolve_degrees(args, seed), seed)
+                config.check_budget(f)
+                adversary, _ = _build_adversary(name, f, seed, args)
+                grid.append((f, name, seed, config, adversary))
+    rows = []
+    failed = False
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout
         if args.out:
-            out_stream.close()
+            out = stack.enter_context(open(args.out, "w", newline=""))
+        writer = csv.DictWriter(out, fieldnames=REPORT_COLUMNS)
+        # Each row is written as its run ends, the header with the first, so
+        # a run that raises keeps the rows before it.
+        for point in grid:
+            row, issues = _sweep_row(args, *point)
+            if not rows:
+                writer.writeheader()
+            writer.writerow(row)
+            rows.append(row)
+            failed = failed or bool(issues)
     _print_sweep_summary(rows)
     return 1 if failed else 0
 
 
-def _sweep_row(args, f: int, name: str, seed: int) -> tuple[dict, list[str]]:
+def _sweep_row(
+    args, f: int, name: str, seed: int, config: SimConfig, adversary
+) -> tuple[dict, list[str]]:
     """One CSV row of the sweep and the run's `check_execution` issues."""
-    config = _sim_config(args, _resolve_degrees(args, seed), seed)
-    adversary, _ = _build_adversary(name, f, seed, args)
     result = run_simulation(config, adversary)
     issues = check_execution(result)
     agreement_ok = not any(i.startswith("agreement:") for i in issues)

@@ -28,7 +28,7 @@ the message counts do not depend on the path.
 Every run keeps one raw `RoundLog` per round, the run's one record of its
 sends, crashes and transitions; a round's crashes are logged before its
 deliveries, which read them. The result carries it, and so does every
-`ProtocolViolation` or `SimulationError` that escapes `run`, up to the
+`ProtocolViolation` or `SimulationError` that escapes `step`, up to the
 round that raised; only `trace.py` turns it into trace records.
 
 The engine also asserts the model-level invariants that the protocol's
@@ -41,7 +41,7 @@ silent divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Optional
 
@@ -118,6 +118,11 @@ class SimConfig:
         if self.capacity_c < 1:
             raise ConfigError("capacity constant must be >= 1")
 
+    def check_budget(self, budget: int) -> None:
+        """A run may crash fewer than n nodes."""
+        if not 0 <= budget < self.n:
+            raise ConfigError(f"fault budget {budget} must be in [0, n={self.n})")
+
 
 @dataclass
 class Metrics:
@@ -169,17 +174,15 @@ class ExecutionResult:
 
 
 class RoundEngine:
-    """Single-use: build, call run() once."""
+    """One run, stepped a round at a time: `run()` steps it to the end and
+    returns its result. Between rounds `fork(adversary)` copies it; the copy
+    steps on under its own adversary, and neither run changes the other."""
 
     # The crash decisions of every round without crashes.
     _quiet: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 
     def __init__(self, config: SimConfig, adversary):
         self.config = config
-        self.adversary = adversary
-        budget = getattr(adversary, "budget", 0)
-        if not 0 <= budget < config.n:
-            raise ConfigError(f"fault budget {budget} must be in [0, n={config.n})")
         # The uncapacitated model is one group of n with no capacity limit.
         if config.model == "ncc":
             self.layout = GroupLayout.for_clique(config.n)
@@ -192,7 +195,7 @@ class RoundEngine:
             ProtocolNode(i + 1, config.degrees[i], self.layout, config.mutations)
             for i in range(config.n)
         ]
-        self.budget = budget
+        self._set_adversary(adversary)
         self.round = 0
         self._live = list(self.nodes)
         self.crashed_round: dict[int, int] = {}
@@ -200,12 +203,43 @@ class RoundEngine:
         self.round_log: list[RoundLog] = []
         self._phase1_len = self.nodes[0].phase1_len
         self._unsettled = set(range(1, config.n + 1))
-        # Watchdog: every timeout and transmission is stretched by the group
-        # count, so the cap scales with it too.
-        self.round_cap = (10 * (config.n + budget) + 20) * self.layout.group_count
         # Current-round scratch, visible to adaptive adversaries: each
         # sender's one (message, recipients) pair.
         self.outboxes: dict[int, tuple[Any, list[int]]] = {}
+
+    def _set_adversary(self, adversary) -> None:
+        """Install `adversary` with its budget and the watchdog's round cap,
+        which depends on the budget."""
+        budget = getattr(adversary, "budget", 0)
+        self.config.check_budget(budget)
+        self.adversary = adversary
+        self.budget = budget
+        # Watchdog: every timeout and transmission is stretched by the group
+        # count, so the cap scales with it too.
+        groups = self.layout.group_count
+        self.round_cap = (10 * (self.config.n + budget) + 20) * groups
+
+    def fork(self, adversary) -> RoundEngine:
+        """A copy of this engine between rounds that steps on under
+        `adversary`. It copies what a round changes: the nodes, the live
+        set, the crash rounds, the metrics, the log list and, until phase 1
+        closes, the tally, which is only read after. It shares the config,
+        the layout, the nodes' recipient lists and the logged rounds."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin._set_adversary(adversary)
+        twin.nodes = nodes = [node.fork() for node in self.nodes]
+        twin._live = [nodes[node.index - 1] for node in self._live]
+        twin.crashed_round = dict(self.crashed_round)
+        twin.metrics = replace(
+            self.metrics, per_round_counts=list(self.metrics.per_round_counts)
+        )
+        twin.round_log = list(self.round_log)
+        twin._unsettled = set(self._unsettled)
+        if self.round < self._phase1_len:
+            twin.tally = self.tally.fork()
+        twin.outboxes = {}
+        return twin
 
     # -- helpers ------------------------------------------------------------
 
@@ -217,24 +251,30 @@ class RoundEngine:
 
     # -- main loop -----------------------------------------------------------
 
+    @property
+    def done(self) -> bool:
+        """Whether every node has settled: crashed, or exited."""
+        return not self._unsettled
+
     def run(self) -> ExecutionResult:
+        while self._unsettled:
+            self.step()
+        return self.result()
+
+    def step(self) -> None:
+        """Run the next round. An error that escapes carries the round log
+        up to the round that raised."""
+        self.round += 1
         try:
-            while self._unsettled:
-                self.round += 1
-                if self.round > self.round_cap:
-                    raise RoundLimitExceeded(
-                        f"no termination within {self.round_cap} rounds "
-                        f"(n={self.config.n}, model={self.config.model})"
-                    )
-                self._step()
+            if self.round > self.round_cap:
+                raise RoundLimitExceeded(
+                    f"no termination within {self.round_cap} rounds "
+                    f"(n={self.config.n}, model={self.config.model})"
+                )
+            self._step()
         except (ProtocolViolation, SimulationError) as exc:
             exc.round_log = self.round_log
             raise
-        self.metrics.rounds_to_termination = self._last_exit_round()
-        self.metrics.allokay_broadcasters = sum(
-            1 for node in self.nodes if node.allokay_broadcast
-        )
-        return self._result()
 
     def _step(self) -> None:
         rnd = self.round
@@ -390,7 +430,12 @@ class RoundEngine:
         exits = (node.exit_round for node in self.nodes if node.exit_round is not None)
         return max(exits, default=self.round)
 
-    def _result(self) -> ExecutionResult:
+    def result(self) -> ExecutionResult:
+        """The finished run's result."""
+        self.metrics.rounds_to_termination = self._last_exit_round()
+        self.metrics.allokay_broadcasters = sum(
+            1 for node in self.nodes if node.allokay_broadcast
+        )
         crashed = self.crashed_round
         outcomes = [
             NodeOutcome(

@@ -16,8 +16,12 @@ explores depth first over effective crash logs, each run once through
 `run_plan`, which hands back the run's round log: the children of a crash
 log are its extensions by new crashes in a later round the run reached,
 each crasher delivering to a subset of what the round log shows it really
-sent. Each run is weighted by the plans it stands for, counted in closed
-form, so nothing caps n, f or the horizon; a horizon at the engine's round
+sent. A run does not start from round 1: while it has crashes to spend it
+keeps a fork of its engine at the start of each round a child can branch
+at, and each child resumes from the fork of its branch round. So a child
+steps only the rounds from its branch round on, and no engine is built
+after the first. Each run is weighted by the plans it stands for, counted
+in closed form, so nothing caps n, f or the horizon; a horizon at the engine's round
 cap branches every run to termination. A violation is reported as its
 effective crash log, itself a plan that reproduces the failure: stateless
 model checking in the style of Godefroid's VeriSoft (POPL 1997).
@@ -40,6 +44,7 @@ from .engine import (
     ConfigError,
     ExecutionResult,
     NodeOutcome,
+    RoundEngine,
     RoundLog,
     SimConfig,
     SimulationError,
@@ -162,13 +167,29 @@ def _realize(view: tuple[tuple[int, int], ...]) -> RealizationOutcome:
 
 
 def run_plan(
-    config: SimConfig, adversary: ScriptedAdversary
+    config: SimConfig,
+    adversary: ScriptedAdversary,
+    engine: RoundEngine | None = None,
+    forks: dict[int, RoundEngine] | None = None,
+    keep: range = range(0),
 ) -> tuple[list[str], int, int, list[RoundLog]]:
     """Run one execution of `adversary`'s crash plan; return (issues, rounds,
     messages, round log). A run that raises reports the error as its one
-    issue, with the round log up to the round that raised."""
+    issue, with the round log up to the round that raised.
+
+    The run starts from `engine`, a fork already under `adversary`, when
+    one is given, else from round 1. `forks` gets a fork of the run at the
+    start of each round of `keep` that the run reaches."""
     try:
-        result = run_simulation(config, adversary)
+        if engine is None and not keep:
+            result = run_simulation(config, adversary)
+        else:
+            engine = engine or RoundEngine(config, adversary)
+            while not engine.done and engine.round + 1 < keep.stop:
+                if engine.round + 1 in keep:
+                    forks[engine.round + 1] = engine.fork(adversary)
+                engine.step()
+            result = engine.run()
     except (ProtocolViolation, SimulationError) as exc:
         if isinstance(exc, (AdversaryError, ConfigError)):
             raise
@@ -211,7 +232,9 @@ class VerifyReport:
         self.violating_plans += other.violating_plans
 
 
-_Child = tuple[tuple[CrashEvent, ...], int]  # (crash log, crasher factor)
+# (crash log, crasher factor, fork of the parent run taken at the start of
+# the round of the log's last crashes)
+_Child = tuple[tuple[CrashEvent, ...], int, RoundEngine]
 
 
 def _plan_count(nodes: int, crashes: int, options: int) -> int:
@@ -225,10 +248,16 @@ def _run_log(
     horizon: int,
     events: tuple[CrashEvent, ...],
     factor: int,
+    start: RoundEngine | None,
     report: VerifyReport,
 ) -> Iterator[_Child]:
     """Run one effective crash log, add it to `report` weighted by the
     crash plans it stands for, and return its children.
+
+    The run resumes from `start`, a fork of its parent taken at the start
+    of the round of its last crashes, or from round 1 when `start` is None.
+    While crashes are left to spend, it keeps a fork at the start of each
+    round a child can branch at.
 
     `factor` is the plans per crash in `events`: a crasher whose round's
     send went to A of its n-1 peers is reached by the 2^(n-1-|A|) delivery
@@ -237,14 +266,18 @@ def _run_log(
     the horizon, with any mask; such a crash never takes effect.
     """
     n = config.n
+    spare = f - len(events)
+    first = events[-1].round + 1 if events else 1
     adversary = ScriptedAdversary(CrashPlan(events))
-    issues, rounds, messages, log = run_plan(config, adversary)
+    engine = start.fork(adversary) if start else None
+    forks: dict[int, RoundEngine] = {}
+    keep = range(first, horizon + 1) if spare else range(0)
+    issues, rounds, messages, log = run_plan(config, adversary, engine, forks, keep)
     # Every stepped round is logged once its crash decisions are made, so
     # the log reaches the last round a crash can take effect in.
     stepped = len(log)
     crashed = {e.node for e in events}
     free = [v for v in range(1, n + 1) if v not in crashed]
-    spare = f - len(events)
     phantom = max(horizon - stepped, 0) << (n - 1)
     plans = factor * _plan_count(len(free), spare, phantom)
     report.executions_run += plans
@@ -254,16 +287,20 @@ def _run_log(
     if issues:
         report.violations.append((events, issues))
         report.violating_plans += plans
-    first = events[-1].round + 1 if events else 1
-    branch_rounds = range(first, min(stepped, horizon) + 1)
-    return _children(n, events, factor, free, spare, branch_rounds, log)
+    # A run with no crash left to spend has no children and kept no fork.
+    branch_rounds = range(first, min(stepped, horizon) + 1 if spare else first)
+    return _children(n, events, factor, free, spare, branch_rounds, log, forks)
 
 
-def _children(n, events, factor, free, spare, branch_rounds, log) -> Iterator[_Child]:
+def _children(
+    n, events, factor, free, spare, branch_rounds, log, forks
+) -> Iterator[_Child]:
     """Each log that extends `events` by one round's new crashes: every set
     of up to `spare` free nodes, each delivering to every subset of the
-    recipients it actually had that round (none when it was silent)."""
+    recipients it actually had that round (none when it was silent). Each
+    child comes with the fork kept at the start of its round."""
     for rnd in branch_rounds:
+        start = forks.pop(rnd)
         sent = log[rnd - 1].sends
         choices = {}
         for v in free:
@@ -281,15 +318,15 @@ def _children(n, events, factor, free, spare, branch_rounds, log) -> Iterator[_C
                     weight *= choices[v][1]
                 for delivered in product(*(choices[v][0] for v in crashers)):
                     crashes = tuple(map(CrashEvent, repeat(rnd), crashers, delivered))
-                    yield events + crashes, weight
+                    yield events + crashes, weight, start
 
 
 def _explore(args) -> VerifyReport:
     """Depth first over one crash log and every log that extends it; stop
     after the first violating run when asked to."""
-    config, f, horizon, stop_on_first, events, factor = args
+    config, f, horizon, stop_on_first, *child = args
     report = VerifyReport(plans_total=0, executions_run=0)
-    stack = [_run_log(config, f, horizon, events, factor, report)]
+    stack = [_run_log(config, f, horizon, *child, report)]
     while stack and not (stop_on_first and report.violations):
         child = next(stack[-1], None)
         if child is None:
@@ -323,7 +360,7 @@ def verify_exhaustive(
         raise ConfigError(f"workers {workers} must be >= 1")
     total = _plan_count(n, f, horizon << (n - 1))
     report = VerifyReport(plans_total=total, executions_run=0)
-    root = _run_log(config, f, horizon, (), 1, report)
+    root = _run_log(config, f, horizon, (), 1, None, report)
     if stop_on_first and report.violations:
         return report
     tasks = ((config, f, horizon, stop_on_first, *child) for child in root)

@@ -117,6 +117,15 @@ class Phase1Tally:
         self.mail: dict[int, dict[int, int]] = {}
         self.heard_twice: dict[int, int] = {}
 
+    def fork(self) -> Phase1Tally:
+        """A copy that counts on without changing this tally."""
+        twin = object.__new__(type(self))
+        twin.count = list(self.count)
+        twin.degree = dict(self.degree)
+        twin.mail = {receiver: dict(heard) for receiver, heard in self.mail.items()}
+        twin.heard_twice = dict(self.heard_twice)
+        return twin
+
     def _sender(self, msg, receiver: int) -> int:
         """The sender of one phase-1 copy, which must announce its sender's
         one degree; node `receiver` reports it otherwise."""
@@ -275,6 +284,17 @@ class ProtocolNode:
         # them all: the engine delivers a send to it once for all receivers.
         self.all_peers = self._group_peers[0] if g == 1 else None
         self._announce = Announce(index, degree)
+
+    def fork(self) -> ProtocolNode:
+        """A copy that steps on without changing this node. It copies the
+        view, the list and the pending termination signals and shares the
+        rest, which no round changes in place: the recipient lists too."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.view = dict(self.view)
+        twin.flist = dict(self.flist)
+        twin._allokay_pending = list(self._allokay_pending)
+        return twin
 
     # -- sending ----------------------------------------------------------
 

@@ -495,6 +495,40 @@ def test_run_that_raises_status_one(argv, target, error, monkeypatch, capsys):
     assert captured.err == f"error: {error.__name__}: the run broke\n"
 
 
+def test_sweep_keeps_the_rows_run_before_a_run_that_raises(monkeypatch, capsys):
+    """A sweep writes each row as its run ends: when the third run raises,
+    the header and the first two rows are out before the `error:` line."""
+    calls = []
+    run_simulation = cli.run_simulation
+
+    def third_raises(config, adversary):
+        calls.append(config.seed)
+        if len(calls) == 3:
+            raise RoundLimitExceeded("the run broke")
+        return run_simulation(config, adversary)
+
+    monkeypatch.setattr(cli, "run_simulation", third_raises)
+    assert main(SWEEP_N4 + ["--seeds", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: RoundLimitExceeded: the run broke\n"
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    assert captured.out.startswith(",".join(REPORT_COLUMNS) + "\r\n")
+
+
+def test_sweep_bad_later_budget_writes_no_csv(tmp_path, capsys):
+    """Every grid point is checked before the first run: a fault budget
+    that only a later point names still exits 2 with no CSV written."""
+    out_path = tmp_path / "report.csv"
+    argv = ["sweep", "--n", "4", "--f", "1,4", "--adversary", "none"]
+    assert main(argv + ["--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: fault budget 4")
+
+
 def test_import_loads_only_the_standard_library():
     """The package has no runtime dependency: importing every `cliquesim`
     module loads no module outside the standard library (numpy, which the

@@ -1,6 +1,7 @@
 """Round-engine tests: delivery semantics, fault-free exactness, scripted
 crash golden values, determinism, and the watchdog."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -331,6 +332,86 @@ class TestEngineContracts:
         plan = CrashPlan((CrashEvent(1, 7, ()),))
         with pytest.raises(AdversaryError, match="unknown"):
             run_simulation(config, ScriptedAdversary(plan))
+
+
+def _snapshot(engine: RoundEngine):
+    """A deep copy of everything a round can change."""
+    nodes = [
+        (n.view, n.flist, n._allokay_pending, n.next_emit, n.state)
+        for n in engine.nodes
+    ]
+    return copy.deepcopy(
+        (
+            nodes,
+            vars(engine.tally),
+            engine.metrics,
+            engine.round_log,
+            engine.crashed_round,
+            [n.index for n in engine._live],
+        )
+    )
+
+
+def _scripted(*events: CrashEvent) -> ScriptedAdversary:
+    return ScriptedAdversary(CrashPlan(events))
+
+
+class TestFork:
+    """A fork taken between rounds steps on under its own, larger plan as a
+    run of that plan from round 1 would, and leaves the engine it came from
+    as it was: that engine also steps on as if never forked."""
+
+    @pytest.mark.parametrize("model, n", [("cc", 5), ("ncc", 6)])
+    @pytest.mark.parametrize("in_phase1", [True, False], ids=["phase1", "phase2"])
+    def test_fork_leaves_its_origin_unchanged(self, model, n, in_phase1):
+        config = SimConfig(n=n, degrees=(1, 2, 2, 1, 2, 1)[:n], model=model)
+        phase1_len = RoundEngine(config, NoneAdversary()).nodes[0].phase1_len
+        # Round 1's crash leaves mail in the tally.
+        ours = (CrashEvent(1, 3, (1,)),)
+        at = 1 if in_phase1 else phase1_len + 1
+        theirs = ours + (
+            CrashEvent(at + 1, 2, (1, 4)),
+            CrashEvent(phase1_len + 3, 1, ()),
+        )
+        engine = RoundEngine(config, _scripted(*ours))
+        while engine.round < at:
+            engine.step()
+        before, live = _snapshot(engine), list(engine._live)
+
+        twin = engine.fork(_scripted(*theirs))
+        assert (twin.tally is engine.tally) is not in_phase1
+        assert twin.round_cap == RoundEngine(config, _scripted(*theirs)).round_cap
+        assert twin.round_cap > engine.round_cap
+        result = twin.run()
+
+        assert _snapshot(engine) == before
+        assert all(a is b for a, b in zip(engine._live, live))
+        assert len(engine._live) == len(live)
+        assert result == run_simulation(config, _scripted(*theirs))
+        assert len(result.crashes) == 3
+        assert engine.run() == run_simulation(config, _scripted(*ours))
+
+    def test_fork_copies_every_mutable_attribute(self):
+        """Whatever list, dict or set an engine, a node or an open tally
+        holds, its fork holds a new one, but for the recipient lists that
+        nodes share read-only."""
+        config = SimConfig(n=5, degrees=(1, 2, 2, 1, 2))
+        engine = RoundEngine(config, _scripted(CrashEvent(1, 3, (1,))))
+        engine.step()
+        twin = engine.fork(_scripted(CrashEvent(1, 3, (1,))))
+
+        def fresh(new, old, shared=()):
+            for name, value in vars(new).items():
+                if isinstance(value, (list, dict, set)) and name not in shared:
+                    assert value is not vars(old)[name], name
+
+        fresh(twin, engine)
+        fresh(twin.metrics, engine.metrics)
+        fresh(twin.tally, engine.tally)
+        assert twin.tally.mail[1] is not engine.tally.mail[1]
+        for new, old in zip(twin.nodes, engine.nodes):
+            assert new is not old
+            fresh(new, old, shared=("_group_peers", "all_peers"))
 
 
 class Forgetful(ProtocolNode):

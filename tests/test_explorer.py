@@ -9,6 +9,9 @@ of logs, on the plan count, on the number of violating plans and on the
 round and message maxima, with no mutation and with each `MUTATE_*` rule.
 The workers=2 report must equal the serial one.
 
+Each explored run resumes from a fork of its parent run; each must equal
+a run of its crash log from round 1.
+
 Past the oracle's reach, the explorer is checked against itself: a horizon
 at the engine's round cap already branches every run to its end, and the
 runs it explores do not depend on the degree values.
@@ -76,8 +79,8 @@ def explored(config: SimConfig, f: int, monkeypatch, horizon: int = HORIZON):
     rounds and messages."""
     runs = []
 
-    def spy(config, adversary):
-        outcome = run_plan(config, adversary)
+    def spy(config, adversary, *resume):
+        outcome = run_plan(config, adversary, *resume)
         runs.append((adversary.plan.events, *outcome[1:3]))
         return outcome
 
@@ -144,6 +147,31 @@ def test_explored_runs_do_not_depend_on_degrees(model, n, monkeypatch):
         horizon = round_cap(config, 2)
         explorations.append(set(explored(config, 2, monkeypatch, horizon)[1]))
     assert explorations[0] == explorations[1]
+
+
+@pytest.mark.parametrize("mutation", [None, MUTATE_NO_HEARD_ONCE_UPDATE])
+@pytest.mark.parametrize("model", ["cc", "ncc"])
+def test_forked_runs_match_runs_from_round_1(model, mutation, monkeypatch):
+    """Every explored run but the first resumes from a fork of its parent.
+    It must end as a run of the same crash log from round 1 does, with the
+    same issues, rounds, messages and round log."""
+    mutations = frozenset({mutation}) if mutation else frozenset()
+    config = SimConfig(n=4, degrees=(1, 2, 2, 1), model=model, mutations=mutations)
+    runs = []
+
+    def spy(config, adversary, engine=None, *keep):
+        outcome = run_plan(config, adversary, engine, *keep)
+        runs.append((adversary.plan.events, engine is not None, outcome))
+        return outcome
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "run_plan", spy)
+        report = verify_exhaustive(config, f=2, horizon=HORIZON)
+    assert len(runs) == report.runs
+    assert sum(forked for _, forked, _ in runs) == report.runs - 1
+    assert any(outcome[0] for _, _, outcome in runs) == bool(mutation)
+    for events, _, outcome in runs:
+        assert run_plan(config, ScriptedAdversary(CrashPlan(events))) == outcome
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS[1:])
