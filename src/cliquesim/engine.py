@@ -29,7 +29,8 @@ Every run keeps one raw `RoundLog` per round, the run's one record of its
 sends, crashes and transitions; a round's crashes are logged before its
 deliveries, which read them. The result carries it, and so does every
 `ProtocolViolation` or `SimulationError` that escapes `step`, up to the
-round that raised; only `trace.py` turns it into trace records.
+round that raised; the result's crash list is read off it, and only
+`trace.py` turns it into trace records.
 
 The engine also asserts the model-level invariants that the protocol's
 correctness argument relies on (at most one active transmitter, the
@@ -42,8 +43,7 @@ silent divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from .groups import GroupLayout, enforce_capacity
 from .protocol import (
@@ -160,11 +160,22 @@ class RoundLog(NamedTuple):
 
 @dataclass
 class ExecutionResult:
+    """A finished run. Its crashes are read off its round log, the one
+    record of them."""
+
     config: SimConfig
     metrics: Metrics
     nodes: list[NodeOutcome]
-    crashes: list[tuple[int, int, tuple[int, ...]]]  # (round, node, delivered)
     round_log: list[RoundLog]  # round r is round_log[r - 1]
+
+    @property
+    def crashes(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(round, node, delivered) of each crash, in round and node order."""
+        return [
+            (rnd, node, delivered)
+            for rnd, log in enumerate(self.round_log, start=1)
+            for node, delivered in log.crashes
+        ]
 
     def survivors(self) -> list[NodeOutcome]:
         return [o for o in self.nodes if o.crashed_round is None]
@@ -177,9 +188,6 @@ class RoundEngine:
     """One run, stepped a round at a time: `run()` steps it to the end and
     returns its result. Between rounds `fork(adversary)` copies it; the copy
     steps on under its own adversary, and neither run changes the other."""
-
-    # The crash decisions of every round without crashes.
-    _quiet: Mapping[int, tuple[int, ...]] = MappingProxyType({})
 
     def __init__(self, config: SimConfig, adversary):
         self.config = config
@@ -278,8 +286,7 @@ class RoundEngine:
 
     def _step(self) -> None:
         rnd = self.round
-        # Node -> new state, made on the first move: quiet rounds allocate nothing.
-        moved: dict[int, str] | None = None
+        moved: dict[int, str] = {}  # node -> new state
         due = [node for node in self._live if node.next_emit == rnd]
         self.outboxes = outboxes = {}
         for node in due:
@@ -288,7 +295,6 @@ class RoundEngine:
             if send:
                 outboxes[node.index] = send
             if node.state is not state:  # states only move forward
-                moved = moved or {}
                 moved[node.index] = node.state._value_
 
         decisions = self._crash_decisions(rnd)
@@ -325,7 +331,6 @@ class RoundEngine:
                     mailboxes.setdefault(j, []).append(msg)
             delivered_count += len(delivered)
         if decisions:
-            moved = moved or {}
             for node_index in decisions:
                 self.crashed_round[node_index] = rnd
                 moved[node_index] = "crashed"
@@ -343,7 +348,6 @@ class RoundEngine:
             # a cc send is a broadcast after phase 1, so no capacity applies.
             [(_, msg)] = broadcasts
             for node in ProtocolNode.hear(rnd, msg, self._live):
-                moved = moved or {}
                 moved[node.index] = node.state._value_
         crashed = self.crashed_round
         for j in sorted(mailboxes):
@@ -368,7 +372,6 @@ class RoundEngine:
             state = node.state
             node.receive(rnd, inbox)
             if node.state is not state:
-                moved = moved or {}
                 moved[node.index] = node.state._value_
 
         # Only `emit` makes a node active, and an active node is due every
@@ -382,11 +385,11 @@ class RoundEngine:
             settled = [i for i, to in transitions if to != "active"]
             self._unsettled.difference_update(settled)
 
-    def _crash_decisions(self, rnd: int) -> Mapping[int, tuple[int, ...]]:
+    def _crash_decisions(self, rnd: int) -> dict[int, tuple[int, ...]]:
         """Each crasher, in node order, to the recipients it still reaches."""
         raw = self.adversary.decide(self, rnd)
         if not raw:
-            return self._quiet
+            return {}
         decisions: dict[int, tuple[int, ...]] = {}
         for node_index in sorted(raw):
             if not 1 <= node_index <= self.config.n:
@@ -451,11 +454,6 @@ class RoundEngine:
             config=self.config,
             metrics=self.metrics,
             nodes=outcomes,
-            crashes=[
-                (rnd, node, delivered)
-                for rnd, log in enumerate(self.round_log, start=1)
-                for node, delivered in log.crashes
-            ],
             round_log=self.round_log,
         )
 

@@ -142,9 +142,7 @@ def check_execution(result: ExecutionResult) -> list[str]:
                         f"node {survivor.index}, expected {own}"
                     )
 
-    bound = message_bound(
-        n, len(result.crashes), result.metrics.allokay_broadcasters
-    )
+    bound = message_bound(n, len(crashed), result.metrics.allokay_broadcasters)
     if result.metrics.messages_sent > bound:
         issues.append(
             f"messages: {result.metrics.messages_sent} exceed bound {bound}"
@@ -193,6 +191,9 @@ def run_plan(
     except (ProtocolViolation, SimulationError) as exc:
         if isinstance(exc, (AdversaryError, ConfigError)):
             raise
+        if forks:
+            # A round that raised before it was logged sent nothing to branch on.
+            forks.pop(len(exc.round_log) + 1, None)
         return [f"{type(exc).__name__}: {exc}"], 0, 0, exc.round_log
     return (
         check_execution(result),
@@ -257,7 +258,7 @@ def _run_log(
     The run resumes from `start`, a fork of its parent taken at the start
     of the round of its last crashes, or from round 1 when `start` is None.
     While crashes are left to spend, it keeps a fork at the start of each
-    round a child can branch at.
+    round up to the horizon that it logs: the rounds its children branch at.
 
     `factor` is the plans per crash in `events`: a crasher whose round's
     send went to A of its n-1 peers is reached by the 2^(n-1-|A|) delivery
@@ -287,19 +288,17 @@ def _run_log(
     if issues:
         report.violations.append((events, issues))
         report.violating_plans += plans
-    # A run with no crash left to spend has no children and kept no fork.
-    branch_rounds = range(first, min(stepped, horizon) + 1 if spare else first)
-    return _children(n, events, factor, free, spare, branch_rounds, log, forks)
+    return _children(n, events, factor, free, spare, log, forks)
 
 
-def _children(
-    n, events, factor, free, spare, branch_rounds, log, forks
-) -> Iterator[_Child]:
+def _children(n, events, factor, free, spare, log, forks) -> Iterator[_Child]:
     """Each log that extends `events` by one round's new crashes: every set
     of up to `spare` free nodes, each delivering to every subset of the
-    recipients it actually had that round (none when it was silent). Each
-    child comes with the fork kept at the start of its round."""
-    for rnd in branch_rounds:
+    recipients it actually had that round (none when it was silent). The
+    run's kept forks are the record of where it branches: each round of
+    `forks`, in order, gives children that start from its fork, which is
+    dropped once they are made."""
+    for rnd in list(forks):
         start = forks.pop(rnd)
         sent = log[rnd - 1].sends
         choices = {}

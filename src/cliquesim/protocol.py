@@ -166,28 +166,32 @@ class Phase1Tally:
         """End phase 1: classify the broadcast counts once (heard twice into
         the view, once into the list as faulty, never as smite), then hand
         every live node, in index order, that classification with its own
-        index and its mail patched in; check that no subject was heard
-        twice by one live node and never by another, and fill
-        `heard_twice`. A node hears a subject's broadcasts, unless it is
-        the subject, plus its own mail, so when `count` holds two copies or
-        no live node got the subject by mail, every live peer heard it
-        equally often or at least twice."""
-        count, degree = self.count, self.degree
+        index and its mail patched in. `heard_twice` gets each subject's
+        first live witness: its first live peer when broadcasts alone gave
+        two copies, else the first live node whose mail completed the two.
+        Only a subject with no broadcast copy can be heard twice by one
+        live peer and never by another, which breaks the exclusion."""
+        count, degree, mail = self.count, self.degree, self.mail
+        first = live[0].index
+        second = live[1].index if len(live) > 1 else None
         shared_view: dict[int, int] = {}
         shared_list: dict[int, int | None] = {}
         for j, heard in enumerate(count[1:], start=1):
             if heard >= 2:
                 shared_view[j] = degree[j]
+                peer = second if j == first else first
+                if peer is not None:
+                    self.heard_twice[j] = peer
             else:
                 shared_list[j] = degree[j] if heard == 1 else None
-        mail = [self.mail.get(node.index, {}) for node in live]
-        for node, heard in zip(live, mail):
+        completed: dict[int, int] = {}  # subject -> first node mail completed
+        for node in live:
             own = node.index
             view, flist = dict(shared_view), dict(shared_list)
             view.pop(own, None)
             flist.pop(own, None)
             moved = False
-            for s, c in heard.items():
+            for s, c in mail.get(own, {}).items():
                 base = count[s]
                 if base >= 2 or s == own:
                     continue
@@ -196,34 +200,25 @@ class Phase1Tally:
                 else:  # mail completed the two
                     del flist[s]
                     view[s] = degree[s]
+                    completed.setdefault(s, own)
                     moved = True
             if moved:
                 view = dict(sorted(view.items()))  # the view stays in index order
             view[own] = node.degree
             node.end_phase1(view, flist)
 
-        first = live[0].index
-        second = live[1].index if len(live) > 1 else None
-        mailed = set().union(*mail)
-        heard_twice = self.heard_twice
-        for subject, base in enumerate(count[1:], start=1):
-            if base >= 2 or subject not in mailed:
-                peer = second if subject == first else first
-                if base >= 2 and peer is not None:
-                    heard_twice[subject] = peer
-                continue
-            # With fewer than two broadcast copies, counting them for the
-            # subject itself too changes neither who heard it twice nor which
-            # peer never heard it.
-            column = [base + heard.get(subject, 0) for heard in mail]
-            if max(column) < 2:
-                continue
-            k = next(k for k, c in enumerate(column) if c >= 2)
-            heard_twice[subject] = live[k].index
-            others = [(n.index, c) for n, c in zip(live, column) if n.index != subject]
-            twice = [i for i, c in others if c >= 2]
-            never = [i for i, c in others if c == 0]
-            if twice and never:
+        for subject in sorted(completed):
+            self.heard_twice[subject] = completed[subject]
+            if count[subject]:
+                continue  # every live peer heard its broadcast copy
+            column = [
+                (n.index, mail.get(n.index, {}).get(subject, 0))
+                for n in live
+                if n.index != subject
+            ]
+            never = [i for i, c in column if not c]
+            if never:
+                twice = [i for i, c in column if c >= 2]
                 raise ProtocolViolation(
                     f"phase-1 exclusion broken for node {subject}: heard twice "
                     f"by {twice}, never by {never}"

@@ -204,10 +204,10 @@ def read_trace(path: str | Path) -> ParsedTrace:
     header, *body = records
     if header.get("record") != "header":
         raise TraceError("first record is not a header")
-    if header.get("version") != TRACE_VERSION:
+    version = header.get("version")
+    if not _is_int(version) or version != TRACE_VERSION:
         raise TraceError(
-            f"trace version {header.get('version')!r} unsupported "
-            f"(expected {TRACE_VERSION})"
+            f"trace version {version!r} unsupported (expected {TRACE_VERSION})"
         )
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:

@@ -469,6 +469,26 @@ class TestInvariantChecks:
             "never by [2, 4]"
         )
 
+    def test_phase1_subject_heard_twice_and_never_in_ncc(self, monkeypatch):
+        """In ncc every phase-1 copy is mail, so the exclusion check reads
+        mail alone: node 3 mails node 1 in each of the four rounds."""
+
+        class Narrowcaster(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                send = super()._emit_phase1(rnd)
+                return (self._announce, [1]) if self.index == 3 else send
+
+        message = self.run_with(
+            monkeypatch,
+            Narrowcaster,
+            SimConfig(n=4, degrees=(1, 1, 1, 1), model="ncc"),
+            NoneAdversary(),
+        )
+        assert message == (
+            "phase-1 exclusion broken for node 3: heard twice by [1], "
+            "never by [2, 4]"
+        )
+
     def test_phase1_message_that_is_no_announcement(self, monkeypatch):
         class Impostor(ProtocolNode):
             def _emit_phase1(self, rnd):
@@ -699,4 +719,30 @@ class TestInvariantChecks:
         )
         assert message == (
             "smite rebroadcast for node 4, which node 1 heard twice in phase 1"
+        )
+
+    def test_smite_rebroadcast_witness_heard_twice_by_mail(self, monkeypatch):
+        """Node 4 broadcasts in round 1 and mails nodes 3 and 2 in round 2,
+        so mail completes its two copies at nodes 2 and 3: the witness is
+        node 2, the first in index order. Node 1 heard it once, but then
+        takes it for a smite and rebroadcasts that in round 3."""
+
+        class MailedTwice(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                send = super()._emit_phase1(rnd)
+                return (self._announce, [3, 2]) if (rnd, self.index) == (2, 4) else send
+
+            def end_phase1(self, view, flist):
+                super().end_phase1(view, flist)
+                if self.index == 1:
+                    self.flist[4] = None
+
+        message = self.run_with(
+            monkeypatch,
+            MailedTwice,
+            SimConfig(n=4, degrees=(1, 1, 1, 1)),
+            NoneAdversary(),
+        )
+        assert message == (
+            "smite rebroadcast for node 4, which node 2 heard twice in phase 1"
         )

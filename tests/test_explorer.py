@@ -174,6 +174,26 @@ def test_forked_runs_match_runs_from_round_1(model, mutation, monkeypatch):
         assert run_plan(config, ScriptedAdversary(CrashPlan(events))) == outcome
 
 
+def test_a_run_that_trips_the_round_cap_branches_only_at_logged_rounds(
+    monkeypatch,
+):
+    """With the round cap cut to 6, runs that last longer raise at the start
+    of round 7, before it is logged, though a fork was kept for it. No
+    child branches there, since the log holds no sends of round 7."""
+    set_adversary = RoundEngine._set_adversary
+
+    def capped(engine, adversary):
+        set_adversary(engine, adversary)
+        engine.round_cap = 6
+
+    monkeypatch.setattr(RoundEngine, "_set_adversary", capped)
+    config = SimConfig(n=3, degrees=(1, 1, 2))
+    report = verify_exhaustive(config, f=2, horizon=HORIZON)
+    assert report.executions_run == 9577
+    assert (report.runs, len(report.violations)) == (544, 372)
+    assert report.violations[0][1][0].startswith("RoundLimitExceeded: ")
+
+
 @pytest.mark.parametrize("mutation", MUTATIONS[1:])
 def test_reported_violations_reproduce(mutation):
     config = SimConfig(n=4, degrees=(1, 2, 2, 1), mutations=frozenset({mutation}))

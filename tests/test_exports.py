@@ -1,7 +1,8 @@
-"""Every name a module exports resolves, and every name the benchmark's
-tracer wraps exists."""
+"""Every name a module exports resolves, every name the benchmark's tracer
+wraps exists, and the benchmark's traced self-check passes on each workload."""
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,17 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["verify-n4", "cc-n1024", "trace-ncc128"])
+def test_benchmark_traced_self_check_passes(workload):
+    """`perfbench/run.py --trace 1` runs a workload untraced and traced and
+    fails it when a layer it exercises records no span or the two runs'
+    outputs or engine counts differ."""
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload]
+    argv += ["--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["failed"] == 0, proc.stdout

@@ -180,15 +180,20 @@ class TestReplay:
         with pytest.raises(TraceError, match="model"):
             replay_trace(read_trace(path), expect_model="cc")
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    def test_version_mismatch_rejected(self, tmp_path, capsys):
+        """Only the JSON integer 1 is version 1: `true` and `1.0` equal 1 in
+        Python but name no version."""
         config = SimConfig(n=3, degrees=(1, 1, 2))
         result = run_simulation(config, NoneAdversary())
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
-        text = path.read_text().replace('"version":1', '"version":99', 1)
-        path.write_text(text)
-        with pytest.raises(TraceError, match="version"):
-            read_trace(path)
+        text = path.read_text()
+        for version in ("99", "true", "1.0"):
+            path.write_text(text.replace('"version":1', f'"version":{version}', 1))
+            with pytest.raises(TraceError, match="version"):
+                read_trace(path)
+            assert main(["replay", "--trace", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: trace version ")
 
     def test_non_object_record_rejected(self, tmp_path):
         path = tmp_path / "run.jsonl"
