@@ -386,7 +386,8 @@ class RoundEngine:
             self._unsettled.difference_update(settled)
 
     def _crash_decisions(self, rnd: int) -> dict[int, tuple[int, ...]]:
-        """Each crasher, in node order, to the recipients it still reaches."""
+        """Each crasher, in node order, to the recipients it still reaches.
+        A crash may name only the crasher's peers."""
         raw = self.adversary.decide(self, rnd)
         if not raw:
             return {}
@@ -397,6 +398,11 @@ class RoundEngine:
             if self.is_crashed(node_index):
                 raise AdversaryError(f"node {node_index} crashed twice")
             allowed = frozenset(raw[node_index])
+            for j in sorted(allowed):
+                if j == node_index or not 1 <= j <= self.config.n:
+                    raise AdversaryError(
+                        f"crash of node {node_index} delivers to {j}, not a peer"
+                    )
             _, sent = self.outboxes.get(node_index, (None, ()))
             decisions[node_index] = tuple(sorted(j for j in sent if j in allowed))
         if len(self.crashed_round) + len(decisions) > self.budget:

@@ -9,13 +9,13 @@ record format; it writes any result's round log.
 
 The end record repeats each node's verdict and view, and most nodes of a
 run share them, so the writer encodes each distinct verdict and view once
-and reuses the text. Reading pauses the cyclic garbage collector while the
-lines are parsed.
+and reuses the text. Replay parses the header and the round records only:
+it compares the recorded end line with the one it rebuilds, byte for byte,
+and parses it only to name what is wrong when the two differ.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,6 +159,8 @@ class ParsedTrace:
             raise TraceError("trace header: strict must be true or false")
         if not isinstance(h["adversary"], str):
             raise TraceError("trace header: adversary must be a string")
+        if h["model"] not in ("cc", "ncc"):
+            raise TraceError('trace header: model must be "cc" or "ncc"')
         return SimConfig(
             n=h["n"],
             degrees=tuple(degrees),
@@ -181,44 +183,41 @@ class ParsedTrace:
 
 
 def read_trace(path: str | Path) -> ParsedTrace:
+    """Parse and check the header and round records. The last line is the
+    end record, which `replay_trace` checks; a trace of one line has none."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise TraceError("empty trace file")
-    # JSON builds no reference cycles, but the end record's hundreds of
-    # thousands of fresh lists would set the cyclic collector walking them
-    # over and over while they are parsed.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        records = []
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"line {lineno}: not valid JSON ({exc})") from exc
-    finally:
-        if collecting:
-            gc.enable()
-    if not all(isinstance(r, dict) for r in records):
-        raise TraceError("every record must be a JSON object")
-    header, *body = records
+    header, *rounds = [
+        _parse(lineno, line) for lineno, line in enumerate(lines[:-1] or lines, start=1)
+    ]
     if header.get("record") != "header":
         raise TraceError("first record is not a header")
     version = header.get("version")
     if not _is_int(version) or version != TRACE_VERSION:
         raise TraceError(
-            f"trace version {version!r} unsupported (expected {TRACE_VERSION})"
+            f"trace version {json.dumps(version)} unsupported "
+            f"(expected {TRACE_VERSION})"
         )
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise TraceError(f"trace header lacks {', '.join(missing)}")
-    if not body or body[-1].get("record") != "end":
+    if len(lines) < 2:
         raise TraceError("trace has no end record")
-    rounds = body[:-1]
     for lineno, record in enumerate(rounds, start=2):
         if not _is_round_record(record):
             raise TraceError(f"line {lineno}: malformed round record")
     return ParsedTrace(header=header, rounds=rounds, lines=lines)
+
+
+def _parse(lineno: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceError(f"line {lineno}: not valid JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise TraceError("every record must be a JSON object")
+    return record
 
 
 def _is_int(value: object) -> bool:
@@ -249,7 +248,6 @@ def _is_round_record(record: dict) -> bool:
 class ReplayOutcome:
     identical: bool
     divergence: str | None
-    result: ExecutionResult
 
 
 def replay_trace(parsed: ParsedTrace, expect_model: str | None = None) -> ReplayOutcome:
@@ -257,7 +255,9 @@ def replay_trace(parsed: ParsedTrace, expect_model: str | None = None) -> Replay
 
     The header's adversary description is reused verbatim: replay fidelity
     is about the execution (rounds, states, metrics), not about which
-    strategy originally produced the schedule.
+    strategy originally produced the schedule. A recorded end line equal to
+    the rebuilt one is the writer's own and is not parsed; one that differs
+    must still be an end record.
     """
     config = parsed.config()
     if expect_model is not None and config.model != expect_model:
@@ -268,6 +268,9 @@ def replay_trace(parsed: ParsedTrace, expect_model: str | None = None) -> Replay
     result = run_simulation(config, ScriptedAdversary(parsed.crash_plan()))
     new_lines = trace_lines(result, parsed.header["adversary"])
     old_lines = parsed.lines
+    end = old_lines[-1]
+    if end != new_lines[-1] and _parse(len(old_lines), end).get("record") != "end":
+        raise TraceError("trace has no end record")
     divergence = None
     if len(new_lines) != len(old_lines):
         divergence = (
@@ -275,22 +278,13 @@ def replay_trace(parsed: ParsedTrace, expect_model: str | None = None) -> Replay
             f"{len(new_lines)} replayed"
         )
     else:
-        for old, new in zip(old_lines, new_lines):
+        labels = [
+            "the header record",
+            *(f"round {record['round']}" for record in parsed.rounds),
+            "the end record",
+        ]
+        for old, new, label in zip(old_lines, new_lines, labels):
             if old != new:
-                label = _record_label(old)
                 divergence = f"first divergence at {label}"
                 break
-    return ReplayOutcome(
-        identical=divergence is None, divergence=divergence, result=result
-    )
-
-
-def _record_label(line: str) -> str:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return "an unparseable record"
-    kind = record.get("record", "?")
-    if kind == "round":
-        return f"round {record.get('round')}"
-    return f"the {kind} record"
+    return ReplayOutcome(identical=divergence is None, divergence=divergence)

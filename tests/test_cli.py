@@ -136,6 +136,21 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == "error: crash of unknown node 9\n"
 
+    @pytest.mark.parametrize("recipient", [9, 2])
+    def test_plan_delivering_to_a_non_peer_status_two(
+        self, tmp_path, capsys, recipient
+    ):
+        """A crash that names a recipient outside 1..n, or the crasher
+        itself, is refused instead of dropping that recipient."""
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(f"1 2 {recipient}\n")
+        argv = ["simulate", "--n", "3", "--degrees", "1,1,2"]
+        argv += ["--adversary", "scripted", "--plan-file", str(plan_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: crash of node 2 delivers to {recipient}, not a peer\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, expected",
         [
@@ -724,3 +739,24 @@ def test_fuzz_realize_degrees(texts):
 @given(text=degree_text, n=st.integers(1, 4))
 def test_fuzz_simulate_degrees(text, n):
     run_quietly(["simulate", "--n", str(n), f"--degrees={text}"])
+
+
+END_KEYS = ["record", "rounds", "messages", "nodes"]
+end_changes = st.dictionaries(
+    st.sampled_from(END_KEYS),
+    st.one_of(json_values, st.lists(json_values, max_size=2)),
+    max_size=2,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    changes=end_changes,
+    dropped=st.sets(st.sampled_from(END_KEYS), max_size=2),
+)
+def test_fuzz_end_record(changes, dropped):
+    record = {**json.loads(GOLDEN_LINES[-1]), **changes}
+    for key in dropped:
+        record.pop(key)
+    end = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    replay_quietly([*GOLDEN_LINES[:-1], end])

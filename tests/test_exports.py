@@ -1,6 +1,8 @@
-"""Every name a module exports resolves, every name the benchmark's tracer
-wraps exists, and the benchmark's traced self-check passes on each workload."""
+"""Every name a module exports resolves, every name a module imports is
+used, every name the benchmark's tracer wraps exists, and the benchmark's
+traced self-check passes on each workload."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -27,6 +29,32 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     for attr in getattr(module, "__all__", ()):
         assert hasattr(module, attr), f"{name}.__all__ lists missing {attr}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parents[1] / "src" / "cliquesim").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_unused_imports(path):
+    """Every name a top-level import binds is read in its module or listed
+    in its `__all__`; `from __future__ import annotations` binds nothing."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } - {"annotations"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    assert imported - used - exported == set()
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

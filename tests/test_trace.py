@@ -182,18 +182,19 @@ class TestReplay:
 
     def test_version_mismatch_rejected(self, tmp_path, capsys):
         """Only the JSON integer 1 is version 1: `true` and `1.0` equal 1 in
-        Python but name no version."""
+        Python but name no version. The rejected value is quoted as JSON."""
         config = SimConfig(n=3, degrees=(1, 1, 2))
         result = run_simulation(config, NoneAdversary())
         path = tmp_path / "run.jsonl"
         write_trace(path, result, "none")
         text = path.read_text()
-        for version in ("99", "true", "1.0"):
+        for version in ("99", "true", "1.0", '"2"'):
             path.write_text(text.replace('"version":1', f'"version":{version}', 1))
             with pytest.raises(TraceError, match="version"):
                 read_trace(path)
             assert main(["replay", "--trace", str(path)]) == 2
-            assert capsys.readouterr().err.startswith("error: trace version ")
+            err = capsys.readouterr().err
+            assert err == f"error: trace version {version} unsupported (expected 1)\n"
 
     def test_non_object_record_rejected(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -221,6 +222,8 @@ class TestReplay:
             ("n", True, "must be integers"),
             ("degrees", [1, True, 2, 1], "must be integers"),
             ("adversary", 5, "adversary must be a string"),
+            ("model", "x", 'model must be "cc" or "ncc"'),
+            ("model", 5, 'model must be "cc" or "ncc"'),
         ],
     )
     def test_wrongly_typed_header_status_two(
@@ -245,6 +248,15 @@ class TestReplay:
         assert main(["replay", "--trace", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 2: malformed round record\n"
 
+    def test_crash_delivering_to_a_non_peer_status_two(self, tmp_path, capsys):
+        lines = GOLDEN.read_text().splitlines()
+        lines[1] = lines[1].replace('"delivered":[3]', '"delivered":[3,9]', 1)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["replay", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: crash of node 2 delivers to 9, not a peer\n"
+
     def test_empty_trace_rejected(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text("\n  \n")
@@ -255,7 +267,49 @@ class TestReplay:
         path = tmp_path / "run.jsonl"
         path.write_text("\n".join(GOLDEN.read_text().splitlines()[:-1]) + "\n")
         with pytest.raises(TraceError, match="^trace has no end record$"):
-            read_trace(path)
+            replay_trace(read_trace(path))
+
+    @pytest.mark.parametrize(
+        "edit, status, expected",
+        [
+            (lambda ls: [*ls[:-1], ls[-1].replace('"rounds":5', '"rounds":6')], 1,
+             "divergence: first divergence at the end record"),
+            (lambda ls: [*ls[:-1], ls[-1][:-1]], 2, "error: line 7: not valid JSON ("),
+            (lambda ls: [*ls[:-1], "[1]"], 2,
+             "error: every record must be a JSON object"),
+            (lambda ls: ls[:-1], 2, "error: trace has no end record"),
+            (lambda ls: ls[:1], 2, "error: trace has no end record"),
+            (lambda ls: [ls[0].replace(",", ", ", 1), *ls[1:]], 1,
+             "divergence: first divergence at the header record"),
+            (lambda ls: [*ls[:3], ls[3].replace('"to":[', '"to":[ ', 1), *ls[4:]], 1,
+             "divergence: first divergence at round 3"),
+            (lambda ls: [*ls[:2], *ls[3:]], 1,
+             "divergence: trace length differs: 6 recorded vs 7 replayed"),
+        ],
+    )
+    def test_edited_golden_trace_replays_to_one_line(
+        self, tmp_path, capsys, edit, status, expected
+    ):
+        """A divergence is printed on stdout and exits 1; a trace that is
+        not one exits 2 with one `error:` line on stderr."""
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(edit(GOLDEN.read_text().splitlines())) + "\n")
+        assert main(["replay", "--trace", str(path)]) == status
+        out, err = capsys.readouterr()
+        shown, silent = (out, err) if status == 1 else (err, out)
+        assert shown.startswith(expected) and shown.count("\n") == 1
+        assert silent == ""
+
+    def test_truncated_end_line_is_rejected_by_replay(self, tmp_path):
+        """`read_trace` leaves the end record to `replay_trace`, which
+        compares it with the end line it rebuilds and parses it only when
+        they differ."""
+        lines = GOLDEN.read_text().splitlines()
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([*lines[:-1], lines[-1][:-1]]) + "\n")
+        parsed = read_trace(path)
+        with pytest.raises(TraceError, match="^line 7: not valid JSON"):
+            replay_trace(parsed)
 
     def test_lost_round_record_reports_the_length(self, tmp_path):
         """The golden run's last round holds no crash, so a trace without
@@ -278,8 +332,7 @@ class TestReplay:
 
 
 class TestCollector:
-    """`read_trace` pauses the cyclic collector while it parses and leaves
-    it as it found it."""
+    """`read_trace` leaves the cyclic collector as it found it."""
 
     def write(self, tmp_path):
         path = tmp_path / "run.jsonl"
