@@ -282,9 +282,9 @@ def cmd_verify(args) -> int:
         lines.extend("  " + ln for ln in format_plan(CrashPlan(events)).splitlines())
         lines.extend(f"  issue: {msg}" for msg in issues)
     text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)  # before `--out`, which may fail to open
     if args.out:
         Path(args.out).write_text(text)
-    sys.stdout.write(text)
     return 0 if report.ok else 1
 
 

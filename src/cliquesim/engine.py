@@ -10,7 +10,8 @@ in the round its `next_emit` names (each round of phase 1, then as the
 protocol schedules it) and receives only when it has mail, since `emit` in
 any other round and `receive` with an empty inbox change nothing. A node
 that crashes is silent in all later rounds; a sender that does not crash
-reaches all its recipients.
+reaches all its recipients. Between `step()` calls a run rests at the
+adversary call of its waiting round, after that round's sends.
 
 Delivery. A send from a sender that does not crash, to its whole peer list
 (`ProtocolNode.all_peers`: every cc send names it, no ncc send does), is a
@@ -186,8 +187,8 @@ class ExecutionResult:
 
 class RoundEngine:
     """One run, stepped a round at a time: `run()` steps it to the end and
-    returns its result. Between rounds `fork(adversary)` copies it; the copy
-    steps on under its own adversary, and neither run changes the other."""
+    returns its result. `fork(adversary)` copies it at its adversary call;
+    the copy steps on under its own adversary, and neither changes the other."""
 
     def __init__(self, config: SimConfig, adversary):
         self.config = config
@@ -211,9 +212,9 @@ class RoundEngine:
         self.round_log: list[RoundLog] = []
         self._phase1_len = self.nodes[0].phase1_len
         self._unsettled = set(range(1, config.n + 1))
-        # Current-round scratch, visible to adaptive adversaries: each
-        # sender's one (message, recipients) pair.
-        self.outboxes: dict[int, tuple[Any, list[int]]] = {}
+        # Round 1's sends wait at the adversary call; `outboxes`, visible to
+        # adaptive adversaries, holds each sender's (message, recipients).
+        self._send()
 
     def _set_adversary(self, adversary) -> None:
         """Install `adversary` with its budget and the watchdog's round cap,
@@ -228,25 +229,25 @@ class RoundEngine:
         self.round_cap = (10 * (self.config.n + budget) + 20) * groups
 
     def fork(self, adversary) -> RoundEngine:
-        """A copy of this engine between rounds that steps on under
-        `adversary`. It copies what a round changes: the nodes, the live
-        set, the crash rounds, the metrics, the log list and, until phase 1
-        closes, the tally, which is only read after. It shares the config,
-        the layout, the nodes' recipient lists and the logged rounds."""
+        """A copy of this engine at its adversary call that steps on under
+        `adversary`. It copies what a round changes (the nodes, live and due
+        lists, state moves, crash rounds, metrics, log list and, until phase
+        1 closes, tally) and shares the rest, the waiting round's sends too."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin._set_adversary(adversary)
         twin.nodes = nodes = [node.fork() for node in self.nodes]
         twin._live = [nodes[node.index - 1] for node in self._live]
+        twin._due = [nodes[node.index - 1] for node in self._due]
+        twin._moved = dict(self._moved)
         twin.crashed_round = dict(self.crashed_round)
         twin.metrics = replace(
             self.metrics, per_round_counts=list(self.metrics.per_round_counts)
         )
         twin.round_log = list(self.round_log)
         twin._unsettled = set(self._unsettled)
-        if self.round < self._phase1_len:
+        if self.round <= self._phase1_len:
             twin.tally = self.tally.fork()
-        twin.outboxes = {}
         return twin
 
     # -- helpers ------------------------------------------------------------
@@ -259,35 +260,35 @@ class RoundEngine:
 
     # -- main loop -----------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        """Whether every node has settled: crashed, or exited."""
-        return not self._unsettled
-
     def run(self) -> ExecutionResult:
         while self._unsettled:
             self.step()
         return self.result()
 
     def step(self) -> None:
-        """Run the next round. An error that escapes carries the round log
-        up to the round that raised."""
-        self.round += 1
+        """Finish the round waiting at the adversary call, then make the
+        next round's sends unless every node has settled. An error that
+        escapes carries the round log; a finished engine does nothing."""
+        if not self._unsettled:
+            return
         try:
-            if self.round > self.round_cap:
-                raise RoundLimitExceeded(
-                    f"no termination within {self.round_cap} rounds "
-                    f"(n={self.config.n}, model={self.config.model})"
-                )
-            self._step()
+            self._deliver()
+            if self._unsettled:
+                self._send()
         except (ProtocolViolation, SimulationError) as exc:
             exc.round_log = self.round_log
             raise
 
-    def _step(self) -> None:
-        rnd = self.round
-        moved: dict[int, str] = {}  # node -> new state
-        due = [node for node in self._live if node.next_emit == rnd]
+    def _send(self) -> None:
+        """Make the next round's sends. No round runs past the round cap."""
+        self.round = rnd = self.round + 1
+        if rnd > self.round_cap:
+            raise RoundLimitExceeded(
+                f"no termination within {self.round_cap} rounds "
+                f"(n={self.config.n}, model={self.config.model})"
+            )
+        self._moved = moved = {}  # node -> new state
+        self._due = due = [node for node in self._live if node.next_emit == rnd]
         self.outboxes = outboxes = {}
         for node in due:
             state = node.state
@@ -297,6 +298,9 @@ class RoundEngine:
             if node.state is not state:  # states only move forward
                 moved[node.index] = node.state._value_
 
+    def _deliver(self) -> None:
+        """Finish the waiting round, from its crash decisions on."""
+        rnd, moved, outboxes = self.round, self._moved, self.outboxes
         decisions = self._crash_decisions(rnd)
         transitions: list[tuple[int, str]] = []
         # tuple.__new__ skips the named tuple's Python-level constructor.
@@ -376,7 +380,7 @@ class RoundEngine:
 
         # Only `emit` makes a node active, and an active node is due every
         # round, so this round's due nodes hold every active one.
-        self._check_single_active(due)
+        self._check_single_active(self._due)
         if rnd == self._phase1_len:
             self.tally.close(self._live)
         if moved:

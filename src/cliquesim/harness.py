@@ -13,16 +13,16 @@ without running each plan. Many plans run the same execution: a mask only
 matters on the recipients the crasher actually had that round, and a crash
 scheduled after the run's last round never happens. So the verifier
 explores depth first over effective crash logs, each run once through
-`run_plan`, which hands back the run's round log: the children of a crash
-log are its extensions by new crashes in a later round the run reached,
-each crasher delivering to a subset of what the round log shows it really
-sent. A run does not start from round 1: while it has crashes to spend it
-keeps a fork of its engine at the start of each round a child can branch
-at, and each child resumes from the fork of its branch round. So a child
-steps only the rounds from its branch round on, and no engine is built
-after the first. Each run is weighted by the plans it stands for, counted
-in closed form, so nothing caps n, f or the horizon; a horizon at the engine's round
-cap branches every run to termination. A violation is reported as its
+`run_plan`: the children of a crash log are its extensions by new crashes
+in a later round the run reached, each crasher delivering to a subset of
+what it really sent that round. While a run has crashes to spend, its
+adversary keeps a fork of its engine at the adversary call of each round a
+child can branch at, after that round's sends. Each child resumes from the
+fork of its branch round with its own crashes for it, so no engine is
+built after the first and no child makes its branch round's sends again.
+Each run is weighted by the plans it stands for, counted in closed form,
+so nothing caps n, f or the horizon; a horizon at the engine's round cap
+branches every run to termination. A violation is reported as its
 effective crash log, itself a plan that reproduces the failure: stateless
 model checking in the style of Godefroid's VeriSoft (POPL 1997).
 """
@@ -168,32 +168,18 @@ def run_plan(
     config: SimConfig,
     adversary: ScriptedAdversary,
     engine: RoundEngine | None = None,
-    forks: dict[int, RoundEngine] | None = None,
-    keep: range = range(0),
 ) -> tuple[list[str], int, int, list[RoundLog]]:
     """Run one execution of `adversary`'s crash plan; return (issues, rounds,
     messages, round log). A run that raises reports the error as its one
     issue, with the round log up to the round that raised.
 
-    The run starts from `engine`, a fork already under `adversary`, when
-    one is given, else from round 1. `forks` gets a fork of the run at the
-    start of each round of `keep` that the run reaches."""
+    The run resumes from `engine`, a fork already under `adversary`, when
+    one is given, else it starts from round 1."""
     try:
-        if engine is None and not keep:
-            result = run_simulation(config, adversary)
-        else:
-            engine = engine or RoundEngine(config, adversary)
-            while not engine.done and engine.round + 1 < keep.stop:
-                if engine.round + 1 in keep:
-                    forks[engine.round + 1] = engine.fork(adversary)
-                engine.step()
-            result = engine.run()
+        result = engine.run() if engine else run_simulation(config, adversary)
     except (ProtocolViolation, SimulationError) as exc:
         if isinstance(exc, (AdversaryError, ConfigError)):
             raise
-        if forks:
-            # A round that raised before it was logged sent nothing to branch on.
-            forks.pop(len(exc.round_log) + 1, None)
         return [f"{type(exc).__name__}: {exc}"], 0, 0, exc.round_log
     return (
         check_execution(result),
@@ -233,9 +219,23 @@ class VerifyReport:
         self.violating_plans += other.violating_plans
 
 
-# (crash log, crasher factor, fork of the parent run taken at the start of
-# the round of the log's last crashes)
+# (crash log, crasher factor, the parent's fork at its branch round's adversary call)
 _Child = tuple[tuple[CrashEvent, ...], int, RoundEngine]
+
+
+class _Brancher(ScriptedAdversary):
+    """Plays a crash plan and keeps in `forks` a fork of its run, with no
+    adversary, at the adversary call of each round of `rounds` the run
+    reaches. Each child branching there forks it again under its own."""
+
+    def __init__(self, plan: CrashPlan, rounds: range):
+        super().__init__(plan)
+        self.rounds, self.forks = rounds, {}
+
+    def decide(self, engine, rnd: int):
+        if rnd in self.rounds:
+            self.forks[rnd] = engine.fork(None)
+        return super().decide(engine, rnd)
 
 
 def _plan_count(nodes: int, crashes: int, options: int) -> int:
@@ -255,10 +255,10 @@ def _run_log(
     """Run one effective crash log, add it to `report` weighted by the
     crash plans it stands for, and return its children.
 
-    The run resumes from `start`, a fork of its parent taken at the start
-    of the round of its last crashes, or from round 1 when `start` is None.
-    While crashes are left to spend, it keeps a fork at the start of each
-    round up to the horizon that it logs: the rounds its children branch at.
+    The run resumes from `start`, its parent's fork at the adversary call
+    of the round of its last crashes, or starts from round 1. While crashes
+    are left to spend, it keeps a fork at the adversary call of each later
+    round up to the horizon: the rounds its children branch at.
 
     `factor` is the plans per crash in `events`: a crasher whose round's
     send went to A of its n-1 peers is reached by the 2^(n-1-|A|) delivery
@@ -269,17 +269,14 @@ def _run_log(
     n = config.n
     spare = f - len(events)
     first = events[-1].round + 1 if events else 1
-    adversary = ScriptedAdversary(CrashPlan(events))
+    adversary = _Brancher(CrashPlan(events), range(first, horizon + 1 if spare else 0))
     engine = start.fork(adversary) if start else None
-    forks: dict[int, RoundEngine] = {}
-    keep = range(first, horizon + 1) if spare else range(0)
-    issues, rounds, messages, log = run_plan(config, adversary, engine, forks, keep)
+    issues, rounds, messages, log = run_plan(config, adversary, engine)
     # Every stepped round is logged once its crash decisions are made, so
     # the log reaches the last round a crash can take effect in.
-    stepped = len(log)
     crashed = {e.node for e in events}
     free = [v for v in range(1, n + 1) if v not in crashed]
-    phantom = max(horizon - stepped, 0) << (n - 1)
+    phantom = max(horizon - len(log), 0) << (n - 1)
     plans = factor * _plan_count(len(free), spare, phantom)
     report.executions_run += plans
     report.runs += 1
@@ -288,22 +285,20 @@ def _run_log(
     if issues:
         report.violations.append((events, issues))
         report.violating_plans += plans
-    return _children(n, events, factor, free, spare, log, forks)
+    return _children(n, events, factor, free, spare, adversary.forks)
 
 
-def _children(n, events, factor, free, spare, log, forks) -> Iterator[_Child]:
+def _children(n, events, factor, free, spare, forks) -> Iterator[_Child]:
     """Each log that extends `events` by one round's new crashes: every set
     of up to `spare` free nodes, each delivering to every subset of the
-    recipients it actually had that round (none when it was silent). The
-    run's kept forks are the record of where it branches: each round of
-    `forks`, in order, gives children that start from its fork, which is
-    dropped once they are made."""
+    recipients it actually had that round (none when it was silent), as
+    the round's fork holds its sends. Each round of `forks`, in order,
+    gives children that resume from its fork, dropped once they are made."""
     for rnd in list(forks):
         start = forks.pop(rnd)
-        sent = log[rnd - 1].sends
         choices = {}
         for v in free:
-            _, recipients = sent.get(v, (None, ()))
+            _, recipients = start.outboxes.get(v, (None, ()))
             subsets = [
                 s
                 for k in range(len(recipients) + 1)

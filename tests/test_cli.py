@@ -362,6 +362,18 @@ class TestVerify:
         assert capsys.readouterr().out == printed
         assert out_path.read_text() == printed
 
+    def test_unwritable_out_keeps_the_printed_report(self, tmp_path, capsys):
+        """A report whose `--out` file cannot be opened is still printed
+        before the one error line, and the exit status is 2."""
+        argv = ["verify", "--n", "3", "--f", "1", "--degrees", "1,1,2"]
+        assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
+        captured = capsys.readouterr()
+        printed = captured.out.splitlines()
+        assert len(printed) == 2
+        assert printed[0].startswith("plans=") and printed[1] == "PASS"
+        [error] = captured.err.splitlines()
+        assert error.startswith("error: [Errno 2] ")
+
     def test_n5_pass(self, capsys):
         rc = main(["verify", "--n", "5", "--f", "1", "--degree-uniform", "1"])
         assert rc == 0

@@ -121,6 +121,14 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match=">= 0"):
             DegreeSequence(((1, -1),))
 
+    def test_node_id_zero_rejected(self):
+        with pytest.raises(ValueError, match="node id 0 must be >= 1"):
+            DegreeSequence(((0, 1), (1, 1)))
+
+    def test_edge_stored_as_max_min_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(2, 1\) must be stored"):
+            RealizedGraph(node_ids=(1, 2), edges=frozenset({(2, 1)}))
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             RealizedGraph(node_ids=(1,), edges=frozenset({(1, 1)}))

@@ -357,9 +357,10 @@ def _scripted(*events: CrashEvent) -> ScriptedAdversary:
 
 
 class TestFork:
-    """A fork taken between rounds steps on under its own, larger plan as a
-    run of that plan from round 1 would, and leaves the engine it came from
-    as it was: that engine also steps on as if never forked."""
+    """A fork taken while a round waits at the adversary call steps on
+    under its own, larger plan as a run of that plan from round 1 would,
+    and leaves the engine it came from as it was: that engine also steps on
+    as if never forked."""
 
     @pytest.mark.parametrize("model, n", [("cc", 5), ("ncc", 6)])
     @pytest.mark.parametrize("in_phase1", [True, False], ids=["phase1", "phase2"])
@@ -391,10 +392,47 @@ class TestFork:
         assert len(result.crashes) == 3
         assert engine.run() == run_simulation(config, _scripted(*ours))
 
+    @pytest.mark.parametrize("model, n", [("cc", 5), ("ncc", 6)])
+    @pytest.mark.parametrize("in_phase1", [True, False], ids=["phase1", "phase2"])
+    def test_fork_crashes_a_node_in_its_waiting_round(self, model, n, in_phase1):
+        """Round r's sends are made when the fork is taken, and its plan
+        crashes round r's lowest sender, delivering to the first of that
+        send's recipients. The last phase-1 round closes the tally, so a
+        fork there must not share it."""
+        config = SimConfig(n=n, degrees=(1, 2, 2, 1, 2, 1)[:n], model=model)
+        phase1_len = RoundEngine(config, NoneAdversary()).nodes[0].phase1_len
+        ours = (CrashEvent(1, 3, (1,)),)
+        at = phase1_len if in_phase1 else phase1_len + 2
+        engine = RoundEngine(config, _scripted(*ours))
+        while engine.round < at:
+            engine.step()
+        assert len(engine.round_log) == at - 1
+        sender, (_, sent) = min(engine.outboxes.items())
+        theirs = ours + (CrashEvent(at, sender, (sent[0],)),)
+        before = _snapshot(engine)
+
+        twin = engine.fork(_scripted(*theirs))
+        assert (twin.tally is engine.tally) is not in_phase1
+        result = twin.run()
+
+        assert _snapshot(engine) == before
+        assert result == run_simulation(config, _scripted(*theirs))
+        assert result.crashes[-1] == (at, sender, (sent[0],))
+        assert engine.run() == run_simulation(config, _scripted(*ours))
+
+    def test_step_on_a_finished_engine_changes_nothing(self):
+        config = SimConfig(n=4, degrees=(1, 2, 2, 1))
+        engine = RoundEngine(config, _scripted(CrashEvent(2, 1, (3,))))
+        result = engine.run()
+        before = (engine.round, list(engine.round_log), copy.deepcopy(engine.metrics))
+        engine.step()
+        assert (engine.round, engine.round_log, engine.metrics) == before
+        assert engine.result() == result
+
     def test_fork_copies_every_mutable_attribute(self):
         """Whatever list, dict or set an engine, a node or an open tally
-        holds, its fork holds a new one, but for the recipient lists that
-        nodes share read-only."""
+        holds, its fork holds a new one, but for the waiting round's sends
+        and the recipient lists, which both share read-only."""
         config = SimConfig(n=5, degrees=(1, 2, 2, 1, 2))
         engine = RoundEngine(config, _scripted(CrashEvent(1, 3, (1,))))
         engine.step()
@@ -405,7 +443,8 @@ class TestFork:
                 if isinstance(value, (list, dict, set)) and name not in shared:
                     assert value is not vars(old)[name], name
 
-        fresh(twin, engine)
+        assert twin.outboxes is engine.outboxes
+        fresh(twin, engine, shared=("outboxes",))
         fresh(twin.metrics, engine.metrics)
         fresh(twin.tally, engine.tally)
         assert twin.tally.mail[1] is not engine.tally.mail[1]

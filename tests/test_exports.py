@@ -75,7 +75,6 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["verify-n4", "cc-n1024", "trace-ncc128"])
 def test_benchmark_traced_self_check_passes(workload):
     """`perfbench/run.py --trace 1` runs a workload untraced and traced and

@@ -54,6 +54,10 @@ class TestGroupLayout:
         assert log2_ceil(8) == 3
         assert log2_ceil(9) == 4
 
+    def test_log2_ceil_rejects_zero(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            log2_ceil(0)
+
     def test_phase1_schedule_covers_all_pairs_once_per_sweep(self):
         layout = GroupLayout.for_clique(8)
         g = layout.group_count

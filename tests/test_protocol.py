@@ -71,6 +71,12 @@ class TestPhase1Classification:
         with pytest.raises(ProtocolViolation, match=message):
             tally.add_mail(1, [Announce(2, 6)])
 
+    def test_rebroadcast_conflicting_with_the_view_is_a_violation(self):
+        node = make_classified_node(1, 4, heard={2: [7, 7], 3: [2, 2], 4: [0, 0]})
+        message = "node 1 saw conflicting degrees 7 and 8 for node 2"
+        with pytest.raises(ProtocolViolation, match=message):
+            node.receive(5, [FaultEntry(3, 2, FAULTY, 8)])
+
 
 class TestActivationTiming:
     def test_min_index_activates_right_after_phase1(self):
