@@ -13,18 +13,18 @@ that crashes is silent in all later rounds; a sender that does not crash
 reaches all its recipients. Between `step()` calls a run rests at the
 adversary call of its waiting round, after that round's sends.
 
-Delivery. A send from a sender that does not crash, to its whole peer list
-(`ProtocolNode.all_peers`: every cc send names it, no ncc send does), is a
-broadcast and is not copied per recipient. In phase 1 the engine hands the
-tally every copy: each broadcast once for all receivers, then each live
-receiver's mailbox, after capacity enforcement, in receiver order. In the
-last phase-1 round it closes the tally, which classifies every live node.
-The engine does not know how phase 1 counts. Later, in a round whose only
-send is a broadcast, one `ProtocolNode.hear` call applies the message to
-every live node in index order; no listener's `receive` runs. All other
-mail (a crasher's partial delivery, a narrower send, every ncc send) goes
-to per-recipient mailboxes and `receive`. `outboxes`, the round log and
-the message counts do not depend on the path.
+Delivery. A send from a sender that does not crash, to one of its group
+peer lists (`ProtocolNode._group_peers`; cc has one group of n), is a group
+send, kept once for its group; other mail (a crasher's partial delivery, a
+narrower send) goes to per-recipient mailboxes. In phase 1 the tally gets
+each group send once, then each live receiver's mailbox in receiver order,
+and the last phase-1 round closes it; the engine does not know how phase 1
+counts. Later, in a round with no mail in which no receiver gets two
+messages, one `ProtocolNode.hear` call per group send applies it to its
+group's live members. Any other round, and a phase-1 round in which an
+inbox would overflow or the tally refuses a group send, copies every send
+per recipient. `outboxes`, the round log and the message counts do not
+depend on the path.
 
 Every run keeps one raw `RoundLog` per round, the run's one record of its
 sends, crashes and transitions; a round's crashes are logged before its
@@ -43,7 +43,10 @@ silent divergence.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Any, NamedTuple, Optional
 
 from .groups import GroupLayout, enforce_capacity
@@ -199,7 +202,7 @@ class RoundEngine:
         else:
             self.layout = GroupLayout(config.n, config.n, 1)
             self.capacity = None
-        self.tally = Phase1Tally(config.n)
+        self.tally = Phase1Tally(self.layout)
         self.nodes = [
             ProtocolNode(i + 1, config.degrees[i], self.layout, config.mutations)
             for i in range(config.n)
@@ -258,6 +261,14 @@ class RoundEngine:
     def remaining_budget(self) -> int:
         return self.budget - len(self.crashed_round)
 
+    def _live_members(self, group: int) -> list[ProtocolNode]:
+        """The live members of a group, in index order: a block of `_live`."""
+        if self.layout.group_count == 1:
+            return self._live
+        size, index = self.layout.group_size, attrgetter("index")
+        lo = bisect_left(self._live, (group - 1) * size + 1, key=index)
+        return self._live[lo : bisect_left(self._live, group * size + 1, lo, key=index)]
+
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> ExecutionResult:
@@ -307,33 +318,6 @@ class RoundEngine:
         self.round_log.append(
             tuple.__new__(RoundLog, (outboxes, [*decisions.items()], transitions))
         )
-        # A send from a sender that does not crash, to its whole peer list,
-        # is kept once in `broadcasts`: in phase 1 always, later when it is
-        # the round's only send. All other mail is copied per recipient.
-        in_phase1 = rnd <= self._phase1_len
-        shareable = in_phase1 or len(outboxes) == 1
-        broadcasts: list[tuple[int, Any]] = []
-        mailboxes: dict[int, list[Any]] = {}
-        delivered_count = 0
-        for sender, (msg, recipients) in outboxes.items():
-            self._check_outgoing(msg)
-            if self.capacity is not None:
-                self.metrics.max_send_per_round = max(
-                    self.metrics.max_send_per_round, len(recipients)
-                )
-                if len(recipients) > self.capacity:
-                    raise ProtocolViolation(
-                        f"node {sender} sent {len(recipients)} messages in round "
-                        f"{rnd}, capacity {self.capacity}"
-                    )
-            # A crasher's delivery is a new tuple, never its peer list.
-            delivered = decisions.get(sender, recipients)
-            if shareable and delivered is self.nodes[sender - 1].all_peers:
-                broadcasts.append((sender, msg))
-            else:
-                for j in delivered:
-                    mailboxes.setdefault(j, []).append(msg)
-            delivered_count += len(delivered)
         if decisions:
             for node_index in decisions:
                 self.crashed_round[node_index] = rnd
@@ -341,18 +325,46 @@ class RoundEngine:
             self._live = [
                 node for node in self._live if node.index not in self.crashed_round
             ]
-
+        # A group send is kept once in `sends`, with its group. A crasher's
+        # delivery is a new tuple, never a peer list.
+        size, capacity = self.layout.group_size, self.capacity
+        in_phase1 = rnd <= self._phase1_len
+        sends, mailboxes = [], {}
+        delivered_count, widest = 0, self.metrics.max_send_per_round
+        for sender, (msg, recipients) in outboxes.items():
+            if not in_phase1:  # no subject is heard twice before phase 1 ends
+                self._check_outgoing(msg)
+            if capacity is not None:
+                widest = max(widest, len(recipients))
+                if len(recipients) > capacity:
+                    raise ProtocolViolation(
+                        f"node {sender} sent {len(recipients)} messages in round "
+                        f"{rnd}, capacity {capacity}"
+                    )
+            delivered = decisions.get(sender, recipients)
+            delivered_count += len(delivered)
+            if delivered:
+                node, group = self.nodes[sender - 1], (delivered[0] - 1) // size + 1
+                if delivered is node._group_peers[group - 1]:
+                    sends.append((node, group, msg))
+                    continue
+            for j in delivered:
+                mailboxes.setdefault(j, []).append(msg)
+        self.metrics.max_send_per_round = widest
         self.metrics.messages_sent += delivered_count
         self.metrics.per_round_counts.append(delivered_count)
 
-        if in_phase1:
-            self.tally.add(broadcasts, self._live)
-        elif broadcasts:
-            # One call for every live node; its sender does not listen. Only
-            # a cc send is a broadcast after phase 1, so no capacity applies.
-            [(_, msg)] = broadcasts
-            for node in ProtocolNode.hear(rnd, msg, self._live):
-                moved[node.index] = node.state._value_
+        if sends and not self._share(sends, mailboxes, in_phase1):
+            sends, mailboxes = [], {}  # every copy is mail, in sender order
+            for sender, (msg, recipients) in outboxes.items():
+                for j in decisions.get(sender, recipients):
+                    mailboxes.setdefault(j, []).append(msg)
+        if not in_phase1:
+            if len(sends) > 1:  # in receiver order: groups are index blocks
+                sends.sort(key=lambda send: (send[1], -send[0].index))
+            for _, group, msg in sends:
+                for node in ProtocolNode.hear(rnd, msg, self._live_members(group)):
+                    moved[node.index] = node.state._value_
         crashed = self.crashed_round
         for j in sorted(mailboxes):
             if j in crashed:
@@ -388,6 +400,31 @@ class RoundEngine:
             # Every move but listening -> active settles the node.
             settled = [i for i, to in transitions if to != "active"]
             self._unsettled.difference_update(settled)
+
+    def _share(self, sends, mailboxes, in_phase1: bool) -> bool:
+        """Whether the round's group sends stay shared: in phase 1 while no
+        inbox overflows and the tally counts them, later while there is no
+        mail and no receiver gets two messages. A live node's inbox is the
+        group sends naming its group, but its own, and its mail."""
+        if self.capacity is None and (in_phase1 or len(sends) == 1):
+            return self.tally.add(sends) if in_phase1 else not mailboxes
+        named = Counter(group for _, group, _ in sends)
+        own = {node.index for node, group, _ in sends if node._group == group}
+        largest = 0
+        for j, inbox in mailboxes.items():
+            if j not in self.crashed_round:
+                size = named.get(self.nodes[j - 1]._group, 0) - (j in own) + len(inbox)
+                largest = max(largest, size)
+        for group, k in named.items():  # each live member gets k, or k - 1
+            members = self._live_members(group) if k > largest else None
+            if members:
+                largest = max(largest, k - all(node.index in own for node in members))
+        if self.capacity is not None:
+            metrics = self.metrics
+            metrics.max_recv_per_round = max(metrics.max_recv_per_round, largest)
+        if in_phase1:
+            return largest <= self.capacity and self.tally.add(sends)
+        return not mailboxes and largest <= 1
 
     def _crash_decisions(self, rnd: int) -> dict[int, tuple[int, ...]]:
         """Each crasher, in node order, to the recipients it still reaches.

@@ -13,15 +13,14 @@ signal fold in and stop without rebroadcasting.
 
 Phase 1 lives in the run's `Phase1Tally`, the only code that reads or
 writes phase-1 data: the engine hands it every copy, and it counts, checks
-and classifies them. A broadcast that reaches every peer of its sender is
-counted once for all receivers; every other copy (a crasher's partial
-delivery, a narrower send, every ncc send) is counted for its receiver. One
-rule checks both kinds. A node never hears its own broadcast, so the
-tally's count of a node's own index does not count for that node. The
-tally's `close` classifies the broadcast counts once, patches in each live
-node's own index and mail, and hands the node its view and list through
-`end_phase1`. A node holds only its own state and the run's read-only
-layout.
+and classifies them. A group send, one that reaches all of its sender's
+peers in one group, is checked and counted once for that group; every other
+copy (a crasher's partial delivery, a narrower send) is checked and counted
+for its receiver. A node never hears its own send, so the tally's count of
+a node's own index does not count for that node. The tally's `close`
+classifies each group's counts once, patches in each live member's own
+index and mail, and hands the node its view and list through `end_phase1`.
+A node holds only its own state and the run's read-only layout.
 
 Nodes are stepped by the round engine: `emit(round)` produces this round's
 one send (and applies send-side transitions), `receive(round, inbox)`
@@ -39,9 +38,10 @@ for a listener below that sender. A call to `emit` in any other round, or a
 
 After phase 1 the reception rules live in one place, `ProtocolNode.hear`,
 which applies one message to a list of listeners: the message is decoded
-once and each listener is updated inline. The engine hands it a broadcast
-with every live node; `receive` hands it each message of one node's
-per-recipient mail, entries in sender order and then any termination signal.
+once and each listener is updated inline. The engine hands it a group send
+with the live members of its group; `receive` hands it each message of one
+node's per-recipient mail, entries in sender order and then any termination
+signal.
 """
 
 from __future__ import annotations
@@ -104,15 +104,15 @@ class NodeState(Enum):
 
 
 class Phase1Tally:
-    """Every phase-1 announcement of one run. `count[j]` is how often every
-    peer of j heard j by broadcast, counted once for all receivers; `mail`
-    counts every other copy per receiver (receiver -> sender -> copies);
-    `degree` holds one degree per sender, fixed by the first copy counted,
-    whichever way it came. `heard_twice`, set by `close`, maps a subject to
-    the first live node, in index order, that heard it twice."""
+    """Every phase-1 announcement of one run. `count[g - 1][s]` is how often
+    each member of group g but s heard s by group send; `mail` counts every
+    other copy per receiver (receiver -> sender -> copies); `degree` holds
+    one degree per sender, fixed by the first copy counted, whichever way it
+    came. `heard_twice`, set by `close`, maps a subject to the first live
+    node, in index order, that heard it twice."""
 
-    def __init__(self, n: int) -> None:
-        self.count = [0] * (n + 1)
+    def __init__(self, layout: GroupLayout) -> None:
+        self.count = [[0] * (layout.n + 1) for _ in range(layout.group_count)]
         self.degree: dict[int, int] = {}
         self.mail: dict[int, dict[int, int]] = {}
         self.heard_twice: dict[int, int] = {}
@@ -120,79 +120,78 @@ class Phase1Tally:
     def fork(self) -> Phase1Tally:
         """A copy that counts on without changing this tally."""
         twin = object.__new__(type(self))
-        twin.count = list(self.count)
+        twin.count = [list(row) for row in self.count]
         twin.degree = dict(self.degree)
         twin.mail = {receiver: dict(heard) for receiver, heard in self.mail.items()}
         twin.heard_twice = dict(self.heard_twice)
         return twin
 
-    def _sender(self, msg, receiver: int) -> int:
-        """The sender of one phase-1 copy, which must announce its sender's
-        one degree; node `receiver` reports it otherwise."""
-        if not isinstance(msg, Announce):
-            raise ProtocolViolation(
-                f"node {receiver} got {type(msg).__name__} during phase 1"
-            )
-        sender, degree = msg
-        prior = self.degree.setdefault(sender, degree)
-        if prior != degree:
-            raise ProtocolViolation(
-                f"node {receiver} heard degree {degree} from node {sender}, "
-                f"which announced {prior} before"
-            )
-        return sender
-
-    def add(
-        self, broadcasts: list[tuple[int, object]], live: list[ProtocolNode]
-    ) -> None:
-        """Count a round's (sender, message) broadcasts, before its mail. A
-        bad one is reported by its sender's first live peer, the node that
-        would have read it first."""
-        if len(live) < 2:
-            return  # no peer is left to hear a broadcast
-        first, second = live[0].index, live[1].index
-        count = self.count
-        for sender, msg in broadcasts:
-            count[self._sender(msg, second if sender == first else first)] += 1
+    def add(self, sends: list[tuple[ProtocolNode, int, object]]) -> bool:
+        """Count a round's (sender, group, message) group sends, before its
+        mail, each once for its group. If one is not its sender's announcement
+        of its one degree, count none and return False: the engine then hands
+        the round over as per-recipient mail, which each receiver checks."""
+        degree, count = self.degree, self.count
+        for node, _, msg in sends:
+            own = isinstance(msg, Announce) and msg.sender == node.index
+            if not own or degree.get(node.index, msg.degree) != msg.degree:
+                return False
+        for _, group, (sender, announced) in sends:
+            degree[sender] = announced
+            count[group - 1][sender] += 1
+        return True
 
     def add_mail(self, receiver: int, inbox: list) -> None:
-        """Count node `receiver`'s mail of one round."""
+        """Count node `receiver`'s mail of one round. Each copy must announce
+        its sender's one degree; the receiver reports it otherwise."""
         heard = self.mail.setdefault(receiver, {})
         for msg in inbox:
-            sender = self._sender(msg, receiver)
+            if not isinstance(msg, Announce):
+                raise ProtocolViolation(
+                    f"node {receiver} got {type(msg).__name__} during phase 1"
+                )
+            sender, degree = msg
+            prior = self.degree.setdefault(sender, degree)
+            if prior != degree:
+                raise ProtocolViolation(
+                    f"node {receiver} heard degree {degree} from node {sender}, "
+                    f"which announced {prior} before"
+                )
             heard[sender] = heard.get(sender, 0) + 1
 
     def close(self, live: list[ProtocolNode]) -> None:
-        """End phase 1: classify the broadcast counts once (heard twice into
+        """End phase 1: classify each group's counts once (heard twice into
         the view, once into the list as faulty, never as smite), then hand
-        every live node, in index order, that classification with its own
+        each live member, in index order, that classification with its own
         index and its mail patched in. `heard_twice` gets each subject's
-        first live witness: its first live peer when broadcasts alone gave
-        two copies, else the first live node whose mail completed the two.
-        Only a subject with no broadcast copy can be heard twice by one
-        live peer and never by another, which breaks the exclusion."""
+        first live witness. Only a subject that some live group got no group
+        copy of can be heard twice by one live node and never by another,
+        which breaks the exclusion."""
         count, degree, mail = self.count, self.degree, self.mail
-        first = live[0].index
-        second = live[1].index if len(live) > 1 else None
-        shared_view: dict[int, int] = {}
-        shared_list: dict[int, int | None] = {}
-        for j, heard in enumerate(count[1:], start=1):
-            if heard >= 2:
-                shared_view[j] = degree[j]
-                peer = second if j == first else first
-                if peer is not None:
-                    self.heard_twice[j] = peer
-            else:
-                shared_list[j] = degree[j] if heard == 1 else None
-        completed: dict[int, int] = {}  # subject -> first node mail completed
+        witness = self.heard_twice
+        unheard: set[int] = set()
+        group = None
         for node in live:
             own = node.index
+            if node._group != group:  # live is in index order, groups are blocks
+                group, first, row = node._group, own, count[node._group - 1]
+                shared_view, shared_list = {}, {}
+                for s, heard in enumerate(row[1:], start=1):
+                    if heard >= 2:
+                        shared_view[s] = degree[s]
+                    else:
+                        shared_list[s] = degree[s] if heard else None
+                unheard.update(s for s, d in shared_list.items() if d is None)
+                fresh = shared_view.keys() - witness.keys() - {own}
+                witness.update(dict.fromkeys(fresh, own))
+            if own != first and first in shared_view:
+                witness.setdefault(first, own)
             view, flist = dict(shared_view), dict(shared_list)
             view.pop(own, None)
             flist.pop(own, None)
             moved = False
             for s, c in mail.get(own, {}).items():
-                base = count[s]
+                base = row[s]
                 if base >= 2 or s == own:
                     continue
                 if base + c == 1:  # heard once, by mail
@@ -200,25 +199,21 @@ class Phase1Tally:
                 else:  # mail completed the two
                     del flist[s]
                     view[s] = degree[s]
-                    completed.setdefault(s, own)
+                    witness.setdefault(s, own)
                     moved = True
             if moved:
                 view = dict(sorted(view.items()))  # the view stays in index order
             view[own] = node.degree
             node.end_phase1(view, flist)
 
-        for subject in sorted(completed):
-            self.heard_twice[subject] = completed[subject]
-            if count[subject]:
-                continue  # every live peer heard its broadcast copy
-            column = [
-                (n.index, mail.get(n.index, {}).get(subject, 0))
-                for n in live
-                if n.index != subject
-            ]
-            never = [i for i, c in column if not c]
+        for subject in sorted(unheard & witness.keys()):
+            twice, never = [], []
+            for other in live:
+                heard = count[other._group - 1][subject]
+                heard += mail.get(other.index, {}).get(subject, 0)
+                if other.index != subject and heard != 1:
+                    (twice if heard else never).append(other.index)
             if never:
-                twice = [i for i, c in column if c >= 2]
                 raise ProtocolViolation(
                     f"phase-1 exclusion broken for node {subject}: heard twice "
                     f"by {twice}, never by {never}"
@@ -271,13 +266,11 @@ class ProtocolNode:
         self._window = (0, 0)
         self._window_count = 0
         # Recipients per group (its members but this node), shared by all
-        # the node's sends to it: nothing downstream may mutate them.
+        # the node's sends to it, by which the engine tells a group send:
+        # nothing downstream may mutate them.
         self._group = layout.group_of(index)
         self._group_peers = [layout.members(group) for group in range(1, g + 1)]
         self._group_peers[self._group - 1].remove(index)
-        # The recipient list naming every other node, when one group holds
-        # them all: the engine delivers a send to it once for all receivers.
-        self.all_peers = self._group_peers[0] if g == 1 else None
         self._announce = Announce(index, degree)
 
     def fork(self) -> ProtocolNode:

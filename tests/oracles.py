@@ -1,8 +1,12 @@
-"""Brute-force realizability oracle for the tests.
+"""Brute-force oracles for the tests.
 
 `brute_force_realizable` enumerates every labeled simple graph on the
 sequence's nodes, independently of the Erdős–Gallai and Havel–Hakimi tests
 it cross-validates. It needs numpy, which the `test` extra installs.
+
+`phase1_classification` recounts a finished run's phase 1 copy by copy from
+its round log, independently of how the engine and `Phase1Tally` share
+counts between receivers.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from itertools import combinations
 from typing import Iterable
 
 from cliquesim.degseq import DegreeSequence
+from cliquesim.engine import ExecutionResult
+from cliquesim.groups import GroupLayout
 
 BRUTE_FORCE_MAX_NODES = 8
 
@@ -63,3 +69,46 @@ def brute_force_realizable(seq: DegreeSequence | Iterable[int]) -> bool:
         return False  # a simple graph cannot exceed degree n-1
     target = tuple(sorted(seq.degrees, reverse=True))
     return target in _realizable_multisets(n)
+
+
+def phase1_classification(
+    result: ExecutionResult,
+) -> tuple[dict[int, tuple[dict, dict]], dict[int, int]]:
+    """Classify phase 1 of a run without drops by counting, for every node
+    live at its end, each copy it received in rounds 1..2g: a subject heard
+    twice or more goes into the view, once into the list with its degree,
+    never into the list as a smite. Returns each such node's (view, list),
+    the view holding its own degree too, and each subject's first witness:
+    the lowest such node, not the subject, that heard it twice."""
+    config = result.config
+    n = config.n
+    g = GroupLayout.for_clique(n).group_count if config.model == "ncc" else 1
+    heard: dict[int, dict[int, int]] = {j: {} for j in range(1, n + 1)}
+    degree: dict[int, int] = {}
+    crashed: set[int] = set()
+    for log in result.round_log[: 2 * g]:
+        delivered = dict(log.crashes)
+        crashed.update(delivered)
+        for sender, (msg, recipients) in log.sends.items():
+            for j in delivered.get(sender, recipients):
+                if j not in crashed:
+                    heard[j][msg.sender] = heard[j].get(msg.sender, 0) + 1
+                    degree[msg.sender] = msg.degree
+    classified = {}
+    witness: dict[int, int] = {}
+    for j in range(1, n + 1):
+        if j in crashed:
+            continue
+        view, flist = {}, {}
+        for s in range(1, n + 1):
+            if s == j:
+                continue
+            copies = heard[j].get(s, 0)
+            if copies >= 2:
+                view[s] = degree[s]
+                witness.setdefault(s, j)
+            else:
+                flist[s] = degree[s] if copies else None
+        view[j] = config.degrees[j - 1]
+        classified[j] = (view, flist)
+    return classified, witness

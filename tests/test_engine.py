@@ -450,7 +450,7 @@ class TestFork:
         assert twin.tally.mail[1] is not engine.tally.mail[1]
         for new, old in zip(twin.nodes, engine.nodes):
             assert new is not old
-            fresh(new, old, shared=("_group_peers", "all_peers"))
+            fresh(new, old, shared=("_group_peers",))
 
 
 class Forgetful(ProtocolNode):
@@ -625,6 +625,28 @@ class TestInvariantChecks:
         )
         assert message == expected
 
+    def test_phase1_violations_in_ncc_are_reported_in_receiver_order(
+        self, monkeypatch
+    ):
+        """In round 1 of ncc n=9 node 1 sends to group 2 (nodes 5-8) and
+        node 9 to group 1 (nodes 1-4), and both send a termination signal
+        instead of their announcement: node 1 reads node 9's first."""
+
+        class Impostor(ProtocolNode):
+            def _emit_phase1(self, rnd):
+                msg, recipients = super()._emit_phase1(rnd)
+                if rnd == 1 and self.index in (1, 9):
+                    msg = AllOkay(self.index)
+                return msg, recipients
+
+        message = self.run_with(
+            monkeypatch,
+            Impostor,
+            SimConfig(n=9, degrees=(1,) * 9, model="ncc"),
+            NoneAdversary(),
+        )
+        assert message == "node 1 got AllOkay during phase 1"
+
     def test_broadcast_violation_names_the_lowest_listener(self, monkeypatch):
         class Tampered(ProtocolNode):
             def end_phase1(self, view, flist):
@@ -674,16 +696,44 @@ class TestInvariantChecks:
             return (send[0], [9]) if rnd == 1 and self.index <= 4 else send
 
     def test_over_full_inbox_drops_the_highest_senders(self, monkeypatch):
-        monkeypatch.setattr("cliquesim.engine.ProtocolNode", self.Crowder)
-        engine = RoundEngine(
+        handed = {}
+
+        class Recorder(self.Crowder):
+            def end_phase1(self, view, flist):
+                handed[self.index] = (dict(view), dict(flist))
+                super().end_phase1(view, flist)
+
+        monkeypatch.setattr("cliquesim.engine.ProtocolNode", Recorder)
+        result = run_simulation(
             SimConfig(n=9, degrees=(1,) * 9, model="ncc"), NoneAdversary()
         )
-        result = engine.run()
         assert result.metrics.dropped_messages == 4
         assert result.metrics.max_recv_per_round == 8
         # Node 9 kept round 1's lowest senders, nodes 1-4, and heard them
         # again in both sweeps; it heard nodes 5-8 only in their second.
-        assert engine.tally.mail[9] == {1: 3, 2: 3, 3: 3, 4: 3, 5: 1, 6: 1, 7: 1, 8: 1}
+        assert handed[9] == ({1: 1, 2: 1, 3: 1, 4: 1, 9: 1}, {5: 1, 6: 1, 7: 1, 8: 1})
+
+    def test_largest_inbox_adds_group_sends_and_partial_delivery(self):
+        """In round 1 of strict ncc n=9 (groups 1-4, 5-8 and 9, capacity 4)
+        node 1 crashes silently and node 6 crashes reaching node 9 alone.
+        Node 9 then gets the sends of nodes 5, 7 and 8 to its group and
+        node 6's partial delivery; no other node gets more than three
+        messages in any round."""
+        config = SimConfig(n=9, degrees=(1,) * 9, model="ncc", strict=True)
+        plan = CrashPlan((CrashEvent(1, 1, ()), CrashEvent(1, 6, (9,))))
+        result = run_simulation(config, ScriptedAdversary(plan))
+        largest, crashed = 0, set()
+        for log in result.round_log:
+            delivered = dict(log.crashes)
+            crashed.update(delivered)
+            inbox_sizes: dict[int, int] = {}
+            for sender, (_, recipients) in log.sends.items():
+                for j in delivered.get(sender, recipients):
+                    inbox_sizes[j] = inbox_sizes.get(j, 0) + 1
+            live = [size for j, size in inbox_sizes.items() if j not in crashed]
+            largest = max([largest, *live])
+        assert result.metrics.max_recv_per_round == largest == 4
+        assert result.metrics.dropped_messages == 0
 
     def test_strict_over_full_inbox_raises(self, monkeypatch):
         monkeypatch.setattr("cliquesim.engine.ProtocolNode", self.Crowder)
@@ -738,7 +788,7 @@ class TestInvariantChecks:
 
             def emit(self, rnd):
                 if self.index == shouter and rnd == 3:
-                    return Announce(self.index, 9), self.all_peers
+                    return Announce(self.index, 9), self._group_peers[0]
                 return super().emit(rnd)
 
         message = self.run_with(
@@ -748,6 +798,34 @@ class TestInvariantChecks:
             NoneAdversary(),
         )
         assert message == expected
+
+    def test_violations_after_phase1_in_ncc_are_reported_in_receiver_order(
+        self, monkeypatch
+    ):
+        """In round 7 of ncc n=9 (groups 1-4, 5-8 and 9) node 1 announces a
+        degree to group 2 and node 9 to group 1. No node gets two messages,
+        and node 1 reads node 9's announcement before nodes 5-8 read node
+        1's."""
+
+        class LateAnnouncers(ProtocolNode):
+            def end_phase1(self, view, flist):
+                super().end_phase1(view, flist)
+                if self.index in (1, 9):
+                    self.next_emit = 7
+
+            def emit(self, rnd):
+                if self.index in (1, 9) and rnd == 7:
+                    group = 2 if self.index == 1 else 1
+                    return Announce(self.index, 9), self._group_peers[group - 1]
+                return super().emit(rnd)
+
+        message = self.run_with(
+            monkeypatch,
+            LateAnnouncers,
+            SimConfig(n=9, degrees=(1,) * 9, model="ncc"),
+            NoneAdversary(),
+        )
+        assert message == "node 1 got Announce after phase 1"
 
     def test_smite_rebroadcast_for_subject_heard_twice(self, monkeypatch):
         message = self.run_with(
@@ -784,4 +862,34 @@ class TestInvariantChecks:
         )
         assert message == (
             "smite rebroadcast for node 4, which node 2 heard twice in phase 1"
+        )
+
+    @pytest.mark.parametrize(
+        "plan, witness",
+        [((), 1), ((CrashEvent(6, 4, (3,)),), 3)],
+        ids=["fault-free", "partial-delivery"],
+    )
+    def test_smite_rebroadcast_witness_in_ncc(self, monkeypatch, plan, witness):
+        """In ncc n=9 (groups 1-4, 5-8 and 9) node 1 takes node 4 for a
+        smite after phase 1 and rebroadcasts it in round 7. Fault-free,
+        node 1 heard node 4 twice itself. When node 4 crashes in round 6,
+        its second send to its own group reaching only node 3, nodes 1 and
+        2 heard it once, and node 3 completed its two copies by mail."""
+
+        class ForgetsFour(ProtocolNode):
+            def end_phase1(self, view, flist):
+                super().end_phase1(view, flist)
+                if self.index == 1:
+                    self.view.pop(4, None)
+                    self.flist[4] = None
+
+        message = self.run_with(
+            monkeypatch,
+            ForgetsFour,
+            SimConfig(n=9, degrees=(1,) * 9, model="ncc"),
+            ScriptedAdversary(CrashPlan(plan)),
+        )
+        assert message == (
+            f"smite rebroadcast for node 4, which node {witness} heard twice "
+            "in phase 1"
         )

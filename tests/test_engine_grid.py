@@ -12,8 +12,8 @@ inside `emit` (n=1, and every terminator whose list is empty) and an ncc
 node that is active in a round with no recipients (at n=2 and n=3, a node
 sending to its own one-member group). A block per model at n=64 and n=128
 adds many crashes with partial delivery in phase 1, where the small sizes
-have few: in cc the broadcasts that reach every peer mix with per-recipient
-mail, and in ncc all of phase 1 is per-recipient mail.
+have few: in both models the group sends, each kept once for its group, mix
+with per-recipient mail, and ncc adds many groups.
 
 Regenerate the data file, only for an intended behaviour change, with
 

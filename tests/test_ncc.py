@@ -134,7 +134,7 @@ class TestNccExecution:
         n = 16  # G = 4: successor gap of one waits 12 rounds
         layout = GroupLayout.for_clique(n)
         node = ProtocolNode(2, 1, layout)
-        Phase1Tally(n).close([node])
+        Phase1Tally(layout).close([node])
         node.receive(20, [FaultEntry(1, 3, SMITE, None)])
         assert node.next_emit == 20 + 3 * layout.group_count
 

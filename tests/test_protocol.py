@@ -31,7 +31,7 @@ def make_classified_node(index, n, degree=1, heard=None):
     tally of its own; `heard` maps peer -> list of announced degrees (one
     per reception)."""
     node = cc_node(index, degree, n)
-    tally = Phase1Tally(n)
+    tally = Phase1Tally(node.layout)
     heard = heard or {}
     round1 = [Announce(j, ds[0]) for j, ds in heard.items() if len(ds) >= 1]
     round2 = [Announce(j, ds[1]) for j, ds in heard.items() if len(ds) >= 2]
@@ -65,7 +65,7 @@ class TestPhase1Classification:
         assert node.view[1] == 9
 
     def test_conflicting_degrees_are_a_violation(self):
-        tally = Phase1Tally(3)
+        tally = Phase1Tally(GroupLayout(3, 3, 1))
         tally.add_mail(1, [Announce(2, 5)])
         message = "node 1 heard degree 6 from node 2, which announced 5 before"
         with pytest.raises(ProtocolViolation, match=message):
@@ -270,7 +270,7 @@ class TestDegenerateClique:
     def test_single_node_runs_alone(self):
         node = cc_node(1, 4, 1)
         assert node.emit(1) is None and node.emit(2) is None
-        Phase1Tally(1).close([node])
+        Phase1Tally(node.layout).close([node])
         assert node.view == {1: 4}
         out = node.emit(3)
         assert node.state is NodeState.EXIT
