@@ -406,7 +406,7 @@ class RoundEngine:
         inbox overflows and the tally counts them, later while there is no
         mail and no receiver gets two messages. A live node's inbox is the
         group sends naming its group, but its own, and its mail."""
-        if self.capacity is None and (in_phase1 or len(sends) == 1):
+        if self.capacity is None and (in_phase1 or len(sends) == 1):  # cc: no limit
             return self.tally.add(sends) if in_phase1 else not mailboxes
         named = Counter(group for _, group, _ in sends)
         own = {node.index for node, group, _ in sends if node._group == group}

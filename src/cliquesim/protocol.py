@@ -133,8 +133,8 @@ class Phase1Tally:
         the round over as per-recipient mail, which each receiver checks."""
         degree, count = self.degree, self.count
         for node, _, msg in sends:
-            own = isinstance(msg, Announce) and msg.sender == node.index
-            if not own or degree.get(node.index, msg.degree) != msg.degree:
+            genuine = isinstance(msg, Announce) and msg.sender == node.index
+            if not genuine or degree.get(node.index, msg.degree) != msg.degree:
                 return False
         for _, group, (sender, announced) in sends:
             degree[sender] = announced
