@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import csv
 import random
-import statistics
 import sys
 from pathlib import Path
 
@@ -247,6 +246,8 @@ def _sweep_row(
 
 
 def _print_sweep_summary(rows: list[dict]) -> None:
+    import statistics  # here, so that only a sweep pays for its import
+
     by_f: dict[int, int] = {}
     for row in rows:
         by_f[row["f"]] = max(by_f.get(row["f"], 0), row["rounds"])

@@ -8,6 +8,7 @@ number of nodes are accepted and simply reported unrealizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 __all__ = [
@@ -102,7 +103,9 @@ def erdos_gallai(seq: DegreeSequence | Iterable[int]) -> bool:
     """Return True iff the degree demands admit a simple graph.
 
     Checks the even-sum condition plus the k-prefix inequality for every
-    k in [1, n] on the non-increasingly sorted degrees.
+    k in [1, n] on the non-increasingly sorted degrees, in one pass: the
+    right-hand side's min sum is k for each later degree >= k and the
+    degree itself for the rest, read from a suffix-sum table.
     """
     degs = sorted(DegreeSequence.coerce(seq).degrees, reverse=True)
     n = len(degs)
@@ -110,9 +113,14 @@ def erdos_gallai(seq: DegreeSequence | Iterable[int]) -> bool:
         return True
     if sum(degs) % 2 != 0:
         return False
+    suffix = list(accumulate(reversed(degs), initial=0))[::-1]  # sum(degs[i:])
+    lhs = 0
+    big = n  # degs[:big] are the degrees >= k; shrinks as k grows
     for k in range(1, n + 1):
-        lhs = sum(degs[:k])
-        rhs = k * (k - 1) + sum(min(d, k) for d in degs[k:])
+        lhs += degs[k - 1]
+        while big and degs[big - 1] < k:
+            big -= 1
+        rhs = k * (k - 1) + k * max(big - k, 0) + suffix[max(big, k)]
         if lhs > rhs:
             return False
     return True
@@ -130,7 +138,7 @@ def havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
     # (-residual demand, id): a plain sort puts the largest demand first and
     # breaks ties by ascending id.
     residual = [(-d, i) for i, d in seq.entries]
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     while residual:
         residual.sort()
         neg_d, v = residual.pop(0)
@@ -139,12 +147,13 @@ def havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
             break  # all remaining demands are zero
         if d > len(residual):
             return RealizationOutcome.unrealizable()
+        # v has left `residual`, so no pair is linked twice.
         for k in range(d):
             neg_dk, w = residual[k]
             if neg_dk == 0:  # w's demand is already met
                 return RealizationOutcome.unrealizable()
             residual[k] = (neg_dk + 1, w)
-            edges.add((v, w) if v < w else (w, v))
+            edges.append((v, w) if v < w else (w, v))
     graph = RealizedGraph(node_ids=seq.node_ids, edges=frozenset(edges))
     return RealizationOutcome(graph=graph)
 

@@ -52,6 +52,12 @@ class GroupLayout:
         lo = (group - 1) * self.group_size
         return self._indexes[lo : lo + self.group_size]
 
+    @cached_property
+    def member_lists(self) -> tuple[list[int], ...]:
+        """Every group's member list, in group order, made once per layout
+        and shared by all its nodes: nothing may change them."""
+        return tuple(self.members(group) for group in range(1, self.group_count + 1))
+
     def phase1_dest(self, group: int, sweep_round: int) -> int:
         """Destination group for a sender group in round-robin sweep round
         (0-based within the sweep): dest = ((r + j) mod G) + 1.

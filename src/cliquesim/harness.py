@@ -30,7 +30,6 @@ model checking in the style of Godefroid's VeriSoft (POPL 1997).
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, product, repeat
@@ -361,6 +360,8 @@ def verify_exhaustive(
     with contextlib.ExitStack() as stack:
         run = map
         if workers > 1:
+            import multiprocessing  # here, so that a serial run does not load it
+
             pool = stack.enter_context(multiprocessing.Pool(workers))
             run = partial(pool.imap, chunksize=16)
         for part in run(_explore, tasks):

@@ -265,12 +265,15 @@ class ProtocolNode:
         # (sender, subject) of the last entry heard, and its copies so far.
         self._window = (0, 0)
         self._window_count = 0
-        # Recipients per group (its members but this node), shared by all
-        # the node's sends to it, by which the engine tells a group send:
-        # nothing downstream may mutate them.
+        # Recipients per group, shared by all the node's sends to it, by
+        # which the engine tells a group send: the layout's member list,
+        # shared by every node, and for the node's own group a copy without
+        # it. Nothing downstream may mutate them.
         self._group = layout.group_of(index)
-        self._group_peers = [layout.members(group) for group in range(1, g + 1)]
-        self._group_peers[self._group - 1].remove(index)
+        self._group_peers = list(layout.member_lists)
+        own = self._group_peers[self._group - 1].copy()
+        own.remove(index)
+        self._group_peers[self._group - 1] = own
         self._announce = Announce(index, degree)
 
     def fork(self) -> ProtocolNode:

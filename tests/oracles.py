@@ -4,6 +4,11 @@
 sequence's nodes, independently of the Erdős–Gallai and Havel–Hakimi tests
 it cross-validates. It needs numpy, which the `test` extra installs.
 
+`reference_erdos_gallai` and `reference_havel_hakimi` are the direct
+forms of the `degseq` kernels, kept as the references the faster kernels
+are compared against: the first sums every prefix and min term afresh for
+each k, the second collects its edges in a growing set.
+
 `phase1_classification` recounts a finished run's phase 1 copy by copy from
 its round log, independently of how the engine and `Phase1Tally` share
 counts between receivers.
@@ -15,7 +20,7 @@ import functools
 from itertools import combinations
 from typing import Iterable
 
-from cliquesim.degseq import DegreeSequence
+from cliquesim.degseq import DegreeSequence, RealizationOutcome, RealizedGraph
 from cliquesim.engine import ExecutionResult
 from cliquesim.groups import GroupLayout
 
@@ -69,6 +74,46 @@ def brute_force_realizable(seq: DegreeSequence | Iterable[int]) -> bool:
         return False  # a simple graph cannot exceed degree n-1
     target = tuple(sorted(seq.degrees, reverse=True))
     return target in _realizable_multisets(n)
+
+
+def reference_erdos_gallai(seq: DegreeSequence | Iterable[int]) -> bool:
+    """Erdős–Gallai, each k-prefix inequality summed in full: O(n^2)."""
+    degs = sorted(DegreeSequence.coerce(seq).degrees, reverse=True)
+    n = len(degs)
+    if n == 0:
+        return True
+    if sum(degs) % 2 != 0:
+        return False
+    for k in range(1, n + 1):
+        lhs = sum(degs[:k])
+        rhs = k * (k - 1) + sum(min(d, k) for d in degs[k:])
+        if lhs > rhs:
+            return False
+    return True
+
+
+def reference_havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
+    """Havel–Hakimi with the peel order and tie-breaking of
+    `degseq.havel_hakimi`, its edges added to a set."""
+    seq = DegreeSequence.coerce(seq)
+    residual = [(-d, i) for i, d in seq.entries]
+    edges: set[tuple[int, int]] = set()
+    while residual:
+        residual.sort()
+        neg_d, v = residual.pop(0)
+        d = -neg_d
+        if d == 0:
+            break
+        if d > len(residual):
+            return RealizationOutcome.unrealizable()
+        for k in range(d):
+            neg_dk, w = residual[k]
+            if neg_dk == 0:
+                return RealizationOutcome.unrealizable()
+            residual[k] = (neg_dk + 1, w)
+            edges.add((v, w) if v < w else (w, v))
+    graph = RealizedGraph(node_ids=seq.node_ids, edges=frozenset(edges))
+    return RealizationOutcome(graph=graph)
 
 
 def phase1_classification(

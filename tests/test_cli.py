@@ -580,6 +580,24 @@ def test_import_loads_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_command_only_modules_unloaded():
+    """`multiprocessing` (verify on several workers) and `statistics` (the
+    sweep summary) are imported by the commands that use them, so a
+    fresh `import cliquesim.cli` loads neither."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import cliquesim.cli\n"
+        "print(sorted({'multiprocessing', 'statistics'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestReplayCommand:
     def make_trace(self, tmp_path, model="cc"):
         trace_path = tmp_path / "run.jsonl"

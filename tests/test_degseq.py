@@ -7,6 +7,7 @@ analytic tests.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,12 @@ from cliquesim.degseq import (
     havel_hakimi,
     verify_degrees,
 )
-from oracles import BRUTE_FORCE_MAX_NODES, brute_force_realizable
+from oracles import (
+    BRUTE_FORCE_MAX_NODES,
+    brute_force_realizable,
+    reference_erdos_gallai,
+    reference_havel_hakimi,
+)
 
 
 class TestErdosGallai:
@@ -180,3 +186,63 @@ def test_construction_matches_test_and_demands(degrees):
         assert verify_degrees(outcome.graph, DegreeSequence.from_degrees(degrees))
         for u, v in outcome.graph.edges:
             assert u < v
+
+
+def random_graph_demands(rng: random.Random, ids: list[int], density: float) -> list[int]:
+    """The degrees of a random simple graph on `ids`: realizable demands."""
+    degree = dict.fromkeys(ids, 0)
+    for u, v in itertools.combinations(ids, 2):
+        if rng.random() < density:
+            degree[u] += 1
+            degree[v] += 1
+    return [degree[i] for i in ids]
+
+
+def random_sequences(seed: int, count: int):
+    """Seeded degree sequences on n <= 40 nodes with non-contiguous ids:
+    the degrees of random graphs (sparse ones have zero demands), those
+    with one demand nudged, and uniform draws from [0, n + 2], which go
+    above n."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, 40)
+        ids = sorted(rng.sample(range(1, 5 * n + 2), n))
+        if i % 3 == 2:
+            degrees = [rng.randint(0, n + 2) for _ in ids]
+        else:
+            degrees = random_graph_demands(rng, ids, rng.choice((0.05, 0.3, 0.7)))
+            if i % 3 == 1 and n:
+                k = rng.randrange(n)
+                degrees[k] = max(degrees[k] + rng.choice((-1, 1)), 0)
+        rng.shuffle(ids)
+        yield DegreeSequence(tuple(zip(ids, degrees)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernels_match_their_references(seed):
+    """The one-pass Erdős–Gallai and the list-built Havel–Hakimi give the
+    references' verdicts and the same outcome, node ids and edge set."""
+    verdicts = []
+    for seq in random_sequences(seed, 300):
+        outcome = havel_hakimi(seq)
+        assert outcome == reference_havel_hakimi(seq), seq
+        assert erdos_gallai(seq) == reference_erdos_gallai(seq) == outcome.realizable
+        verdicts.append(outcome.realizable)
+    assert 50 < sum(verdicts) < 250  # both verdicts are well covered
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [
+        pytest.param([256] * 1024, id="n1024-d256"),
+        pytest.param(
+            random_graph_demands(random.Random(512), list(range(1, 513)), 0.5),
+            id="random-n512",
+        ),
+    ],
+)
+def test_kernels_match_their_references_at_scale(degrees):
+    outcome = havel_hakimi(degrees)
+    assert outcome.realizable
+    assert outcome == reference_havel_hakimi(degrees)
+    assert erdos_gallai(degrees) == reference_erdos_gallai(degrees)
