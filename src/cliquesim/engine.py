@@ -21,10 +21,10 @@ each group send once, then each live receiver's mailbox in receiver order,
 and the last phase-1 round closes it; the engine does not know how phase 1
 counts. Later, in a round with no mail in which no receiver gets two
 messages, one `ProtocolNode.hear` call per group send applies it to its
-group's live members. Any other round, and a phase-1 round in which an
-inbox would overflow or the tally refuses a group send, copies every send
-per recipient. `outboxes`, the round log and the message counts do not
-depend on the path.
+group's live list, which a crash edits in place. Any other round, and a
+phase-1 round in which an inbox would overflow or the tally refuses a
+group send, copies every send per recipient. `outboxes`, the round log
+and the message counts do not depend on the path.
 
 Every run keeps one raw `RoundLog` per round, the run's one record of its
 sends, crashes and transitions; a round's crashes are logged before its
@@ -43,10 +43,8 @@ silent divergence.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import Any, NamedTuple, Optional
 
 from .groups import GroupLayout, enforce_capacity
@@ -203,13 +201,15 @@ class RoundEngine:
             self.layout = GroupLayout(config.n, config.n, 1)
             self.capacity = None
         self.tally = Phase1Tally(self.layout)
-        self.nodes = [
+        self.nodes = nodes = [
             ProtocolNode(i + 1, config.degrees[i], self.layout, config.mutations)
             for i in range(config.n)
         ]
         self._set_adversary(adversary)
         self.round = 0
-        self._live = list(self.nodes)
+        # Each group's live members in index order; a crash removes its node.
+        size = self.layout.group_size
+        self._group_live = [nodes[lo : lo + size] for lo in range(0, config.n, size)]
         self.crashed_round: dict[int, int] = {}
         self.metrics = Metrics()
         self.round_log: list[RoundLog] = []
@@ -240,7 +240,9 @@ class RoundEngine:
         twin.__dict__.update(self.__dict__)
         twin._set_adversary(adversary)
         twin.nodes = nodes = [node.fork() for node in self.nodes]
-        twin._live = [nodes[node.index - 1] for node in self._live]
+        twin._group_live = [
+            [nodes[node.index - 1] for node in live] for live in self._group_live
+        ]
         twin._due = [nodes[node.index - 1] for node in self._due]
         twin._moved = dict(self._moved)
         twin.crashed_round = dict(self.crashed_round)
@@ -260,14 +262,6 @@ class RoundEngine:
 
     def remaining_budget(self) -> int:
         return self.budget - len(self.crashed_round)
-
-    def _live_members(self, group: int) -> list[ProtocolNode]:
-        """The live members of a group, in index order: a block of `_live`."""
-        if self.layout.group_count == 1:
-            return self._live
-        size, index = self.layout.group_size, attrgetter("index")
-        lo = bisect_left(self._live, (group - 1) * size + 1, key=index)
-        return self._live[lo : bisect_left(self._live, group * size + 1, lo, key=index)]
 
     # -- main loop -----------------------------------------------------------
 
@@ -299,7 +293,9 @@ class RoundEngine:
                 f"(n={self.config.n}, model={self.config.model})"
             )
         self._moved = moved = {}  # node -> new state
-        self._due = due = [node for node in self._live if node.next_emit == rnd]
+        self._due = due = [
+            node for live in self._group_live for node in live if node.next_emit == rnd
+        ]
         self.outboxes = outboxes = {}
         for node in due:
             state = node.state
@@ -318,13 +314,11 @@ class RoundEngine:
         self.round_log.append(
             tuple.__new__(RoundLog, (outboxes, [*decisions.items()], transitions))
         )
-        if decisions:
-            for node_index in decisions:
-                self.crashed_round[node_index] = rnd
-                moved[node_index] = "crashed"
-            self._live = [
-                node for node in self._live if node.index not in self.crashed_round
-            ]
+        for node_index in decisions:
+            self.crashed_round[node_index] = rnd
+            moved[node_index] = "crashed"
+            node = self.nodes[node_index - 1]
+            self._group_live[node._group - 1].remove(node)
         # A group send is kept once in `sends`, with its group. A crasher's
         # delivery is a new tuple, never a peer list.
         size, capacity = self.layout.group_size, self.capacity
@@ -363,7 +357,7 @@ class RoundEngine:
             if len(sends) > 1:  # in receiver order: groups are index blocks
                 sends.sort(key=lambda send: (send[1], -send[0].index))
             for _, group, msg in sends:
-                for node in ProtocolNode.hear(rnd, msg, self._live_members(group)):
+                for node in ProtocolNode.hear(rnd, msg, self._group_live[group - 1]):
                     moved[node.index] = node.state._value_
         crashed = self.crashed_round
         for j in sorted(mailboxes):
@@ -394,7 +388,7 @@ class RoundEngine:
         # round, so this round's due nodes hold every active one.
         self._check_single_active(self._due)
         if rnd == self._phase1_len:
-            self.tally.close(self._live)
+            self.tally.close([node for live in self._group_live for node in live])
         if moved:
             transitions.extend(sorted(moved.items()))
             # Every move but listening -> active settles the node.
@@ -416,7 +410,7 @@ class RoundEngine:
                 size = named.get(self.nodes[j - 1]._group, 0) - (j in own) + len(inbox)
                 largest = max(largest, size)
         for group, k in named.items():  # each live member gets k, or k - 1
-            members = self._live_members(group) if k > largest else None
+            members = self._group_live[group - 1] if k > largest else None
             if members:
                 largest = max(largest, k - all(node.index in own for node in members))
         if self.capacity is not None:

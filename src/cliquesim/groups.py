@@ -42,15 +42,10 @@ class GroupLayout:
         """1-based group id of a node index."""
         return (index - 1) // self.group_size + 1
 
-    @cached_property
-    def _indexes(self) -> list[int]:
-        return list(range(1, self.n + 1))
-
     def members(self, group: int) -> list[int]:
-        """A new list of the group's indexes, sliced from one list of 1..n,
-        so every member list of the layout shares its int objects."""
-        lo = (group - 1) * self.group_size
-        return self._indexes[lo : lo + self.group_size]
+        """A new list of the group's indexes, in order."""
+        lo = (group - 1) * self.group_size + 1
+        return list(range(lo, min(lo + self.group_size, self.n + 1)))
 
     @cached_property
     def member_lists(self) -> tuple[list[int], ...]:

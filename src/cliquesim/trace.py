@@ -184,9 +184,12 @@ class ParsedTrace:
 
 def read_trace(path: str | Path) -> ParsedTrace:
     """Parse and check the header and round records. The last line is the
-    end record, which `replay_trace` checks; a trace of one line has none."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
+    end record, which `replay_trace` checks; a trace of one line has none.
+    Every newline but a final one starts a line, blank or not."""
+    lines = Path(path).read_text().split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if not any(line.strip() for line in lines):
         raise TraceError("empty trace file")
     header, *rounds = [
         _parse(lineno, line) for lineno, line in enumerate(lines[:-1] or lines, start=1)

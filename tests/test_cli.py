@@ -461,6 +461,14 @@ SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
         (SIMULATE_N4 + ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
         (SIMULATE_N4 + ["--adversary", "none", "--f", "-3"], "fault budget -3"),
         (["sweep", "--n", "4", "--f", "4", "--adversary", "none"], "fault budget 4"),
+        (
+            ["simulate", "--n", "3", "--degree-uniform", "-1"],
+            "degrees must be non-negative",
+        ),
+        (
+            ["simulate", "--n", "3", "--degrees", "1,-1,0"],
+            "degrees must be non-negative",
+        ),
     ],
 )
 def test_bad_option_value_status_two(argv, expected, capsys):

@@ -347,7 +347,7 @@ def _snapshot(engine: RoundEngine):
             engine.metrics,
             engine.round_log,
             engine.crashed_round,
-            [n.index for n in engine._live],
+            [[n.index for n in live] for live in engine._group_live],
         )
     )
 
@@ -377,7 +377,8 @@ class TestFork:
         engine = RoundEngine(config, _scripted(*ours))
         while engine.round < at:
             engine.step()
-        before, live = _snapshot(engine), list(engine._live)
+        before = _snapshot(engine)
+        live = [list(members) for members in engine._group_live]
 
         twin = engine.fork(_scripted(*theirs))
         assert (twin.tally is engine.tally) is not in_phase1
@@ -386,8 +387,10 @@ class TestFork:
         result = twin.run()
 
         assert _snapshot(engine) == before
-        assert all(a is b for a, b in zip(engine._live, live))
-        assert len(engine._live) == len(live)
+        assert len(engine._group_live) == len(live)
+        for members, kept in zip(engine._group_live, live):
+            assert len(members) == len(kept)
+            assert all(a is b for a, b in zip(members, kept))
         assert result == run_simulation(config, _scripted(*theirs))
         assert len(result.crashes) == 3
         assert engine.run() == run_simulation(config, _scripted(*ours))
@@ -445,6 +448,8 @@ class TestFork:
 
         assert twin.outboxes is engine.outboxes
         fresh(twin, engine, shared=("outboxes",))
+        for new, old in zip(twin._group_live, engine._group_live, strict=True):
+            assert new is not old
         fresh(twin.metrics, engine.metrics)
         fresh(twin.tally, engine.tally)
         assert twin.tally.mail[1] is not engine.tally.mail[1]

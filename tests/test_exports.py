@@ -1,6 +1,7 @@
 """Every name a module exports resolves, every name a module imports is
-used, every name the benchmark's tracer wraps exists, and the benchmark's
-traced self-check passes on each workload."""
+used, every private name a module defines is read in it, every name the
+benchmark's tracer wraps exists, and the benchmark's traced self-check
+passes on each workload."""
 
 import ast
 import importlib
@@ -55,6 +56,36 @@ def test_no_unused_imports(path):
         for elt in node.value.elts
     }
     assert imported - used - exported == set()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parents[1] / "src" / "cliquesim").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_orphaned_private_names(path):
+    """Every `_`-prefixed function, method or class a module defines, and
+    every such name it assigns at module level, is read in that module, as
+    a name or an attribute; dunder names are exempt."""
+    tree = ast.parse(path.read_text())
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_")}
+    private -= {name for name in private if name.startswith("__")}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    assert private - read == set()
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

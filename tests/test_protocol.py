@@ -3,6 +3,8 @@ phase-1 classification, activation timing, the active transmit loop, and
 the listener update rules.
 """
 
+import copy
+
 import pytest
 
 from cliquesim.engine import NodeOutcome
@@ -213,6 +215,14 @@ class TestListeningUpdates:
         # one copy from each sender: still heard-once, entry stays
         assert node.flist[4] == 5
         assert 4 not in node.view
+
+    def test_sender_alone_hears_its_late_announcement_as_nothing(self):
+        """A kind phase 2 never sends is a violation only for a listener
+        other than its sender."""
+        node = self.listener()
+        before = copy.deepcopy(vars(node))
+        assert ProtocolNode.hear(3, Announce(2, 1), [node]) == []
+        assert vars(node) == before
 
 
 class TestMultiMessageInbox:

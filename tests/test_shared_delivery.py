@@ -1,0 +1,103 @@
+"""The engine's shared delivery against its per-recipient path.
+
+`RoundEngine` keeps each group send once, counts it once in phase 1
+(`Phase1Tally.add`) and applies it later with one `ProtocolNode.hear` call
+to its group's live list. When `_share` says no, `_deliver` copies every
+send into per-recipient mailboxes instead, which phase 1 counts through
+`Phase1Tally.add_mail` and later rounds apply through each receiver's
+`receive`. `NeverShare` takes that path in every round, so a run must end
+the same on both engines: the same round records, node outcomes, metrics
+and `check_execution` issues, or the same error after as many rounds.
+
+This is a check of one fast path, not an independent reference engine: both
+sides share the stepping, the tally's `close` and forks.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cliquesim.adversary import CrashEvent, CrashPlan, NoneAdversary, ScriptedAdversary
+from cliquesim.engine import RoundEngine, SimConfig, SimulationError
+from cliquesim.harness import check_execution
+from cliquesim.protocol import ProtocolViolation
+from cliquesim.trace import round_records
+
+from test_engine_grid import LARGE_SIZES, SIZES, grid_cases
+
+
+class NeverShare(RoundEngine):
+    """Hands every round's sends over as per-recipient mail."""
+
+    def _share(self, sends, mailboxes, in_phase1):
+        return False
+
+
+def ending(engine_class, config, adversary):
+    engine = engine_class(config, adversary)
+    try:
+        result = engine.run()
+    except (ProtocolViolation, SimulationError) as exc:
+        return type(exc), str(exc), len(exc.round_log)
+    return (
+        round_records(result),
+        [dataclasses.asdict(o) for o in result.nodes],
+        result.metrics,
+        check_execution(result),
+    )
+
+
+def assert_same_ending(config, adversary, twin, label="") -> None:
+    """`adversary` and `twin` are two fresh copies of one adversary."""
+    expected = ending(RoundEngine, config, adversary)
+    assert ending(NeverShare, config, twin) == expected, label
+
+
+def assert_grid_agrees(sizes) -> None:
+    pairs = zip(grid_cases(sizes=sizes), grid_cases(sizes=sizes), strict=True)
+    for (label, config, adversary), (_, _, twin) in pairs:
+        assert_same_ending(config, adversary, twin, label)
+
+
+def test_small_grid_runs_end_as_without_sharing():
+    assert_grid_agrees(SIZES)
+
+
+@pytest.mark.slow
+def test_large_grid_runs_end_as_without_sharing():
+    assert_grid_agrees(LARGE_SIZES)
+
+
+@pytest.mark.parametrize("model, max_n", [("cc", 9), ("ncc", 20)])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_drawn_crash_plans_end_as_without_sharing(model, max_n, data):
+    """Crashes fall from round 1 to three failover gaps past phase 1, each
+    reaching a drawn set of the crasher's recipients."""
+    n = data.draw(st.integers(min_value=2, max_value=max_n), label="n")
+    config = SimConfig(
+        n=n,
+        degrees=tuple(
+            data.draw(st.integers(min_value=0, max_value=n - 1), label="degree")
+            for _ in range(n)
+        ),
+        model=model,
+        strict=data.draw(st.booleans(), label="strict"),
+    )
+    first = RoundEngine(config, NoneAdversary()).nodes[0]
+    last = first.phase1_len + 1 + 3 * first.gap
+    crashers = data.draw(
+        st.lists(st.integers(min_value=1, max_value=n), max_size=n - 1, unique=True),
+        label="crashers",
+    )
+    events = []
+    for node in crashers:
+        rnd = data.draw(st.integers(min_value=1, max_value=last), label="round")
+        delivered = data.draw(
+            st.sets(st.integers(min_value=1, max_value=n)), label="delivered"
+        )
+        events.append(CrashEvent(rnd, node, tuple(sorted(delivered - {node}))))
+    plan = CrashPlan(tuple(events))
+    assert_same_ending(config, ScriptedAdversary(plan), ScriptedAdversary(plan))

@@ -285,6 +285,9 @@ class TestReplay:
              "divergence: first divergence at round 3"),
             (lambda ls: [*ls[:2], *ls[3:]], 1,
              "divergence: trace length differs: 6 recorded vs 7 replayed"),
+            (lambda ls: [*ls[:3], "", *ls[3:]], 2, "error: line 4: not valid JSON ("),
+            (lambda ls: [*ls[:3], "  ", *ls[3:]], 2, "error: line 4: not valid JSON ("),
+            (lambda ls: [*ls, ""], 2, "error: line 7: malformed round record"),
         ],
     )
     def test_edited_golden_trace_replays_to_one_line(
