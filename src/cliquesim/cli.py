@@ -60,8 +60,12 @@ def random_graphic_degrees(n: int, rng: random.Random) -> tuple[int, ...]:
 
 
 def _parse_degree_list(text: str) -> tuple[int, ...]:
-    parts = text.replace(",", " ").split()
-    return tuple(int(p) for p in parts)
+    """Degrees separated by commas, whitespace or both; each comma needs a
+    degree on either side."""
+    fields = text.split(",")
+    if len(fields) > 1 and not all(f.strip() for f in fields):
+        raise ValueError("empty field in degree list: a comma needs a degree each side")
+    return tuple(int(p) for p in " ".join(fields).split())
 
 
 def _resolve_degrees(args, seed: int) -> tuple[int, ...]:

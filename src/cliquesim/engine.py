@@ -23,8 +23,9 @@ counts. Later, in a round with no mail in which no receiver gets two
 messages, one `ProtocolNode.hear` call per group send applies it to its
 group's live list, which a crash edits in place. Any other round, and a
 phase-1 round in which an inbox would overflow or the tally refuses a
-group send, copies every send per recipient. `outboxes`, the round log
-and the message counts do not depend on the path.
+group send, copies every send per recipient. Both paths learn of a node's
+exit from what `hear` returns, passed on by `receive` for mail. `outboxes`,
+the round log and the message counts do not depend on the path.
 
 Every run keeps one raw `RoundLog` per round, the run's one record of its
 sends, crashes and transitions; a round's crashes are logged before its
@@ -378,10 +379,7 @@ class RoundEngine:
             if in_phase1:
                 self.tally.add_mail(j, inbox)
                 continue
-            node = self.nodes[j - 1]
-            state = node.state
-            node.receive(rnd, inbox)
-            if node.state is not state:
+            for node in self.nodes[j - 1].receive(rnd, inbox):
                 moved[node.index] = node.state._value_
 
         # Only `emit` makes a node active, and an active node is due every

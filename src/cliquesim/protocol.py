@@ -41,13 +41,20 @@ which applies one message to a list of listeners: the message is decoded
 once and each listener is updated inline. The engine hands it a group send
 with the live members of its group; `receive` hands it each message of one
 node's per-recipient mail, entries in sender order and then any termination
-signal.
+signal. Both return the listeners the message or mail made exit, which is
+how the engine learns of an exit on either path; `receive`'s is at most the
+node.
+An entry heard once is listed, a smite as an entry whose degree is None;
+an entry heard twice is accepted and settles every lower one. Every entry
+leaves a node's list one way, `_resolve`: its own entry after its last
+copy, lower entries after a copy heard twice in the list's own order, and
+leftovers at exit in index order, each known degree accepted into the view.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .groups import GroupLayout
 
@@ -321,7 +328,8 @@ class ProtocolNode:
     def _emit_active(self, rnd: int) -> tuple[object, list[int]] | None:
         if self.current_subject is None:
             if not self.flist:
-                self._enter_exit(rnd, broadcast=True)
+                self._enter_exit(rnd)
+                self._schedule_allokay()
                 return None
             self.current_subject = min(self.flist)
             self.sends_done = 0
@@ -332,20 +340,16 @@ class ProtocolNode:
         recipients = self._group_peers[self.sends_done % self.layout.group_count]
         self.sends_done += 1
         if self.sends_done == self.copies_per_entry:
-            self._resolve_own(subject, degree)
+            self._resolve((subject,))
             self.current_subject = None
         return (msg, recipients) if recipients else None
 
-    def _enter_exit(self, rnd: int, broadcast: bool) -> None:
-        """Fold leftovers into the view and stop. Only a node that finished
-        its own list broadcasts the termination signal; recipients just
-        fold in and terminate silently."""
-        self._fold_in()
+    def _enter_exit(self, rnd: int) -> None:
+        """Fold leftovers into the view, in index order, and stop."""
+        self._resolve(sorted(self.flist))
         self.state = NodeState.EXIT
         self.exit_round = rnd
         self.next_emit = None
-        if broadcast:
-            self._schedule_allokay()
 
     def _schedule_allokay(self) -> None:
         self.allokay_broadcast = True
@@ -356,15 +360,17 @@ class ProtocolNode:
 
     # -- receiving --------------------------------------------------------
 
-    def receive(self, rnd: int, inbox: list) -> None:
+    def receive(self, rnd: int, inbox: list) -> list[ProtocolNode]:
         """Apply this node's mail of round `rnd`, after phase 1: each message
-        goes through `hear`."""
+        goes through `hear`. Return the listeners it made exit: this node,
+        or none."""
         if len(inbox) > 1:
             # Entries in sender order, then the termination signal.
             inbox = sorted(inbox, key=lambda m: (isinstance(m, AllOkay), m.sender))
-        me = [self]
+        me, stopped = [self], []
         for msg in inbox:
-            self.hear(rnd, msg, me)
+            stopped += self.hear(rnd, msg, me)
+        return stopped
 
     @staticmethod
     def hear(rnd: int, msg, listeners: list[ProtocolNode]) -> list[ProtocolNode]:
@@ -380,7 +386,7 @@ class ProtocolNode:
         if isinstance(msg, AllOkay):
             stopped = [node for node in listeners if node.state is not NodeState.EXIT]
             for node in stopped:
-                node._enter_exit(rnd, broadcast=False)
+                node._enter_exit(rnd)
             return stopped
         if not isinstance(msg, FaultEntry):
             sender = getattr(msg, "sender", None)
@@ -416,29 +422,20 @@ class ProtocolNode:
                         f"node {i} got a smite rebroadcast for {s} whose degree "
                         f"is already accepted"
                     )
-                if count == 1:
-                    if MUTATE_NO_HEARD_ONCE_UPDATE not in node.mutations:
-                        flist[s] = None
-                else:
-                    flist.pop(s, None)
-                    node._fold_below(s)
-                continue
-            if degree is None:
+            elif degree is None:
                 raise ProtocolViolation(
                     f"node {i} got a faulty rebroadcast for {s} without a degree"
                 )
-            if count == 1 and s not in view:
-                # Most updates repeat the entry already held: skip them.
-                if (
-                    flist.get(s) != degree
-                    and MUTATE_NO_HEARD_ONCE_UPDATE not in node.mutations
-                ):
+            # A smite is an entry whose degree is None.
+            if count == 1 and s not in view:  # heard once: list it
+                if MUTATE_NO_HEARD_ONCE_UPDATE not in node.mutations:
                     flist[s] = degree
-            else:
-                node._insert_view(s, degree)
-                if count == 2:
-                    flist.pop(s, None)
-                    node._fold_below(s)
+            else:  # heard twice, or accepted already: accept it
+                flist[s] = degree
+                node._resolve((s,))
+                if count == 2:  # a completed rebroadcast settled every lower entry
+                    below = [k for k in flist if k < s]
+                    node._resolve(below, MUTATE_BELOW_FOLD_DISCARDS in node.mutations)
         return []
 
     def end_phase1(self, view: dict[int, int], flist: dict[int, int | None]) -> None:
@@ -449,25 +446,14 @@ class ProtocolNode:
         # index i is due one gap later per step when nothing is ever heard.
         self.next_emit = self.phase1_len + 1 + self.gap * (self.index - 1)
 
-    def _fold_below(self, subject: int) -> None:
-        """A completed rebroadcast for `subject` implies every lower-index
-        classification was already settled network-wide: fold them in."""
-        discard = MUTATE_BELOW_FOLD_DISCARDS in self.mutations
-        for p in [k for k in self.flist if k < subject]:
-            degree = self.flist.pop(p)
+    def _resolve(self, subjects: Iterable[int], discard: bool = False) -> None:
+        """Take `subjects` off the list in the given order, accepting each
+        known degree into the view unless told to discard."""
+        flist = self.flist
+        for s in subjects:
+            degree = flist.pop(s, None)
             if degree is not None and not discard:
-                self._insert_view(p, degree)
-
-    def _resolve_own(self, subject: int, degree: int | None) -> None:
-        self.flist.pop(subject, None)
-        if degree is not None:
-            self._insert_view(subject, degree)
-
-    def _fold_in(self) -> None:
-        for subject, degree in sorted(self.flist.items()):
-            if degree is not None:
-                self._insert_view(subject, degree)
-        self.flist.clear()
+                self._insert_view(s, degree)
 
     def _insert_view(self, subject: int, degree: int) -> None:
         prior = self.view.get(subject)

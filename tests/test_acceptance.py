@@ -29,6 +29,7 @@ from cliquesim.protocol import (
 )
 from cliquesim.trace import read_trace, replay_trace, write_trace
 from oracles import brute_force_realizable
+from test_engine_grid import assert_golden, enum_line
 
 pytestmark = pytest.mark.slow
 
@@ -144,6 +145,11 @@ def test_criterion_01_agreement_oracle(enum_reports):
         if rep.violations:
             details.append(f"first: {rep.first_counterexample()}")
     report("criterion 1 (agreement oracle)", ok, "; ".join(details))
+
+
+def test_enumeration_report_matches_golden_digest(enum_reports):
+    """The cc n=4, f<=3 report, pinned in the engine grid's data file."""
+    assert_golden([enum_line(enum_reports[("cc", 4, 3)])])
 
 
 def test_criterion_02_validity(enum_reports, scaling_runs):

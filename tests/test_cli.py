@@ -45,6 +45,14 @@ class TestRealize:
         assert main(["realize", "1,1"]) == 0
         assert capsys.readouterr().out.strip() == "1 2"
 
+    @pytest.mark.parametrize(
+        "degrees",
+        [["1,2,1"], ["1 2 1"], ["1, 2, 1"], ["1,2,1\n"], ["1", "2", "1"], ["1,", "2,1"]],
+    )
+    def test_degree_list_forms(self, degrees, capsys):
+        assert main(["realize", *degrees]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1 2", "2 3"]
+
 
 class TestSimulate:
     def test_fault_free_summary(self, capsys):
@@ -333,9 +341,12 @@ class TestSweep:
 
     def test_bad_degree_options_status_two(self, tmp_path, capsys):
         argv = ["sweep", "--n", "4", "--f", "0", "--adversary", "none"]
+        empty_field = tmp_path / "degrees.txt"
+        empty_field.write_text("1,,1\n")
         for extra, expected in [
             (["--degrees", "1,1,1"], "degree list has 3 entries for n=4"),
             (["--degree-file", str(tmp_path / "missing")], "No such file"),
+            (["--degree-file", str(empty_field)], "empty field in degree list"),
         ]:
             assert main(argv + extra) == 2
             captured = capsys.readouterr()
@@ -469,6 +480,10 @@ SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
             ["simulate", "--n", "3", "--degrees", "1,-1,0"],
             "degrees must be non-negative",
         ),
+        (["simulate", "--n", "2", "--degrees", "1,,1"], "empty field in degree list"),
+        (["simulate", "--n", "2", "--degrees", ",1,1"], "empty field in degree list"),
+        (["simulate", "--n", "2", "--degrees", "1,1, "], "empty field in degree list"),
+        (["realize", "1,,1"], "empty field in degree list"),
     ],
 )
 def test_bad_option_value_status_two(argv, expected, capsys):

@@ -2,7 +2,10 @@
 (both models, small and odd clique sizes, seeded random crashes and the
 worst-case adversary) and the exhaustive n=3 verification, with and without
 each rule mutation, must hash to the digests in
-`tests/data/golden_engine_grid.sha256`.
+`tests/data/golden_engine_grid.sha256`. So must the exhaustive
+verification at n=4 in both models, where both mutations are caught, and
+the acceptance suite's cc n=4, f<=3 enumeration, checked there from its
+own run.
 
 Each run's digest covers the trace rounds, every node outcome, the crash
 log, the metrics and `check_execution`'s issues, so a change to how the
@@ -28,7 +31,7 @@ from pathlib import Path
 
 from cliquesim.adversary import RandomAdversary, WorstCaseAdversary
 from cliquesim.engine import SimConfig, run_simulation
-from cliquesim.harness import check_execution, verify_exhaustive
+from cliquesim.harness import VerifyReport, check_execution, verify_exhaustive
 from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE
 from cliquesim.trace import round_records
 
@@ -36,6 +39,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_engine_grid.sha256"
 SIZES = (1, 2, 3, 5, 9, 17, 40)
 LARGE_SIZES = (64, 128)
 RANDOM_SEEDS = range(25)
+MUTATIONS = (None, MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE)
 
 
 def _digest(payload) -> str:
@@ -75,9 +79,7 @@ def grid_cases(models=("cc", "ncc"), sizes=SIZES):
             yield f"{model} n={n} worst f={n // 2}", config, WorstCaseAdversary(n // 2)
 
 
-def verify_digest(mutations: frozenset[str]) -> str:
-    config = SimConfig(n=3, degrees=(1, 1, 2), mutations=mutations)
-    report = verify_exhaustive(config, f=2, horizon=14, workers=1)
+def report_digest(report: VerifyReport) -> str:
     return _digest(
         {
             "plans": report.plans_total,
@@ -88,6 +90,28 @@ def verify_digest(mutations: frozenset[str]) -> str:
             "first": report.first_counterexample(),
         }
     )
+
+
+def verify_digest(config: SimConfig) -> str:
+    return report_digest(verify_exhaustive(config, f=2, horizon=14, workers=1))
+
+
+def verify_cases():
+    """(label, config) of each exhaustive verification pinned at f=2, with
+    and without each rule mutation: cc at n=3, cc and ncc at n=4."""
+    bases = [("verify", SimConfig(n=3, degrees=(1, 1, 2)))]
+    for model in ("cc", "ncc"):
+        bases.append((f"verify {model}", SimConfig(n=4, degrees=(1, 2, 2, 1), model=model)))
+    for prefix, base in bases:
+        for mutation in MUTATIONS:
+            mutations = frozenset({mutation}) if mutation else frozenset()
+            config = dataclasses.replace(base, mutations=mutations)
+            yield f"{prefix} n={base.n} f=2 mutation={mutation}", config
+
+
+def enum_line(report: VerifyReport) -> str:
+    """The golden line of the cc n=4, f<=3 enumeration (degrees 1,2,2,1)."""
+    return f"{report_digest(report)}  verify cc n=4 f=3 mutation=None"
 
 
 def digest_lines(cases) -> list[str]:
@@ -102,12 +126,8 @@ def large_lines(model: str) -> list[str]:
     return digest_lines(grid_cases(models=(model,), sizes=LARGE_SIZES))
 
 
-def verify_lines() -> list[str]:
-    lines = []
-    for mutation in (None, MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE):
-        mutations = frozenset({mutation}) if mutation else frozenset()
-        lines.append(f"{verify_digest(mutations)}  verify n=3 f=2 mutation={mutation}")
-    return lines
+def verify_lines(n: int) -> list[str]:
+    return [f"{verify_digest(c)}  {label}" for label, c in verify_cases() if c.n == n]
 
 
 def _by_label(lines: list[str]) -> dict[str, str]:
@@ -137,9 +157,17 @@ def test_large_ncc_runs_match_golden_digests():
 def test_exhaustive_n3_matches_golden_digests():
     """At n=3 neither mutation is caught, so the three reports agree; the
     digests still pin every count and the (empty) violation lists."""
-    assert_golden(verify_lines())
+    assert_golden(verify_lines(3))
+
+
+def test_exhaustive_n4_matches_golden_digests():
+    """At n=4 both mutations are caught, so the violations and first
+    counterexamples of both models are pinned too."""
+    assert_golden(verify_lines(4))
 
 
 if __name__ == "__main__":
-    lines = grid_lines() + verify_lines() + large_lines("cc") + large_lines("ncc")
+    enum = verify_exhaustive(SimConfig(n=4, degrees=(1, 2, 2, 1)), f=3, horizon=14, workers=2)
+    lines = grid_lines() + verify_lines(3) + verify_lines(4) + [enum_line(enum)]
+    lines += large_lines("cc") + large_lines("ncc")
     print("\n".join(lines))

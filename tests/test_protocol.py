@@ -253,6 +253,43 @@ class TestMultiMessageInbox:
         assert not node.allokay_broadcast
 
 
+class TestResolveOrder:
+    """Entries leave the list in a fixed order, which shows in the view's
+    key order: lower entries in the list's own order after a copy heard
+    twice, leftovers in index order at exit."""
+
+    def listener(self, flist):
+        # The list is out of index order, as heard-once updates leave it.
+        node = cc_node(9, 1, 9)
+        node.end_phase1({1: 1, 9: 1}, flist)
+        return node
+
+    def test_faulty_heard_twice_settles_lower_entries_in_list_order(self):
+        node = self.listener({5: 2, 3: 1, 4: None, 8: 3})
+        node.receive(10, [FaultEntry(2, 7, FAULTY, 4)])
+        node.receive(11, [FaultEntry(2, 7, FAULTY, 4)])
+        assert list(node.view) == [1, 9, 7, 5, 3]
+        assert node.flist == {8: 3}
+
+    def test_smite_heard_twice_settles_lower_entries_in_list_order(self):
+        node = self.listener({5: 2, 3: 1, 4: None, 8: 3})
+        node.receive(10, [FaultEntry(2, 7, SMITE, None)])
+        node.receive(11, [FaultEntry(2, 7, SMITE, None)])
+        assert list(node.view) == [1, 9, 5, 3]
+        assert node.flist == {8: 3}
+
+    def test_exit_folds_leftovers_in_index_order(self):
+        node = self.listener({6: 1, 2: 3, 4: None})
+        node.receive(10, [AllOkay(2)])
+        assert list(node.view) == [1, 9, 2, 6]
+        assert node.flist == {}
+
+    def test_smite_heard_once_lists_a_subject_already_off_the_list(self):
+        node = self.listener({8: 3})
+        node.receive(10, [FaultEntry(2, 5, SMITE, None)])
+        assert node.flist == {8: 3, 5: None}
+
+
 class TestExitBehavior:
     def test_allokay_folds_in_and_terminates_silently(self):
         node = make_classified_node(2, 5, heard={1: [0, 0], 3: [2, 2], 4: [5]})

@@ -8,6 +8,8 @@ send into per-recipient mailboxes instead, which phase 1 counts through
 `receive`. `NeverShare` takes that path in every round, so a run must end
 the same on both engines: the same round records, node outcomes, metrics
 and `check_execution` issues, or the same error after as many rounds.
+Under each rule mutation, runs raise; the explored runs at n=4 check that
+both paths raise the same error, from the same listener.
 
 This is a check of one fast path, not an independent reference engine: both
 sides share the stepping, the tally's `close` and forks.
@@ -19,13 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliquesim.engine
 from cliquesim.adversary import CrashEvent, CrashPlan, NoneAdversary, ScriptedAdversary
 from cliquesim.engine import RoundEngine, SimConfig, SimulationError
-from cliquesim.harness import check_execution
+from cliquesim.harness import check_execution, verify_exhaustive
 from cliquesim.protocol import ProtocolViolation
 from cliquesim.trace import round_records
 
-from test_engine_grid import LARGE_SIZES, SIZES, grid_cases
+from test_engine_grid import LARGE_SIZES, SIZES, grid_cases, verify_cases
 
 
 class NeverShare(RoundEngine):
@@ -101,3 +104,18 @@ def test_drawn_crash_plans_end_as_without_sharing(model, max_n, data):
         events.append(CrashEvent(rnd, node, tuple(sorted(delivered - {node}))))
     plan = CrashPlan(tuple(events))
     assert_same_ending(config, ScriptedAdversary(plan), ScriptedAdversary(plan))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "config",
+    [c for _, c in verify_cases() if c.n == 4],
+    ids=lambda c: "-".join([c.model, *c.mutations]),
+)
+def test_explored_runs_end_as_without_sharing(config, monkeypatch):
+    """Every run of the exhaustive verification at n=4, f<=2: `run_simulation`
+    builds the root run from the engine module's `RoundEngine`, and forks
+    keep its type."""
+    expected = repr(verify_exhaustive(config, f=2, horizon=14))
+    monkeypatch.setattr(cliquesim.engine, "RoundEngine", NeverShare)
+    assert repr(verify_exhaustive(config, f=2, horizon=14)) == expected
