@@ -90,6 +90,17 @@ def _sim_config(args, degrees: tuple[int, ...], seed: int) -> SimConfig:
     )
 
 
+def _probability(text: str) -> float:
+    """The value of a `--crash-prob` option: a number in [0, 1]."""
+    try:
+        p = float(text)
+    except ValueError:
+        p = float("nan")
+    if not 0 <= p <= 1:
+        raise argparse.ArgumentTypeError(f"crash probability {text} not in [0, 1]")
+    return p
+
+
 def _build_adversary(name: str, f: int, seed: int, args) -> tuple[object, str]:
     """Return the adversary and the description a trace header records."""
     if name == "none":
@@ -125,7 +136,10 @@ def cmd_realize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.plan_file is not None and args.adversary != "scripted":
+        raise ConfigError("--plan-file is read only by --adversary scripted")
     config = _sim_config(args, _resolve_degrees(args, args.seed), args.seed)
+    config.check_budget(args.f)  # a scripted run ignores --f, which must still be valid
     adversary, desc = _build_adversary(args.adversary, args.f, args.seed, args)
     result = run_simulation(config, adversary)
     if args.trace is not None:
@@ -358,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     p.add_argument("--f", type=int, default=0, help="fault budget")
-    p.add_argument("--crash-prob", type=float, default=0.05)
+    p.add_argument("--crash-prob", type=_probability, default=0.05)
     p.add_argument("--plan-file", help="crash plan for --adversary scripted")
     p.add_argument("--trace", help="write the execution trace to this file")
     p.add_argument("--out", help="write the summary here instead of stdout")
@@ -377,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seeds", type=int, default=1, help="seeds per point for random runs"
     )
-    p.add_argument("--crash-prob", type=float, default=0.05)
+    p.add_argument("--crash-prob", type=_probability, default=0.05)
     p.add_argument("--out", help="CSV report path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

@@ -19,10 +19,10 @@ send, kept once for its group; other mail (a crasher's partial delivery, a
 narrower send) goes to per-recipient mailboxes. In phase 1 the tally gets
 each group send once, then each live receiver's mailbox in receiver order,
 and the last phase-1 round closes it; the engine does not know how phase 1
-counts. Later, in a round with no mail in which no receiver gets two
-messages, one `ProtocolNode.hear` call per group send applies it to its
-group's live list, which a crash edits in place. Any other round, and a
-phase-1 round in which an inbox would overflow or the tally refuses a
+counts. Later one active node sends at a time, so a round with one group
+send and no mail applies it with one `ProtocolNode.hear` call to its
+group's live list, which a crash edits in place. Any other later round, and
+a phase-1 round in which an ncc inbox would overflow or the tally refuses a
 group send, copies every send per recipient. Both paths learn of a node's
 exit from what `hear` returns, passed on by `receive` for mail. `outboxes`,
 the round log and the message counts do not depend on the path.
@@ -91,7 +91,7 @@ class RoundLimitExceeded(SimulationError):
 
 
 class CapacityViolation(SimulationError):
-    """Strict mode: a message was dropped or a send budget was exceeded."""
+    """Strict mode: a node's inbox overflowed and a message was dropped."""
 
 
 @dataclass(frozen=True)
@@ -355,8 +355,6 @@ class RoundEngine:
                 for j in decisions.get(sender, recipients):
                     mailboxes.setdefault(j, []).append(msg)
         if not in_phase1:
-            if len(sends) > 1:  # in receiver order: groups are index blocks
-                sends.sort(key=lambda send: (send[1], -send[0].index))
             for _, group, msg in sends:
                 for node in ProtocolNode.hear(rnd, msg, self._group_live[group - 1]):
                     moved[node.index] = node.state._value_
@@ -394,12 +392,15 @@ class RoundEngine:
             self._unsettled.difference_update(settled)
 
     def _share(self, sends, mailboxes, in_phase1: bool) -> bool:
-        """Whether the round's group sends stay shared: in phase 1 while no
-        inbox overflows and the tally counts them, later while there is no
-        mail and no receiver gets two messages. A live node's inbox is the
-        group sends naming its group, but its own, and its mail."""
-        if self.capacity is None and (in_phase1 or len(sends) == 1):  # cc: no limit
-            return self.tally.add(sends) if in_phase1 else not mailboxes
+        """Whether the round's group sends stay shared: later only a lone
+        group send with no mail, which each live member of its group gets
+        once; in phase 1 while the tally counts them and, in ncc, no inbox
+        overflows. A live node's inbox is the group sends naming its group,
+        but its own, and its mail."""
+        if not in_phase1:
+            return len(sends) == 1 and not mailboxes
+        if self.capacity is None:  # cc: no limit
+            return self.tally.add(sends)
         named = Counter(group for _, group, _ in sends)
         own = {node.index for node, group, _ in sends if node._group == group}
         largest = 0
@@ -411,12 +412,9 @@ class RoundEngine:
             members = self._group_live[group - 1] if k > largest else None
             if members:
                 largest = max(largest, k - all(node.index in own for node in members))
-        if self.capacity is not None:
-            metrics = self.metrics
-            metrics.max_recv_per_round = max(metrics.max_recv_per_round, largest)
-        if in_phase1:
-            return largest <= self.capacity and self.tally.add(sends)
-        return not mailboxes and largest <= 1
+        metrics = self.metrics
+        metrics.max_recv_per_round = max(metrics.max_recv_per_round, largest)
+        return largest <= self.capacity and self.tally.add(sends)
 
     def _crash_decisions(self, rnd: int) -> dict[int, tuple[int, ...]]:
         """Each crasher, in node order, to the recipients it still reaches.

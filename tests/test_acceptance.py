@@ -29,7 +29,7 @@ from cliquesim.protocol import (
 )
 from cliquesim.trace import read_trace, replay_trace, write_trace
 from oracles import brute_force_realizable
-from test_engine_grid import assert_golden, enum_line
+from test_engine_grid import PINNED_ENUMS, assert_golden, enum_line
 
 pytestmark = pytest.mark.slow
 
@@ -63,15 +63,11 @@ def enum_reports():
     (f<=3), all crash rounds up to the horizon, all delivery subsets; and,
     explored to termination (the horizon is the engine's round cap), cc
     n=5 (f<=2), ncc n=4 (f<=2) and ncc n=6 (f<=1). The ncc runs are strict,
-    so a dropped message is a violation: capacity is judged exhaustively."""
+    so a dropped message is a violation: capacity is judged exhaustively.
+    All but n=3 are the engine grid's `PINNED_ENUMS`."""
     reports = {}
-    for model, n, f, degrees, horizon in (
-        ("cc", 3, 2, (1, 1, 2), ENUM_HORIZON),
-        ("cc", 4, 3, (1, 2, 2, 1), ENUM_HORIZON),
-        ("cc", 5, 2, (1, 2, 2, 1, 2), 90),
-        ("ncc", 4, 2, (1, 2, 2, 1), 160),
-        ("ncc", 6, 1, (1, 2, 2, 1, 2, 2), 180),
-    ):
+    cases = [("cc", 3, 2, (1, 1, 2), ENUM_HORIZON), *PINNED_ENUMS.values()]
+    for model, n, f, degrees, horizon in cases:
         config = SimConfig(n=n, degrees=degrees, model=model, strict=model == "ncc")
         reports[(model, n, f)] = verify_exhaustive(
             config, f=f, horizon=horizon, workers=WORKERS
@@ -148,8 +144,11 @@ def test_criterion_01_agreement_oracle(enum_reports):
 
 
 def test_enumeration_report_matches_golden_digest(enum_reports):
-    """The cc n=4, f<=3 report, pinned in the engine grid's data file."""
-    assert_golden([enum_line(enum_reports[("cc", 4, 3)])])
+    """The cc n=4, f<=3 report and the three explored to termination,
+    pinned in the engine grid's data file."""
+    assert_golden(
+        [enum_line(enum_reports[case[:3]], label) for label, case in PINNED_ENUMS.items()]
+    )
 
 
 def test_criterion_02_validity(enum_reports, scaling_runs):

@@ -441,6 +441,10 @@ class TestVerify:
 SIMULATE_N4 = ["simulate", "--n", "4", "--degrees", "1,1,1,1"]
 VERIFY_N4 = ["verify", "--n", "4", "--degrees", "1,2,2,1"]
 SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
+SIMULATE_N3 = ["simulate", "--n", "3", "--degrees", "1,1,2"]
+SWEEP_N3 = ["sweep", "--n", "3", "--degrees", "1,1,2"]
+PLAN = "<plan file>"  # stands for a valid one-crash plan file
+SCRIPTED_N3 = SIMULATE_N3 + ["--adversary", "scripted", "--plan-file", PLAN]
 
 
 @pytest.mark.parametrize(
@@ -484,9 +488,20 @@ SWEEP_N4 = ["sweep", "--n", "4", "--f", "1", "--adversary", "random"]
         (["simulate", "--n", "2", "--degrees", ",1,1"], "empty field in degree list"),
         (["simulate", "--n", "2", "--degrees", "1,1, "], "empty field in degree list"),
         (["realize", "1,,1"], "empty field in degree list"),
+        # Checked whether or not the adversary reads the option.
+        (SCRIPTED_N3 + ["--f", "7"], "fault budget 7"),
+        (SCRIPTED_N3 + ["--f", "-1"], "fault budget -1"),
+        (SIMULATE_N3 + ["--crash-prob", "5"], "probability"),
+        (SWEEP_N3 + ["--adversary", "worst", "--crash-prob", "7"], "probability"),
+        (SIMULATE_N3 + ["--plan-file", PLAN], "--plan-file"),
+        (SIMULATE_N3 + ["--adversary", "random", "--plan-file", PLAN], "--plan-file"),
+        (SIMULATE_N3 + ["--adversary", "worst", "--plan-file", PLAN], "--plan-file"),
     ],
 )
-def test_bad_option_value_status_two(argv, expected, capsys):
+def test_bad_option_value_status_two(argv, expected, capsys, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1 2 -\n")
+    argv = [str(plan) if arg == PLAN else arg for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -808,9 +808,9 @@ class TestInvariantChecks:
         self, monkeypatch
     ):
         """In round 7 of ncc n=9 (groups 1-4, 5-8 and 9) node 1 announces a
-        degree to group 2 and node 9 to group 1. No node gets two messages,
-        and node 1 reads node 9's announcement before nodes 5-8 read node
-        1's."""
+        degree to group 2 and node 9 to group 1. A later round with two
+        group sends goes per recipient, so node 1 reads node 9's
+        announcement before nodes 5-8 read node 1's."""
 
         class LateAnnouncers(ProtocolNode):
             def end_phase1(self, view, flist):

@@ -4,8 +4,8 @@ worst-case adversary) and the exhaustive n=3 verification, with and without
 each rule mutation, must hash to the digests in
 `tests/data/golden_engine_grid.sha256`. So must the exhaustive
 verification at n=4 in both models, where both mutations are caught, and
-the acceptance suite's cc n=4, f<=3 enumeration, checked there from its
-own run.
+the acceptance suite's enumerations in `PINNED_ENUMS`, checked there from
+its own runs.
 
 Each run's digest covers the trace rounds, every node outcome, the crash
 log, the metrics and `check_execution`'s issues, so a change to how the
@@ -109,9 +109,21 @@ def verify_cases():
             yield f"{prefix} n={base.n} f=2 mutation={mutation}", config
 
 
-def enum_line(report: VerifyReport) -> str:
-    """The golden line of the cc n=4, f<=3 enumeration (degrees 1,2,2,1)."""
-    return f"{report_digest(report)}  verify cc n=4 f=3 mutation=None"
+# The acceptance suite's enumerations pinned here, by label: (model, n, f,
+# degrees, horizon). Crashes at cc n=4 stop at round 14; the others are
+# explored to termination (the horizon is the engine's round cap). The ncc
+# runs are strict.
+PINNED_ENUMS = {
+    "verify cc n=4 f=3 mutation=None": ("cc", 4, 3, (1, 2, 2, 1), 14),
+    "verify cc n=5 f=2 horizon=90": ("cc", 5, 2, (1, 2, 2, 1, 2), 90),
+    "verify ncc strict n=4 f=2 horizon=160": ("ncc", 4, 2, (1, 2, 2, 1), 160),
+    "verify ncc strict n=6 f=1 horizon=180": ("ncc", 6, 1, (1, 2, 2, 1, 2, 2), 180),
+}
+
+
+def enum_line(report: VerifyReport, label: str) -> str:
+    """The golden line of one of `PINNED_ENUMS`."""
+    return f"{report_digest(report)}  {label}"
 
 
 def digest_lines(cases) -> list[str]:
@@ -167,7 +179,10 @@ def test_exhaustive_n4_matches_golden_digests():
 
 
 if __name__ == "__main__":
-    enum = verify_exhaustive(SimConfig(n=4, degrees=(1, 2, 2, 1)), f=3, horizon=14, workers=2)
-    lines = grid_lines() + verify_lines(3) + verify_lines(4) + [enum_line(enum)]
+    lines = grid_lines() + verify_lines(3) + verify_lines(4)
+    for label, (model, n, f, degrees, horizon) in PINNED_ENUMS.items():
+        config = SimConfig(n=n, degrees=degrees, model=model, strict=model == "ncc")
+        enum = verify_exhaustive(config, f=f, horizon=horizon, workers=2)
+        lines.append(enum_line(enum, label))
     lines += large_lines("cc") + large_lines("ncc")
     print("\n".join(lines))

@@ -13,9 +13,18 @@ both paths raise the same error, from the same listener.
 
 This is a check of one fast path, not an independent reference engine: both
 sides share the stepping, the tally's `close` and forks.
+
+Two more checks keep the fast path honest. A `_share` that refuses more
+than it should changes no result, so the grid's small sizes and the
+explored runs at n=4 must share every round they make: after phase 1 a
+round carries one group send, and a rule that needs more (a relay, say)
+shows here first. And ncc's `max_send_per_round` and `max_recv_per_round`,
+which the shared path records only in phase 1, are recounted from each
+grid run's round log.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -119,3 +128,73 @@ def test_explored_runs_end_as_without_sharing(config, monkeypatch):
     expected = repr(verify_exhaustive(config, f=2, horizon=14))
     monkeypatch.setattr(cliquesim.engine, "RoundEngine", NeverShare)
     assert repr(verify_exhaustive(config, f=2, horizon=14)) == expected
+
+
+def counting_engine():
+    """A `RoundEngine` subclass and the (phase, shared) counts of its
+    `_share` calls over every run it makes, forks included."""
+    counts = Counter()
+
+    class CountingShare(RoundEngine):
+        def _share(self, sends, mailboxes, in_phase1):
+            shared = super()._share(sends, mailboxes, in_phase1)
+            counts["phase 1" if in_phase1 else "later", shared] += 1
+            return shared
+
+    return CountingShare, counts
+
+
+def assert_every_round_shared(counts) -> None:
+    refused = {phase: k for (phase, shared), k in counts.items() if not shared}
+    assert not refused, f"refused rounds: {refused}"
+    assert counts["later", True] > 0
+
+
+def test_small_grid_runs_share_every_round():
+    engine_class, counts = counting_engine()
+    for _, config, adversary in grid_cases(sizes=SIZES):
+        engine_class(config, adversary).run()
+    assert_every_round_shared(counts)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "config",
+    [c for _, c in verify_cases() if c.n == 4],
+    ids=lambda c: "-".join([c.model, *c.mutations]),
+)
+def test_explored_runs_share_every_round(config, monkeypatch):
+    engine_class, counts = counting_engine()
+    monkeypatch.setattr(cliquesim.engine, "RoundEngine", engine_class)
+    verify_exhaustive(config, f=2, horizon=14)
+    assert_every_round_shared(counts)
+
+
+def recounted_maxima(result) -> tuple[int, int]:
+    """The widest send, and the most copies delivered in one round to a node
+    that had not crashed by that round, read off the round log; a crasher
+    delivers only its crash's set."""
+    widest = most = 0
+    crashed = set()
+    for log in result.round_log:
+        delivered = dict(log.crashes)
+        crashed.update(delivered)
+        copies = Counter()
+        for sender, (_, recipients) in log.sends.items():
+            widest = max(widest, len(recipients))
+            copies.update(delivered.get(sender, recipients))
+        most = max([most, *(k for j, k in copies.items() if j not in crashed)])
+    return widest, most
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [SIZES, pytest.param(LARGE_SIZES, marks=pytest.mark.slow)],
+    ids=["small", "large"],
+)
+def test_ncc_send_and_receive_maxima_match_the_round_log(sizes):
+    for label, config, adversary in grid_cases(models=("ncc",), sizes=sizes):
+        result = RoundEngine(config, adversary).run()
+        metrics = result.metrics
+        recorded = (metrics.max_send_per_round, metrics.max_recv_per_round)
+        assert recounted_maxima(result) == recorded, label
