@@ -62,7 +62,10 @@ class DegreeSequence:
 
 @dataclass(frozen=True)
 class RealizedGraph:
-    """Simple labeled graph: node ids plus a set of unordered id pairs."""
+    """Simple labeled graph: node ids plus a set of unordered id pairs.
+    `edges` may be given as any collection of pairs; they are checked in
+    the order given, which for a builder's list is cheaper than a set's
+    hash order, and then frozen."""
 
     node_ids: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
@@ -76,6 +79,8 @@ class RealizedGraph:
                 raise ValueError(f"edge ({u}, {v}) must be stored as (min, max)")
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
+        if not isinstance(self.edges, frozenset):
+            object.__setattr__(self, "edges", frozenset(self.edges))
 
     def degree_of(self, node_id: int) -> int:
         return sum(1 for e in self.edges if node_id in e)
@@ -154,7 +159,7 @@ def havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
                 return RealizationOutcome.unrealizable()
             residual[k] = (neg_dk + 1, w)
             edges.append((v, w) if v < w else (w, v))
-    graph = RealizedGraph(node_ids=seq.node_ids, edges=frozenset(edges))
+    graph = RealizedGraph(node_ids=seq.node_ids, edges=edges)
     return RealizationOutcome(graph=graph)
 
 

@@ -44,6 +44,7 @@ silent divergence.
 
 from __future__ import annotations
 
+import marshal
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, NamedTuple, Optional
@@ -255,6 +256,38 @@ class RoundEngine:
         if self.round <= self._phase1_len:
             twin.tally = self.tally.fork()
         return twin
+
+    def key(self) -> bytes:
+        """This run at its adversary call as compact bytes: two runs of one
+        config and budget with the same key step on alike, under the same
+        crashes, but for their message counts, which the key leaves out.
+
+        It holds the round, the crashed set, the waiting round's sends,
+        moves and due nodes, each node's `ProtocolNode.key`, the tally while
+        phase 1 is open and its `heard_twice` after, and the unsettled set.
+        Left out: what the config and budget fix (layout, capacity, round
+        cap, phase-1 length), the live lists (the crashed set fixes them),
+        the adversary, and the metrics and round log, which no later round
+        reads. Crash rounds are left out too: a check reads only who
+        crashed. Marshal format 2 writes no back-references, so equal
+        values give equal bytes."""
+        crashed = self.crashed_round
+        tally = self.tally
+        if self.round <= self._phase1_len:
+            phase1 = tally.count, tally.degree, tally.mail
+        else:
+            phase1 = tally.heard_twice
+        state = (
+            self.round,
+            sorted(crashed),
+            [(sender, tuple(msg), to) for sender, (msg, to) in self.outboxes.items()],
+            self._moved,
+            [node.index for node in self._due],
+            [node.key(node.index in crashed) for node in self.nodes],
+            phase1,
+            sorted(self._unsettled),
+        )
+        return marshal.dumps(state, 2)
 
     # -- helpers ------------------------------------------------------------
 

@@ -12,27 +12,35 @@ crash round up to the horizon and a delivery mask over its n-1 peers)
 without running each plan. Many plans run the same execution: a mask only
 matters on the recipients the crasher actually had that round, and a crash
 scheduled after the run's last round never happens. So the verifier
-explores depth first over effective crash logs, each run once through
-`run_plan`: the children of a crash log are its extensions by new crashes
-in a later round the run reached, each crasher delivering to a subset of
-what it really sent that round. While a run has crashes to spend, its
-adversary keeps a fork of its engine at the adversary call of each round a
-child can branch at, after that round's sends. Each child resumes from the
-fork of its branch round with its own crashes for it, so no engine is
-built after the first and no child makes its branch round's sends again.
-Each run is weighted by the plans it stands for, counted in closed form,
-so nothing caps n, f or the horizon; a horizon at the engine's round cap
-branches every run to termination. A violation is reported as its
-effective crash log, itself a plan that reproduces the failure: stateless
-model checking in the style of Godefroid's VeriSoft (POPL 1997).
+explores depth first over effective crash logs: the children of a crash
+log are its extensions by new crashes in a later round the run reached,
+each crasher delivering to a subset of what it really sent that round.
+While a run has crashes to spend, its adversary keeps a fork of its engine
+at the adversary call of each round a child can branch at, after that
+round's sends. Each child resumes from the fork of its branch round with
+its own crashes for it, so no engine is built after the first and no child
+makes its branch round's sends again. Each log is weighted by the plans it
+stands for, counted in closed form, so nothing caps n, f or the horizon; a
+horizon at the engine's round cap branches every run to termination.
+
+Many logs also reach the same state once their crash round is stepped,
+and from one state the subtree of runs below it is the same but for its
+weight and message counts. So the search is stateful, with the
+visited-state table of SPIN (Holzmann, *The SPIN Model Checker*, 2003, ch.
+8): a child keys the state its crash round reached (`RoundEngine.key`, which
+leaves the message count out), and the first log to reach a key steps on
+through `run_plan` and stores its finished subtree, relative to its weight
+and message count; a later log with that key replays it. `runs` still
+counts every log covered. A violation is reported as its effective crash
+log, itself a plan that reproduces the failure.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import combinations, product, repeat
+from functools import lru_cache
+from itertools import combinations, product, repeat, starmap
 from math import comb
 from typing import Iterator
 
@@ -190,9 +198,11 @@ def run_plan(
 
 @dataclass
 class VerifyReport:
-    """Counts are in crash plans, except `runs`, the engine runs made. Each
-    violation is an effective crash log with its issues; `violating_plans`
-    counts the plans it stands for."""
+    """Counts are in crash plans, except `runs`, the effective crash logs
+    covered, each of which one engine run would make; the verifier steps
+    only the distinct states among them. Each violation is an effective
+    crash log with its issues; `violating_plans` counts the plans it
+    stands for."""
 
     plans_total: int
     executions_run: int  # plans covered
@@ -209,17 +219,65 @@ class VerifyReport:
     def first_counterexample(self) -> tuple[tuple, list[str]] | None:
         return min(self.violations) if self.violations else None
 
-    def merge(self, other: "VerifyReport") -> None:
-        self.executions_run += other.executions_run
-        self.violations.extend(other.violations)
-        self.max_rounds = max(self.max_rounds, other.max_rounds)
-        self.max_messages = max(self.max_messages, other.max_messages)
-        self.runs += other.runs
-        self.violating_plans += other.violating_plans
-
 
 # (crash log, crasher factor, the parent's fork at its branch round's adversary call)
 _Child = tuple[tuple[CrashEvent, ...], int, RoundEngine]
+
+_NO_RUN = float("-inf")  # the maximum over no run
+
+
+@dataclass(slots=True)
+class _Subtree:
+    """What a crash log and every log that extends it add to a report:
+    plans covered and violating, logs, the largest round count and, over
+    the runs that did not raise, the largest message count and the largest
+    excess of a run's messages over its bound (`_NO_RUN` if every run
+    raised). As a memo entry it is relative to the log it was made for:
+    plans per unit of its weight, messages less its count, and violating
+    logs as suffixes of it."""
+
+    plans: int = 0
+    violating_plans: int = 0
+    runs: int = 0
+    max_rounds: int = 0
+    max_messages: float = _NO_RUN
+    excess: float = _NO_RUN
+    violations: list[tuple[tuple, list[str]]] = field(default_factory=list)
+
+    def add(self, other: _Subtree) -> None:
+        self.plans += other.plans
+        self.violating_plans += other.violating_plans
+        self.runs += other.runs
+        self.max_rounds = max(self.max_rounds, other.max_rounds)
+        self.max_messages = max(self.max_messages, other.max_messages)
+        self.excess = max(self.excess, other.excess)
+        self.violations += other.violations
+
+    def entry(self, weight: int, messages: int, cut: int) -> _Subtree:
+        """This subtree as a memo entry for a log of `cut` events and
+        `weight` that reached its state with `messages` sent."""
+        return _Subtree(
+            self.plans // weight,
+            self.violating_plans // weight,
+            self.runs,
+            self.max_rounds,
+            self.max_messages - messages,
+            self.excess - messages,
+            [(events[cut:], issues) for events, issues in self.violations],
+        )
+
+    def placed(self, weight: int, messages: int, events: tuple) -> _Subtree:
+        """This memo entry as the subtree of log `events` of `weight` that
+        reached its state with `messages` sent."""
+        return _Subtree(
+            self.plans * weight,
+            self.violating_plans * weight,
+            self.runs,
+            self.max_rounds,
+            self.max_messages + messages,
+            self.excess + messages,
+            [(events + suffix, issues) for suffix, issues in self.violations],
+        )
 
 
 class _Brancher(ScriptedAdversary):
@@ -240,51 +298,6 @@ class _Brancher(ScriptedAdversary):
 def _plan_count(nodes: int, crashes: int, options: int) -> int:
     """Plans that crash up to `crashes` of `nodes` nodes, `options` ways each."""
     return sum(comb(nodes, k) * options**k for k in range(crashes + 1))
-
-
-def _run_log(
-    config: SimConfig,
-    f: int,
-    horizon: int,
-    events: tuple[CrashEvent, ...],
-    factor: int,
-    start: RoundEngine | None,
-    report: VerifyReport,
-) -> Iterator[_Child]:
-    """Run one effective crash log, add it to `report` weighted by the
-    crash plans it stands for, and return its children.
-
-    The run resumes from `start`, its parent's fork at the adversary call
-    of the round of its last crashes, or starts from round 1. While crashes
-    are left to spend, it keeps a fork at the adversary call of each later
-    round up to the horizon: the rounds its children branch at.
-
-    `factor` is the plans per crash in `events`: a crasher whose round's
-    send went to A of its n-1 peers is reached by the 2^(n-1-|A|) delivery
-    masks that agree on A. Every node `events` leaves alive may also hold a
-    phantom crash in a round after the run's last stepped round T and up to
-    the horizon, with any mask; such a crash never takes effect.
-    """
-    n = config.n
-    spare = f - len(events)
-    first = events[-1].round + 1 if events else 1
-    adversary = _Brancher(CrashPlan(events), range(first, horizon + 1 if spare else 0))
-    engine = start.fork(adversary) if start else None
-    issues, rounds, messages, log = run_plan(config, adversary, engine)
-    # Every stepped round is logged once its crash decisions are made, so
-    # the log reaches the last round a crash can take effect in.
-    crashed = {e.node for e in events}
-    free = [v for v in range(1, n + 1) if v not in crashed]
-    phantom = max(horizon - len(log), 0) << (n - 1)
-    plans = factor * _plan_count(len(free), spare, phantom)
-    report.executions_run += plans
-    report.runs += 1
-    report.max_rounds = max(report.max_rounds, rounds)
-    report.max_messages = max(report.max_messages, messages)
-    if issues:
-        report.violations.append((events, issues))
-        report.violating_plans += plans
-    return _children(n, events, factor, free, spare, adversary.forks)
 
 
 def _children(n, events, factor, free, spare, forks) -> Iterator[_Child]:
@@ -314,19 +327,116 @@ def _children(n, events, factor, free, spare, forks) -> Iterator[_Child]:
                     yield events + crashes, weight, start
 
 
-def _explore(args) -> VerifyReport:
-    """Depth first over one crash log and every log that extends it; stop
-    after the first violating run when asked to."""
-    config, f, horizon, stop_on_first, *child = args
-    report = VerifyReport(plans_total=0, executions_run=0)
-    stack = [_run_log(config, f, horizon, *child, report)]
-    while stack and not (stop_on_first and report.violations):
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(_run_log(config, f, horizon, *child, report))
-    return report
+class _Explorer:
+    """Covers crash logs depth first for one verify call, with a memo from
+    the key of each state a child log reaches at the end of its crash
+    round to the subtree below it."""
+
+    def __init__(self, config: SimConfig, f: int, horizon: int, stop_on_first: bool):
+        self.config, self.f, self.horizon = config, f, horizon
+        self.stop_on_first = stop_on_first
+        self.memo: dict[bytes, _Subtree] = {}
+
+    def stopped(self, tree: _Subtree) -> bool:
+        return self.stop_on_first and bool(tree.violations)
+
+    def brancher(self, events: tuple[CrashEvent, ...]) -> _Brancher:
+        """The adversary of log `events`. While crashes are left to spend,
+        it keeps a fork at the adversary call of each round after the log's
+        last crashes up to the horizon: the rounds its children branch at."""
+        first = events[-1].round + 1 if events else 1
+        last = self.horizon if len(events) < self.f else 0
+        return _Brancher(CrashPlan(events), range(first, last + 1))
+
+    def run(
+        self, events: tuple[CrashEvent, ...], factor: int, engine: RoundEngine | None
+    ) -> tuple[_Subtree, Iterator[_Child]]:
+        """Run one effective crash log through `run_plan`, resuming from
+        `engine` (a fork under the log's `brancher`) or from round 1, and
+        return it as a subtree of one run, weighted by the crash plans it
+        stands for, with its children.
+
+        `factor` is the plans per crash in `events`: a crasher whose
+        round's send went to A of its n-1 peers is reached by the
+        2^(n-1-|A|) delivery masks that agree on A. Every node `events`
+        leaves alive may also hold a phantom crash in a round after the
+        run's last stepped round T and up to the horizon, with any mask;
+        such a crash never takes effect.
+        """
+        n = self.config.n
+        spare = self.f - len(events)
+        adversary = engine.adversary if engine else self.brancher(events)
+        issues, rounds, messages, log = run_plan(self.config, adversary, engine)
+        # Every stepped round is logged once its crash decisions are made, so
+        # the log reaches the last round a crash can take effect in.
+        crashed = {e.node for e in events}
+        free = [v for v in range(1, n + 1) if v not in crashed]
+        phantom = max(self.horizon - len(log), 0) << (n - 1)
+        plans = factor * _plan_count(len(free), spare, phantom)
+        tree = _Subtree(plans=plans, runs=1, max_rounds=rounds)
+        if rounds:  # a run that raised reports no rounds or messages
+            tree.max_messages = messages
+            if engine:  # the root run, made without one, is never memoized
+                bound = message_bound(n, len(events), engine.metrics.allokay_broadcasters)
+                tree.excess = messages - bound
+        if issues:
+            tree.violations.append((events, issues))
+            tree.violating_plans = plans
+        return tree, _children(n, events, factor, free, spare, adversary.forks)
+
+    def cover(self, events: tuple[CrashEvent, ...], factor: int, start: RoundEngine) -> _Subtree:
+        """Cover child log `events` and every log that extends it. Its
+        crash round is stepped from `start`, its parent's fork; a memo
+        entry for the state reached then replays the rest, else the run
+        steps on through `run_plan`, its children are covered in turn, and
+        the finished subtree becomes the state's entry.
+
+        Message counts are left out of the key, so an entry is refused
+        where this log's count would push one of its runs over the message
+        bound, and none is made for a subtree with a `messages:` issue.
+        With `stop_on_first` the search ends at the first violating run,
+        so no subtree holding one finishes and none is replayed."""
+        adversary = self.brancher(events)
+        engine = start.fork(adversary)
+        try:
+            engine.step()
+        except (ProtocolViolation, SimulationError):
+            # `run_plan` steps the crash round again and reports its error.
+            return self.explore(events, factor, start.fork(adversary))
+        key, messages = engine.key(), engine.metrics.messages_sent
+        entry = self.memo.get(key)
+        if entry is not None and messages + entry.excess <= 0:
+            return entry.placed(factor, messages, events)
+        tree = self.explore(events, factor, engine)
+        if not self.stopped(tree) and not any(
+            issue.startswith("messages:") for _, issues in tree.violations for issue in issues
+        ):
+            self.memo[key] = tree.entry(factor, messages, len(events))
+        return tree
+
+    def explore(
+        self, events: tuple[CrashEvent, ...], factor: int, engine: RoundEngine
+    ) -> _Subtree:
+        """Run one child log and cover its children, depth first; stop
+        after the first violating run when asked to."""
+        tree, children = self.run(events, factor, engine)
+        for child in children:
+            if self.stopped(tree):
+                break
+            tree.add(self.cover(*child))
+        return tree
+
+
+_worker: _Explorer | None = None  # a pool worker's explorer, with its own memo
+
+
+def _start_worker(*args) -> None:
+    global _worker
+    _worker = _Explorer(*args)
+
+
+def _cover_in_worker(child: _Child) -> _Subtree:
+    return _worker.cover(*child)
 
 
 def verify_exhaustive(
@@ -337,12 +447,13 @@ def verify_exhaustive(
     stop_on_first: bool = False,
 ) -> VerifyReport:
     """Cover every crash plan with up to `f` crashers and crash rounds up
-    to `horizon` with one engine run per distinct effective crash log.
+    to `horizon`, stepping each distinct state the effective crash logs
+    reach once.
 
     The run without crashes is made here; the subtrees of its children
-    are the tasks, spread over `workers` processes when workers > 1 and
-    merged in task order, so the report does not depend on the worker
-    count.
+    are the tasks, spread over `workers` processes when workers > 1, each
+    with its own memo, and merged in task order, so the report does not
+    depend on the worker count.
     """
     n = config.n
     if not (0 <= f < n and 1 <= horizon):
@@ -351,22 +462,24 @@ def verify_exhaustive(
         )
     if workers < 1:
         raise ConfigError(f"workers {workers} must be >= 1")
-    total = _plan_count(n, f, horizon << (n - 1))
-    report = VerifyReport(plans_total=total, executions_run=0)
-    root = _run_log(config, f, horizon, (), 1, None, report)
-    if stop_on_first and report.violations:
-        return report
-    tasks = ((config, f, horizon, stop_on_first, *child) for child in root)
+    explorer = _Explorer(config, f, horizon, stop_on_first)
+    tree, children = explorer.run((), 1, None)
     with contextlib.ExitStack() as stack:
-        run = map
-        if workers > 1:
+        parts = starmap(explorer.cover, children)
+        if workers > 1 and not explorer.stopped(tree):
             import multiprocessing  # here, so that a serial run does not load it
 
-            pool = stack.enter_context(multiprocessing.Pool(workers))
-            run = partial(pool.imap, chunksize=16)
-        for part in run(_explore, tasks):
-            report.merge(part)
-            if stop_on_first and part.violations:
-                break
-    report.violations.sort()
-    return report
+            args = config, f, horizon, stop_on_first
+            pool = stack.enter_context(multiprocessing.Pool(workers, _start_worker, args))
+            parts = pool.imap(_cover_in_worker, children, chunksize=16)
+        while not explorer.stopped(tree) and (part := next(parts, None)):
+            tree.add(part)
+    return VerifyReport(
+        plans_total=_plan_count(n, f, horizon << (n - 1)),
+        executions_run=tree.plans,
+        violations=sorted(tree.violations),
+        max_rounds=tree.max_rounds,
+        max_messages=max(tree.max_messages, 0),
+        runs=tree.runs,
+        violating_plans=tree.violating_plans,
+    )

@@ -294,6 +294,33 @@ class ProtocolNode:
         twin._allokay_pending = list(self._allokay_pending)
         return twin
 
+    def key(self, crashed: bool = False) -> tuple:
+        """What the rest of a run reads of this node, as plain values for
+        `RoundEngine.key`. A live node gives its state, its ordered view and
+        list, its timers, its entry window and count, its subject and sends
+        done, its signal flag and how many signals are pending (a suffix of
+        its visit order, so the count names them). A crashed node is never
+        stepped again, so it gives only what the run's check reads: its exit
+        round, its signal flag and, if it exited, its view. The index,
+        degree, layout, mutations and what they fix are left out: every node
+        of a run has them from its config."""
+        if crashed:
+            exited = self.exit_round is not None
+            return self.exit_round, self.allokay_broadcast, self.view if exited else None
+        return (
+            self.state._value_,
+            self.view,
+            self.flist,
+            self.next_emit,
+            self.exit_round,
+            self._window,
+            self._window_count,
+            self.current_subject,
+            self.sends_done,
+            self.allokay_broadcast,
+            len(self._allokay_pending),
+        )
+
     # -- sending ----------------------------------------------------------
 
     def emit(self, rnd: int) -> tuple[object, list[int]] | None:

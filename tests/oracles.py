@@ -9,6 +9,12 @@ forms of the `degseq` kernels, kept as the references the faster kernels
 are compared against: the first sums every prefix and min term afresh for
 each k, the second collects its edges in a growing set.
 
+`reference_verify_exhaustive` is the verifier's crash-schedule explorer
+without its memo: it runs every effective crash log through
+`harness.run_plan`, resuming each child from its parent's fork, so a spy on
+`run_plan` sees one call per log. `verify_exhaustive` must give the same
+report.
+
 `phase1_classification` recounts a finished run's phase 1 copy by copy from
 its round log, independently of how the engine and `Phase1Tally` share
 counts between receivers.
@@ -20,9 +26,12 @@ import functools
 from itertools import combinations
 from typing import Iterable
 
+from cliquesim import harness
+from cliquesim.adversary import CrashPlan
 from cliquesim.degseq import DegreeSequence, RealizationOutcome, RealizedGraph
-from cliquesim.engine import ExecutionResult
+from cliquesim.engine import ExecutionResult, SimConfig
 from cliquesim.groups import GroupLayout
+from cliquesim.harness import VerifyReport, _Brancher, _children, _plan_count
 
 BRUTE_FORCE_MAX_NODES = 8
 
@@ -157,3 +166,45 @@ def phase1_classification(
         view[j] = config.degrees[j - 1]
         classified[j] = (view, flist)
     return classified, witness
+
+
+def reference_verify_exhaustive(
+    config: SimConfig, f: int, horizon: int = 14, stop_on_first: bool = False
+) -> VerifyReport:
+    """Every effective crash log with up to `f` crashes in rounds up to
+    `horizon`, run once each, depth first, and weighted by the crash plans
+    it stands for; with `stop_on_first`, up to the first violating run."""
+    n = config.n
+    report = VerifyReport(plans_total=_plan_count(n, f, horizon << (n - 1)), executions_run=0)
+    stack = [_reference_run(config, f, horizon, (), 1, None, report)]
+    while stack and not (stop_on_first and report.violations):
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(_reference_run(config, f, horizon, *child, report))
+    report.violations.sort()
+    return report
+
+
+def _reference_run(config, f, horizon, events, factor, start, report):
+    """Run one effective crash log, from its parent's fork `start` or from
+    round 1, add it to `report` and return its children."""
+    n = config.n
+    spare = f - len(events)
+    first = events[-1].round + 1 if events else 1
+    adversary = _Brancher(CrashPlan(events), range(first, horizon + 1 if spare else 0))
+    engine = start.fork(adversary) if start else None
+    issues, rounds, messages, log = harness.run_plan(config, adversary, engine)
+    crashed = {e.node for e in events}
+    free = [v for v in range(1, n + 1) if v not in crashed]
+    phantom = max(horizon - len(log), 0) << (n - 1)
+    plans = factor * _plan_count(len(free), spare, phantom)
+    report.executions_run += plans
+    report.runs += 1
+    report.max_rounds = max(report.max_rounds, rounds)
+    report.max_messages = max(report.max_messages, messages)
+    if issues:
+        report.violations.append((events, issues))
+        report.violating_plans += plans
+    return _children(n, events, factor, free, spare, adversary.forks)

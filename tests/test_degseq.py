@@ -143,6 +143,15 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="unknown"):
             RealizedGraph(node_ids=(1, 2), edges=frozenset({(1, 3)}))
 
+    def test_edge_list_checked_in_order_then_frozen(self):
+        graph = RealizedGraph(node_ids=(1, 2, 3), edges=[(1, 2), (2, 3)])
+        assert graph.edges == frozenset({(1, 2), (2, 3)})
+        assert isinstance(graph.edges, frozenset)
+        assert graph == RealizedGraph(node_ids=(1, 2, 3), edges=graph.edges)
+        assert isinstance(havel_hakimi([1, 1]).graph.edges, frozenset)
+        with pytest.raises(ValueError, match=r"edge \(3, 1\) must be stored"):
+            RealizedGraph(node_ids=(1, 2, 3), edges=[(1, 2), (3, 1), (2, 2)])
+
 
 def all_degree_multisets(n):
     return itertools.combinations_with_replacement(range(n), n)

@@ -1,23 +1,30 @@
-"""The schedule explorer in `verify_exhaustive` against the brute-force
-oracle it replaced: one run of every `PlanSpace` plan.
+"""The schedule explorer against the brute-force oracle it replaced, one
+run of every `PlanSpace` plan, and `verify_exhaustive`'s memo against the
+explorer without it, `oracles.reference_verify_exhaustive`.
 
 Each plan's effective crash log is what its run actually does: the crashes
 in rounds the engine reached, each delivering to its mask cut down to the
-recipients the crasher really had. The explorer runs each such log once and
-weights it by the plans it stands for, so both sides must agree on the set
-of logs, on the plan count, on the number of violating plans and on the
-round and message maxima, with no mutation and with each `MUTATE_*` rule.
-The workers=2 report must equal the serial one.
+recipients the crasher really had. The reference explorer runs each such
+log once and weights it by the plans it stands for, so both sides must
+agree on the set of logs, on the plan count, on the number of violating
+plans and on the round and message maxima, with no mutation and with each
+`MUTATE_*` rule. Each explored run resumes from a fork of its parent run;
+each must equal a run of its crash log from round 1. Past the oracle's
+reach, the reference is checked against itself: a horizon at the engine's
+round cap already branches every run to its end, and the runs it explores
+do not depend on the degree values.
 
-Each explored run resumes from a fork of its parent run; each must equal
-a run of its crash log from round 1.
-
-Past the oracle's reach, the explorer is checked against itself: a horizon
-at the engine's round cap already branches every run to its end, and the
-runs it explores do not depend on the degree values.
+`verify_exhaustive` steps each distinct state a child log reaches after its
+crash round once and replays the subtree below it from a memo. Its report
+must equal the reference's, serial, on 2 workers and with `stop_on_first`,
+also where a tight message bound makes the memo refuse an entry. The key
+must cover every field of `ProtocolNode` and `RoundEngine` that it does
+not say it leaves out.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquesim import harness
 from cliquesim.adversary import (
@@ -32,8 +39,11 @@ from cliquesim.harness import run_plan, verify_exhaustive
 from cliquesim.protocol import (
     MUTATE_BELOW_FOLD_DISCARDS,
     MUTATE_NO_HEARD_ONCE_UPDATE,
+    NodeState,
     ProtocolNode,
 )
+
+from oracles import reference_verify_exhaustive
 
 HORIZON = 14
 MUTATIONS = (None, MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE)
@@ -78,9 +88,9 @@ def brute_force(config: SimConfig, f: int):
     return logs, violating, max_rounds, max_messages
 
 
-def explored(config: SimConfig, f: int, monkeypatch, horizon: int = HORIZON):
-    """The explorer's report and, for every run it made, its crash log,
-    rounds and messages."""
+def spied(explore, monkeypatch):
+    """`explore()`'s report and, for every run it made through `run_plan`,
+    its crash log, rounds and messages."""
     runs = []
 
     def spy(config, adversary, engine=None):
@@ -90,8 +100,14 @@ def explored(config: SimConfig, f: int, monkeypatch, horizon: int = HORIZON):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "run_plan", spy)
-        report = verify_exhaustive(config, f=f, horizon=horizon, workers=1)
+        report = explore()
     return report, runs
+
+
+def explored(config: SimConfig, f: int, monkeypatch, horizon: int = HORIZON):
+    """The reference explorer's report and, for every run it made, its
+    crash log, rounds and messages."""
+    return spied(lambda: reference_verify_exhaustive(config, f, horizon), monkeypatch)
 
 
 def round_cap(config: SimConfig, f: int) -> int:
@@ -113,7 +129,8 @@ def test_explorer_matches_brute_force(n, f, degrees, model, mutation, monkeypatc
     assert report.violating_plans == violating
     assert len(report.violations) == len({events for events, _ in report.violations})
     assert (report.max_rounds, report.max_messages) == (max_rounds, max_messages)
-    assert verify_exhaustive(config, f=f, horizon=HORIZON, workers=2) == report
+    for workers in (1, 2):
+        assert verify_exhaustive(config, f=f, horizon=HORIZON, workers=workers) == report
 
 
 def test_horizon_past_the_round_cap_adds_no_run(monkeypatch):
@@ -170,7 +187,7 @@ def test_forked_runs_match_runs_from_round_1(model, mutation, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "run_plan", spy)
-        report = verify_exhaustive(config, f=2, horizon=HORIZON)
+        report = reference_verify_exhaustive(config, 2, HORIZON)
     assert len(runs) == report.runs
     assert sum(forked for _, forked, _ in runs) == report.runs - 1
     assert any(outcome[0] for _, _, outcome in runs) == bool(mutation)
@@ -201,7 +218,9 @@ def test_a_run_that_trips_the_round_cap_branches_only_at_logged_rounds(
 def test_children_do_not_re_emit_their_branch_round(monkeypatch):
     """A child resumes from its parent's fork at the adversary call of its
     branch round, whose sends are made. Forked before them instead, the
-    3,530 children at cc n=4, f<=2 re-emitted 7,340 sends: 17,479 calls."""
+    3,530 children at cc n=4, f<=2 re-emitted 7,340 sends: 17,479 calls.
+    Without the memo, which steps on only from distinct states, the same
+    3,531 logs made 10,139 calls."""
     calls = []
     emit = ProtocolNode.emit
 
@@ -213,7 +232,7 @@ def test_children_do_not_re_emit_their_branch_round(monkeypatch):
     config = SimConfig(n=4, degrees=(1, 2, 2, 1))
     report = verify_exhaustive(config, f=2, horizon=HORIZON)
     assert report.ok and report.runs == 3531
-    assert len(calls) == 10139
+    assert len(calls) == 3894
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS[1:])
@@ -245,3 +264,175 @@ def test_run_plan_raises_a_plan_the_engine_rejects():
     plan = CrashPlan((CrashEvent(1, 9, ()),))
     with pytest.raises(AdversaryError, match="crash of unknown node 9"):
         run_plan(config, ScriptedAdversary(plan))
+
+
+# -- the memo against the reference explorer -----------------------------------
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("n, f, degrees, model", INSTANCES)
+def test_stop_on_first_stops_where_the_reference_stops(n, f, degrees, model, mutation):
+    """The brute-force test compares the full reports. With `stop_on_first`
+    the search ends at its first violating run, so no entry holding a
+    violation is made or replayed, and the search must stop at the
+    reference's first violating log with the same counts."""
+    mutations = frozenset({mutation}) if mutation else frozenset()
+    config = SimConfig(n=n, degrees=degrees, model=model, mutations=mutations)
+    expected = reference_verify_exhaustive(config, f, HORIZON, stop_on_first=True)
+    for workers in (1, 2):
+        report = verify_exhaustive(
+            config, f=f, horizon=HORIZON, workers=workers, stop_on_first=True
+        )
+        assert report == expected, workers
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_memo_gives_the_reference_report_on_drawn_instances(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    degrees = tuple(data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n), label="degrees"))
+    model = data.draw(st.sampled_from(["cc", "ncc"]), label="model")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    f = data.draw(st.integers(0, min(n - 1, 2)), label="f")
+    horizon = data.draw(st.integers(1, 30), label="horizon")
+    stop_on_first = data.draw(st.booleans(), label="stop_on_first")
+    config = SimConfig(
+        n=n,
+        degrees=degrees,
+        model=model,
+        strict=data.draw(st.booleans(), label="strict"),
+        mutations=frozenset({mutation}) if mutation else frozenset(),
+    )
+    report = verify_exhaustive(config, f=f, horizon=horizon, stop_on_first=stop_on_first)
+    assert report == reference_verify_exhaustive(config, f, horizon, stop_on_first)
+
+
+def test_distinct_states_are_stepped_once(monkeypatch):
+    """At cc n=4, f<=2 the 3,530 child logs reach 1,064 distinct states at
+    the end of their crash rounds. Only the root run and those go through
+    `run_plan`; the other 2,466 logs replay a memo entry."""
+    config = SimConfig(n=4, degrees=(1, 2, 2, 1))
+    report, runs = spied(lambda: verify_exhaustive(config, f=2, horizon=HORIZON), monkeypatch)
+    assert (report.runs, len(runs)) == (3531, 1065)
+
+
+@pytest.mark.parametrize("tighter", [3, 6])
+def test_a_prefix_that_breaks_the_message_bound_is_stepped(tighter, monkeypatch):
+    """Message counts stay out of the key, so a state can be reached again
+    with more messages sent. With the bound cut by a few messages, some of
+    the runs below such a state break it only after the later prefix: the
+    memo must refuse that entry and step the subtree, as the reference
+    runs it. Replayed instead, those runs would count as good."""
+    bound = harness.message_bound
+    monkeypatch.setattr(harness, "message_bound", lambda *counts: bound(*counts) - tighter)
+    config = SimConfig(n=3, degrees=(1, 1, 2))
+    expected = reference_verify_exhaustive(config, 2, HORIZON)
+    assert 0 < expected.violating_plans < expected.executions_run
+    assert verify_exhaustive(config, f=2, horizon=HORIZON) == expected
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS[1:])
+def test_entries_holding_violations_are_replayed(mutation, monkeypatch):
+    """Under each mutation the full search replays entries that hold
+    violations: it lists more violating logs than its runs found. So
+    `stop_on_first` would cut such an entry short, had one been made."""
+    config = SimConfig(n=4, degrees=(1, 2, 2, 1), mutations=frozenset({mutation}))
+    full, runs = spied(lambda: verify_exhaustive(config, f=2, horizon=HORIZON), monkeypatch)
+    found = {events for events, _, _ in runs} & {events for events, _ in full.violations}
+    assert len(found) < len(full.violations)
+
+
+# -- the key covers every field -------------------------------------------------
+
+# A field `ProtocolNode.key` reads, and a value no fresh node holds.
+NODE_KEYED = {
+    "state": NodeState.EXIT,
+    "view": {9: 9},
+    "flist": {9: None},
+    "next_emit": 99,
+    "exit_round": 99,
+    "_window": (9, 9),
+    "_window_count": 2,
+    "current_subject": 9,
+    "sends_done": 9,
+    "allokay_broadcast": True,
+    "_allokay_pending": [[1]],
+}
+# A field it leaves out, and why.
+NODE_LEFT_OUT = {
+    "index": "the node's place in the run",
+    "degree": "fixed by the config",
+    "layout": "fixed by the config",
+    "mutations": "fixed by the config",
+    "phase1_len": "fixed by the layout",
+    "gap": "fixed by the layout",
+    "copies_per_entry": "fixed by the layout",
+    "_group": "fixed by the layout and index",
+    "_group_peers": "fixed by the layout and index",
+    "_announce": "fixed by the index and degree",
+}
+# A field `RoundEngine.key` reads, and a change to a fork at round 1.
+ENGINE_KEYED = {
+    "round": lambda e: setattr(e, "round", 2),
+    "crashed_round": lambda e: e.crashed_round.update({4: 1}),
+    "outboxes": lambda e: setattr(e, "outboxes", {}),
+    "_moved": lambda e: e._moved.update({1: "exit"}),
+    "_due": lambda e: e._due.pop(),
+    "nodes": lambda e: setattr(e.nodes[0], "next_emit", 99),
+    "tally": lambda e: e.tally.count[0].__setitem__(1, 1),
+    "_unsettled": lambda e: e._unsettled.discard(1),
+}
+ENGINE_LEFT_OUT = {
+    "config": "the same for every run of a verify call",
+    "layout": "fixed by the config",
+    "capacity": "fixed by the config",
+    "_phase1_len": "fixed by the config",
+    "adversary": "each run's own; the crashes it makes are in the key",
+    "budget": "fixed by the verify call",
+    "round_cap": "fixed by the config and budget",
+    "_group_live": "the live nodes, fixed by the crashed set",
+    "metrics": "nothing later reads them; message counts are handled apart",
+    "round_log": "nothing later reads it",
+}
+
+
+def test_node_key_covers_every_field():
+    node = RoundEngine(SimConfig(n=4, degrees=(1, 2, 2, 1)), NoneAdversary()).nodes[1]
+    assert set(vars(node)) == NODE_KEYED.keys() | NODE_LEFT_OUT.keys()
+    for name, value in NODE_KEYED.items():
+        twin = node.fork()
+        setattr(twin, name, value)
+        assert twin.key() != node.key(), name
+    # A crashed node keeps only what the run's check reads of it.
+    for name in ("exit_round", "allokay_broadcast"):
+        twin = node.fork()
+        setattr(twin, name, NODE_KEYED[name])
+        assert twin.key(crashed=True) != node.key(crashed=True), name
+    exited = node.fork()
+    exited.exit_round = 3
+    twin = exited.fork()
+    twin.view = {9: 9}
+    assert twin.key(crashed=True) != exited.key(crashed=True)
+    twin = node.fork()
+    twin.view, twin.next_emit = {9: 9}, 99
+    assert twin.key(crashed=True) == node.key(crashed=True)
+
+
+def test_engine_key_covers_every_field():
+    config = SimConfig(n=4, degrees=(1, 2, 2, 1))
+    engine = RoundEngine(config, NoneAdversary(2))
+    assert set(vars(engine)) == ENGINE_KEYED.keys() | ENGINE_LEFT_OUT.keys()
+    for name, change in ENGINE_KEYED.items():
+        twin = engine.fork(NoneAdversary(2))
+        change(twin)
+        assert twin.key() != engine.key(), name
+    twin = engine.fork(NoneAdversary(2))
+    twin.metrics.messages_sent += 5
+    assert twin.key() == engine.key()
+    # Once phase 1 closes, the tally's `heard_twice` is what later rounds read.
+    while engine.round <= engine._phase1_len:
+        engine.step()
+    twin = engine.fork(NoneAdversary(2))
+    twin.tally = engine.tally.fork()  # a fork shares the closed tally
+    twin.tally.heard_twice[9] = 9
+    assert twin.key() != engine.key()
