@@ -8,7 +8,13 @@ applied: in phase 1 the run's `Phase1Tally` counts it, later the node's
 `receive` processes it. One rule holds in every round: a node is due only
 in the round its `next_emit` names (each round of phase 1, then as the
 protocol schedules it) and receives only when it has mail, since `emit` in
-any other round and `receive` with an empty inbox change nothing. A node
+any other round and `receive` with an empty inbox change nothing. No round
+scans every node for the due ones. A node that times itself (every node in
+phase 1, then an active or signalling one) is due in each round after one
+it was due in until it has nothing to send, so the due ones come from the
+last round's. A listener's timer is its cohort's: member i is due when
+`heard + gap * (i - sender)` is the round, so each cohort names its one
+candidate, which is due if it is still a live listening member. A node
 that crashes is silent in all later rounds; a sender that does not crash
 reaches all its recipients. Between `step()` calls a run rests at the
 adversary call of its waiting round, after that round's sends.
@@ -20,10 +26,12 @@ narrower send) goes to per-recipient mailboxes. In phase 1 the tally gets
 each group send once, then each live receiver's mailbox in receiver order,
 and the last phase-1 round closes it; the engine does not know how phase 1
 counts. Later one active node sends at a time, so a round with one group
-send and no mail applies it with one `ProtocolNode.hear` call to its
-group's live list, which a crash edits in place. Any other later round, and
-a phase-1 round in which an ncc inbox would overflow or the tally refuses a
-group send, copies every send per recipient. Both paths learn of a node's
+send and no mail applies it with one `ProtocolNode.hear` call: an entry to
+the lowest live member of each listener cohort of its group, so that each
+record is updated once, and a termination signal to the group's live list,
+which a crash edits in place. Any other later round, and a phase-1 round
+in which an ncc inbox would overflow or the tally refuses a group send,
+copies every send per recipient. Both paths learn of a node's
 exit from what `hear` returns, passed on by `receive` for mail. `outboxes`,
 the round log and the message counts do not depend on the path.
 
@@ -46,11 +54,13 @@ from __future__ import annotations
 
 import marshal
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, NamedTuple, Optional
 
 from .groups import GroupLayout, enforce_capacity
 from .protocol import (
+    Cohort,
     FaultEntry,
     NodeState,
     Phase1Tally,
@@ -212,6 +222,11 @@ class RoundEngine:
         # Each group's live members in index order; a crash removes its node.
         size = self.layout.group_size
         self._group_live = [nodes[lo : lo + size] for lo in range(0, config.n, size)]
+        # Each group's listener records once phase 1 closes, in no order. A
+        # record no node listens in any more is dropped when next met.
+        self._cohorts: list[list[Cohort]] = [[] for _ in self._group_live]
+        self._gap = nodes[0].gap
+        self._due = nodes  # every node is due in round 1
         self.crashed_round: dict[int, int] = {}
         self.metrics = Metrics()
         self.round_log: list[RoundLog] = []
@@ -235,22 +250,28 @@ class RoundEngine:
 
     def fork(self, adversary) -> RoundEngine:
         """A copy of this engine at its adversary call that steps on under
-        `adversary`. It copies what a round changes (the nodes, live and due
-        lists, state moves, crash rounds, metrics, log list and, until phase
-        1 closes, tally) and shares the rest, the waiting round's sends too."""
+        `adversary`. It copies what a round changes (the nodes, each cohort
+        record once, the live, cohort and due lists, state moves, crash
+        rounds, metrics, log list and, until phase 1 closes, tally) and
+        shares the rest, the waiting round's sends too."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin._set_adversary(adversary)
-        twin.nodes = nodes = [node.fork() for node in self.nodes]
+        cohorts: dict[int, Cohort] = {}  # each record copied once
+        twin.nodes = nodes = [node.fork(cohorts) for node in self.nodes]
         twin._group_live = [
             [nodes[node.index - 1] for node in live] for live in self._group_live
+        ]
+        twin._cohorts = [
+            [cohorts[id(c)] for c in group if id(c) in cohorts] for group in self._cohorts
         ]
         twin._due = [nodes[node.index - 1] for node in self._due]
         twin._moved = dict(self._moved)
         twin.crashed_round = dict(self.crashed_round)
-        twin.metrics = replace(
-            self.metrics, per_round_counts=list(self.metrics.per_round_counts)
-        )
+        # Cheaper than dataclasses.replace, which runs the field machinery.
+        twin.metrics = metrics = object.__new__(Metrics)
+        metrics.__dict__.update(self.metrics.__dict__)
+        metrics.per_round_counts = list(self.metrics.per_round_counts)
         twin.round_log = list(self.round_log)
         twin._unsettled = set(self._unsettled)
         if self.round <= self._phase1_len:
@@ -327,9 +348,27 @@ class RoundEngine:
                 f"(n={self.config.n}, model={self.config.model})"
             )
         self._moved = moved = {}  # node -> new state
-        self._due = due = [
-            node for live in self._group_live for node in live if node.next_emit == rnd
-        ]
+        # A node that times itself (in phase 1, active or signalling) is due
+        # in every round after one it was due in, until it has nothing to
+        # send; a listener is due when its cohort's timer names it.
+        due = [node for node in self._due if node._timer == rnd]  # a crash clears it
+        if rnd > self._phase1_len:
+            gap, nodes = self._gap, self.nodes
+            n = len(nodes)
+            for cohorts in self._cohorts:
+                for cohort in cohorts:
+                    # The member i with heard + gap * (i - sender) == rnd, if
+                    # it listens; a crashed node holds no record.
+                    waited = rnd - cohort.heard
+                    if waited % gap == 0 and waited >= 0:
+                        i = cohort.sender + waited // gap
+                        if i <= n:
+                            node = nodes[i - 1]
+                            if node._cohort is cohort and node.state is NodeState.LISTENING:
+                                due.append(node)
+            if len(due) > 1:
+                due.sort(key=attrgetter("index"))
+        self._due = due
         self.outboxes = outboxes = {}
         for node in due:
             state = node.state
@@ -352,6 +391,7 @@ class RoundEngine:
             self.crashed_round[node_index] = rnd
             moved[node_index] = "crashed"
             node = self.nodes[node_index - 1]
+            node.freeze()  # its view stays as it is while its cohort hears on
             self._group_live[node._group - 1].remove(node)
         # A group send is kept once in `sends`, with its group. A crasher's
         # delivery is a new tuple, never a peer list.
@@ -389,7 +429,11 @@ class RoundEngine:
                     mailboxes.setdefault(j, []).append(msg)
         if not in_phase1:
             for _, group, msg in sends:
-                for node in ProtocolNode.hear(rnd, msg, self._group_live[group - 1]):
+                if isinstance(msg, FaultEntry):  # once per cohort
+                    listeners = self._cohort_heads(group)
+                else:
+                    listeners = self._group_live[group - 1]
+                for node in ProtocolNode.hear(rnd, msg, listeners):
                     moved[node.index] = node.state._value_
         crashed = self.crashed_round
         for j in sorted(mailboxes):
@@ -410,14 +454,20 @@ class RoundEngine:
             if in_phase1:
                 self.tally.add_mail(j, inbox)
                 continue
-            for node in self.nodes[j - 1].receive(rnd, inbox):
+            receiver = self.nodes[j - 1]
+            cohort = receiver._cohort
+            for node in receiver.receive(rnd, inbox):
                 moved[node.index] = node.state._value_
+            if receiver._cohort is not cohort:  # it left its cohort
+                self._cohorts[receiver._group - 1].append(receiver._cohort)
 
         # Only `emit` makes a node active, and an active node is due every
         # round, so this round's due nodes hold every active one.
         self._check_single_active(self._due)
         if rnd == self._phase1_len:
-            self.tally.close([node for live in self._group_live for node in live])
+            self._cohorts = self.tally.close(
+                [node for live in self._group_live for node in live]
+            )
         if moved:
             transitions.extend(sorted(moved.items()))
             # Every move but listening -> active settles the node.
@@ -449,6 +499,24 @@ class RoundEngine:
         metrics.max_recv_per_round = max(metrics.max_recv_per_round, largest)
         return largest <= self.capacity and self.tally.add(sends)
 
+    def _cohort_heads(self, group: int) -> list[ProtocolNode]:
+        """The lowest member of each cohort of `group` whose members listen,
+        in index order; the group's other records are dropped. A crashed node
+        is no member."""
+        nodes, listening = self.nodes, NodeState.LISTENING
+        kept, heads = [], []
+        for cohort in self._cohorts[group - 1]:
+            members = cohort.members
+            if members:
+                head = nodes[members[0] - 1]
+                if head.state is listening:
+                    kept.append(cohort)
+                    heads.append(head)
+        self._cohorts[group - 1] = kept
+        if len(heads) > 1:
+            heads.sort(key=attrgetter("index"))
+        return heads
+
     def _crash_decisions(self, rnd: int) -> dict[int, tuple[int, ...]]:
         """Each crasher, in node order, to the recipients it still reaches.
         A crash may name only the crasher's peers."""
@@ -468,7 +536,10 @@ class RoundEngine:
                         f"crash of node {node_index} delivers to {j}, not a peer"
                     )
             _, sent = self.outboxes.get(node_index, (None, ()))
-            decisions[node_index] = tuple(sorted(j for j in sent if j in allowed))
+            # A crash that reaches nobody skips the walk over its recipients,
+            # a whole group's in cc.
+            delivered = (j for j in sent if j in allowed) if allowed else ()
+            decisions[node_index] = tuple(sorted(delivered))
         if len(self.crashed_round) + len(decisions) > self.budget:
             raise AdversaryError(
                 f"fault budget {self.budget} exceeded in round {rnd}"

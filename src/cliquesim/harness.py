@@ -38,6 +38,7 @@ log, itself a plan that reproduces the failure.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product, repeat, starmap
@@ -453,7 +454,8 @@ def verify_exhaustive(
     The run without crashes is made here; the subtrees of its children
     are the tasks, spread over `workers` processes when workers > 1, each
     with its own memo, and merged in task order, so the report does not
-    depend on the worker count.
+    depend on the worker count. So no more processes start than the
+    machine has CPUs.
     """
     n = config.n
     if not (0 <= f < n and 1 <= horizon):
@@ -462,6 +464,7 @@ def verify_exhaustive(
         )
     if workers < 1:
         raise ConfigError(f"workers {workers} must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     explorer = _Explorer(config, f, horizon, stop_on_first)
     tree, children = explorer.run((), 1, None)
     with contextlib.ExitStack() as stack:

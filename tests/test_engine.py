@@ -335,9 +335,10 @@ class TestEngineContracts:
 
 
 def _snapshot(engine: RoundEngine):
-    """A deep copy of everything a round can change."""
+    """A deep copy of everything a round can change, each node's cohort
+    record too."""
     nodes = [
-        (n.view, n.flist, n._allokay_pending, n.next_emit, n.state)
+        (n.view, n.flist, n._allokay_pending, n.next_emit, n.state, n._cohort)
         for n in engine.nodes
     ]
     return copy.deepcopy(
@@ -457,15 +458,35 @@ class TestFork:
             assert new is not old
             fresh(new, old, shared=("_group_peers",))
 
+        # After phase 1 each cohort record is copied once, the copies are
+        # shared as the records are, and running the fork leaves the
+        # records it came from as they were.
+        while engine.round <= engine.nodes[0].phase1_len:
+            engine.step()
+        twin = engine.fork(_scripted(CrashEvent(1, 3, (1,))))
+        records = {}
+        for new, old in zip(twin.nodes, engine.nodes):
+            if old._cohort is None:
+                continue
+            assert records.setdefault(id(old._cohort), new._cohort) is new._cohort
+            assert new._cohort is not old._cohort
+            for name in ("members", "view", "flist"):
+                assert getattr(new._cohort, name) is not getattr(old._cohort, name), name
+        assert len(records) < len(engine.nodes) - 1  # some record is shared
+        before = _snapshot(engine)
+        twin.run()
+        assert _snapshot(engine) == before
+
 
 class Forgetful(ProtocolNode):
     """Node 1 forgets, after phase 1, the degree of node 4, which it heard
     twice, and so rebroadcasts a smite for it in round 3."""
 
-    def end_phase1(self, view, flist):
-        super().end_phase1(view, flist)
+    def end_phase1(self, cohort):
+        super().end_phase1(cohort)
         if self.index == 1:
-            del self.view[4]
+            self.detach()
+            del self._cohort.view[4]
             self.flist[4] = None
 
 
@@ -481,8 +502,9 @@ class TestInvariantChecks:
 
     def test_two_simultaneously_active_nodes(self, monkeypatch):
         class EagerTimer(ProtocolNode):
-            def end_phase1(self, view, flist):
-                super().end_phase1(view, flist)
+            def end_phase1(self, cohort):
+                super().end_phase1(cohort)
+                self.detach()
                 self.next_emit = self.phase1_len + 1
 
         # Node 4 is never heard, so every list holds a smite entry for it
@@ -654,10 +676,11 @@ class TestInvariantChecks:
 
     def test_broadcast_violation_names_the_lowest_listener(self, monkeypatch):
         class Tampered(ProtocolNode):
-            def end_phase1(self, view, flist):
-                super().end_phase1(view, flist)
+            def end_phase1(self, cohort):
+                super().end_phase1(cohort)
                 if self.index in (3, 5):
-                    self.view[6] = 1
+                    self.detach()
+                    self._cohort.view[6] = 1
 
         # Node 6 crashes silently, so node 1 rebroadcasts a smite for it in
         # round 3, which both tampered listeners reject.
@@ -704,9 +727,9 @@ class TestInvariantChecks:
         handed = {}
 
         class Recorder(self.Crowder):
-            def end_phase1(self, view, flist):
-                handed[self.index] = (dict(view), dict(flist))
-                super().end_phase1(view, flist)
+            def end_phase1(self, cohort):
+                super().end_phase1(cohort)
+                handed[self.index] = (dict(self.view), dict(self.flist))
 
         monkeypatch.setattr("cliquesim.engine.ProtocolNode", Recorder)
         result = run_simulation(
@@ -786,9 +809,10 @@ class TestInvariantChecks:
         reports it."""
 
         class LateAnnouncer(ProtocolNode):
-            def end_phase1(self, view, flist):
-                super().end_phase1(view, flist)
+            def end_phase1(self, cohort):
+                super().end_phase1(cohort)
                 if self.index == shouter:
+                    self.detach()
                     self.next_emit = 3
 
             def emit(self, rnd):
@@ -813,9 +837,10 @@ class TestInvariantChecks:
         announcement before nodes 5-8 read node 1's."""
 
         class LateAnnouncers(ProtocolNode):
-            def end_phase1(self, view, flist):
-                super().end_phase1(view, flist)
+            def end_phase1(self, cohort):
+                super().end_phase1(cohort)
                 if self.index in (1, 9):
+                    self.detach()
                     self.next_emit = 7
 
             def emit(self, rnd):
@@ -854,9 +879,10 @@ class TestInvariantChecks:
                 send = super()._emit_phase1(rnd)
                 return (self._announce, [3, 2]) if (rnd, self.index) == (2, 4) else send
 
-            def end_phase1(self, view, flist):
-                super().end_phase1(view, flist)
+            def end_phase1(self, cohort):
+                super().end_phase1(cohort)
                 if self.index == 1:
+                    self.detach()
                     self.flist[4] = None
 
         message = self.run_with(
@@ -882,10 +908,11 @@ class TestInvariantChecks:
         2 heard it once, and node 3 completed its two copies by mail."""
 
         class ForgetsFour(ProtocolNode):
-            def end_phase1(self, view, flist):
-                super().end_phase1(view, flist)
+            def end_phase1(self, cohort):
+                super().end_phase1(cohort)
                 if self.index == 1:
-                    self.view.pop(4, None)
+                    self.detach()
+                    self._cohort.view.pop(4, None)
                     self.flist[4] = None
 
         message = self.run_with(

@@ -18,9 +18,14 @@ do not depend on the degree values.
 crash round once and replays the subtree below it from a memo. Its report
 must equal the reference's, serial, on 2 workers and with `stop_on_first`,
 also where a tight message bound makes the memo refuse an entry. The key
-must cover every field of `ProtocolNode` and `RoundEngine` that it does
-not say it leaves out.
+must cover every field of `ProtocolNode`, its `Cohort` record and
+`RoundEngine` that it does not say it leaves out.
 """
+
+import dataclasses
+import marshal
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +44,7 @@ from cliquesim.harness import run_plan, verify_exhaustive
 from cliquesim.protocol import (
     MUTATE_BELOW_FOLD_DISCARDS,
     MUTATE_NO_HEARD_ONCE_UPDATE,
+    Cohort,
     NodeState,
     ProtocolNode,
 )
@@ -344,19 +350,22 @@ def test_entries_holding_violations_are_replayed(mutation, monkeypatch):
 
 # -- the key covers every field -------------------------------------------------
 
-# A field `ProtocolNode.key` reads, and a value no fresh node holds.
+# A field `ProtocolNode.key` reads of a live node, and a value no fresh node
+# holds.
 NODE_KEYED = {
     "state": NodeState.EXIT,
-    "view": {9: 9},
-    "flist": {9: None},
-    "next_emit": 99,
+    "_timer": 99,
     "exit_round": 99,
-    "_window": (9, 9),
-    "_window_count": 2,
     "current_subject": 9,
     "sends_done": 9,
     "allokay_broadcast": True,
     "_allokay_pending": [[1]],
+}
+# A field it reads of a crashed node, and a value no exited node holds.
+NODE_CRASH_KEYED = {
+    "exit_round": 99,
+    "allokay_broadcast": True,
+    "_frozen": ({9: 9}, {}),
 }
 # A field it leaves out, and why.
 NODE_LEFT_OUT = {
@@ -370,6 +379,21 @@ NODE_LEFT_OUT = {
     "_group": "fixed by the layout and index",
     "_group_peers": "fixed by the layout and index",
     "_announce": "fixed by the index and degree",
+    "_cohort": "read through the fields of COHORT_KEYED",
+}
+# A field of a listener's `Cohort` record that its key reads, and a value
+# no record of node 2 holds after a fault-free phase 1 of n=4.
+COHORT_KEYED = {
+    "view": {2: 2, 9: 9},
+    "flist": {9: None},
+    "heard": 99,
+    "sender": 2,
+    "window": (9, 9),
+    "window_count": 2,
+    "own_at": 9,
+}
+COHORT_LEFT_OUT = {
+    "members": "which live nodes share the record, not what any of them holds",
 }
 # A field `RoundEngine.key` reads, and a change to a fork at round 1.
 ENGINE_KEYED = {
@@ -391,31 +415,50 @@ ENGINE_LEFT_OUT = {
     "budget": "fixed by the verify call",
     "round_cap": "fixed by the config and budget",
     "_group_live": "the live nodes, fixed by the crashed set",
+    "_cohorts": "the records the nodes hold, which their keys read",
+    "_gap": "fixed by the config",
     "metrics": "nothing later reads them; message counts are handled apart",
     "round_log": "nothing later reads it",
 }
 
 
 def test_node_key_covers_every_field():
-    node = RoundEngine(SimConfig(n=4, degrees=(1, 2, 2, 1)), NoneAdversary()).nodes[1]
-    assert set(vars(node)) == NODE_KEYED.keys() | NODE_LEFT_OUT.keys()
+    engine = RoundEngine(SimConfig(n=4, degrees=(1, 2, 2, 1)), NoneAdversary())
+    node = engine.nodes[1]
+    keyed = NODE_KEYED.keys() | NODE_CRASH_KEYED.keys()
+    assert set(vars(node)) == keyed | NODE_LEFT_OUT.keys()
     for name, value in NODE_KEYED.items():
         twin = node.fork()
         setattr(twin, name, value)
         assert twin.key() != node.key(), name
-    # A crashed node keeps only what the run's check reads of it.
-    for name in ("exit_round", "allokay_broadcast"):
-        twin = node.fork()
-        setattr(twin, name, NODE_KEYED[name])
-        assert twin.key(crashed=True) != node.key(crashed=True), name
+    # A crashed node keeps only what the run's check reads of it: its view
+    # only if it exited.
     exited = node.fork()
     exited.exit_round = 3
-    twin = exited.fork()
-    twin.view = {9: 9}
-    assert twin.key(crashed=True) != exited.key(crashed=True)
+    for name, value in NODE_CRASH_KEYED.items():
+        twin = exited.fork()
+        setattr(twin, name, value)
+        assert twin.key(crashed=True) != exited.key(crashed=True), name
     twin = node.fork()
-    twin.view, twin.next_emit = {9: 9}, 99
+    twin._frozen, twin._timer = NODE_CRASH_KEYED["_frozen"], 99
     assert twin.key(crashed=True) == node.key(crashed=True)
+    # After phase 1 a listener's view, list, window and timer are its record's.
+    while engine.round <= engine._phase1_len:
+        engine.step()
+    node = engine.nodes[1]
+    fields = {f.name for f in dataclasses.fields(Cohort)}
+    assert fields == COHORT_KEYED.keys() | COHORT_LEFT_OUT.keys()
+    for name, value in COHORT_KEYED.items():
+        twin = node.fork()
+        setattr(twin._cohort, name, value)
+        # As `RoundEngine.key` packs it: the view's order counts too.
+        assert marshal.dumps(twin.key(), 2) != marshal.dumps(node.key(), 2), name
+    # A crash keeps the node's view as its own, and it leaves its record.
+    frozen = node.fork()
+    record = frozen._cohort
+    frozen.freeze()
+    assert frozen._cohort is None and frozen.view == node.view
+    assert frozen.index not in record.members
 
 
 def test_engine_key_covers_every_field():
@@ -436,3 +479,33 @@ def test_engine_key_covers_every_field():
     twin.tally = engine.tally.fork()  # a fork shares the closed tally
     twin.tally.heard_twice[9] = 9
     assert twin.key() != engine.key()
+
+
+@pytest.mark.parametrize("cpus, asked, started", [(2, 5000, 2), (4, 3, 3), (1, 8, None)])
+def test_the_pool_never_outgrows_the_cpu_count(cpus, asked, started, monkeypatch):
+    """The report does not depend on the worker count, so `verify` starts
+    at most one process per CPU, and none on a machine of one. The pool is
+    a stand-in that covers each task in this process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness, "_worker", None)
+    config = SimConfig(n=3, degrees=(1, 1, 2))
+    report = verify_exhaustive(config, f=1, horizon=HORIZON, workers=asked)
+    assert sizes == ([] if started is None else [started])
+    assert report == verify_exhaustive(config, f=1, horizon=HORIZON)

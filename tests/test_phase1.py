@@ -1,5 +1,5 @@
 """Phase 1 against a brute-force recount: the view and list that
-`Phase1Tally.close` hands each node through `end_phase1`, and each subject's
+`Phase1Tally.close` hands each node's cohort through `end_phase1`, and each subject's
 heard-twice witness, must equal what counting every copy from the round log
 gives (`oracles.phase1_classification`). Crash plans are drawn at small n in
 both models; the engine grid's large ncc runs add many groups and crashes
@@ -23,9 +23,9 @@ def assert_phase1_agrees(config: SimConfig, adversary) -> None:
     handed = {}
 
     class Recorder(ProtocolNode):
-        def end_phase1(self, view, flist):
-            handed[self.index] = (list(view.items()), list(flist.items()))
-            super().end_phase1(view, flist)
+        def end_phase1(self, cohort):
+            super().end_phase1(cohort)
+            handed[self.index] = (list(self.view.items()), list(self.flist.items()))
 
     with mock.patch("cliquesim.engine.ProtocolNode", Recorder):
         engine = RoundEngine(config, adversary)

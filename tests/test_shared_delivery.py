@@ -1,8 +1,9 @@
 """The engine's shared delivery against its per-recipient path.
 
 `RoundEngine` keeps each group send once, counts it once in phase 1
-(`Phase1Tally.add`) and applies it later with one `ProtocolNode.hear` call
-to its group's live list. When `_share` says no, `_deliver` copies every
+(`Phase1Tally.add`) and applies it later with one `ProtocolNode.hear` call:
+an entry once per listener cohort of its group, a termination signal to the
+group's live list. When `_share` says no, `_deliver` copies every
 send into per-recipient mailboxes instead, which phase 1 counts through
 `Phase1Tally.add_mail` and later rounds apply through each receiver's
 `receive`. `NeverShare` takes that path in every round, so a run must end
@@ -13,6 +14,18 @@ both paths raise the same error, from the same listener.
 
 This is a check of one fast path, not an independent reference engine: both
 sides share the stepping, the tally's `close` and forks.
+
+It is also the check of listener cohorts. After phase 1 listeners of a
+group in the same state share one `Cohort` record, which a group send
+updates once. Mail reaches one node, so a node that gets mail leaves its
+cohort first, as a node that activates or crashes does. On `NeverShare`
+every later delivery is mail, so every listener leaves its cohort the
+first time it hears anything, and its runs are the cohort-free reference.
+Scripted small runs make each event that splits a cohort happen (mail from
+a crasher's partial delivery, in phase 1 and after it; activation; a
+listener's crash; a partial termination signal), one makes a shared
+cohort reject an entry, which must name its lowest member, and larger runs
+check that cohorts stay few where nothing splits them.
 
 Two more checks keep the fast path honest. A `_share` that refuses more
 than it should changes no result, so the grid's small sizes and the
@@ -31,10 +44,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cliquesim.engine
-from cliquesim.adversary import CrashEvent, CrashPlan, NoneAdversary, ScriptedAdversary
+from cliquesim.adversary import (
+    CrashEvent,
+    CrashPlan,
+    NoneAdversary,
+    ScriptedAdversary,
+    WorstCaseAdversary,
+)
 from cliquesim.engine import RoundEngine, SimConfig, SimulationError
 from cliquesim.harness import check_execution, verify_exhaustive
-from cliquesim.protocol import ProtocolViolation
+from cliquesim.protocol import FAULTY, FaultEntry, ProtocolNode, ProtocolViolation
 from cliquesim.trace import round_records
 
 from test_engine_grid import LARGE_SIZES, SIZES, grid_cases, verify_cases
@@ -198,3 +217,133 @@ def test_ncc_send_and_receive_maxima_match_the_round_log(sizes):
         metrics = result.metrics
         recorded = (metrics.max_send_per_round, metrics.max_recv_per_round)
         assert recounted_maxima(result) == recorded, label
+
+
+def partition(engine) -> list[list[int]]:
+    """The live nodes grouped by the record they hold, in index order."""
+    held = {}
+    for node in engine.nodes:
+        if node.index not in engine.crashed_round and node._cohort is not None:
+            held.setdefault(id(node._cohort), []).append(node.index)
+    return sorted(held.values())
+
+
+# (label, config, crash events, a round, and the live nodes grouped by the
+# record they hold once that round is over and the next one's sends are
+# made, on the sharing engine). cc n=5 closes phase 1 in round 2; node 1
+# is due in round 3, and each later index one failover gap (3 rounds) after
+# the last entry it heard.
+CC5 = SimConfig(n=5, degrees=(1, 2, 2, 1, 2))
+SPLITS = [
+    # Node 2 crashes in round 1 reaching nodes 1 and 3, which hear it once by
+    # mail, and nodes 4 and 5 never hear it: two cohorts at close. Node 1
+    # then activates in round 3.
+    ("phase-1 mail", CC5, (CrashEvent(1, 2, (1, 3)),), 2, [[1], [3], [4, 5]]),
+    # Node 5 is silent, so node 1 activates in round 3 to rebroadcast a
+    # smite for it, leaving the cohort of nodes 2-4.
+    ("activation", CC5, (CrashEvent(1, 5, ()),), 2, [[1], [2, 3, 4]]),
+    # Node 1 crashes on its second copy, reaching node 3 alone, which leaves
+    # its cohort through `receive`.
+    ("later mail", CC5, (CrashEvent(1, 5, ()), CrashEvent(4, 1, (3,))), 4, [[2, 4], [3]]),
+    # Listener 3 crashes in round 4 while nodes 2 and 4 hear on.
+    ("listener crash", CC5, (CrashEvent(1, 5, ()), CrashEvent(4, 3, ())), 4, [[1], [2, 4]]),
+    # Node 1 exits at once in round 3 and crashes with its termination
+    # signal reaching nodes 2 and 3, which exit on it; nodes 4 and 5 wait.
+    ("partial signal", CC5, (CrashEvent(3, 1, (2, 3)),), 3, [[2], [3], [4, 5]]),
+]
+
+
+@pytest.mark.parametrize(
+    "config, events, at, held",
+    [case[1:] for case in SPLITS],
+    ids=[case[0] for case in SPLITS],
+)
+def test_each_split_ends_as_without_sharing(config, events, at, held):
+    plan = CrashPlan(events)
+    engine = RoundEngine(config, ScriptedAdversary(plan))
+    while len(engine.round_log) < at:
+        engine.step()
+    assert partition(engine) == held
+    assert_same_ending(config, ScriptedAdversary(plan), ScriptedAdversary(plan))
+
+
+def test_ncc_splits_end_as_without_sharing():
+    """ncc n=9 (groups 1-4, 5-8 and 9): node 6 crashes in round 2 reaching
+    nodes 1 and 2 of group 1, and node 1 crashes in its first active round
+    reaching node 3 alone."""
+    config = SimConfig(n=9, degrees=(1, 2, 2, 1, 2, 1, 1, 2, 1), model="ncc")
+    plan = CrashPlan((CrashEvent(2, 6, (1, 2)), CrashEvent(7, 1, (3,))))
+    assert_same_ending(config, ScriptedAdversary(plan), ScriptedAdversary(plan))
+
+
+def test_a_violation_in_a_shared_cohort_names_its_lowest_member(monkeypatch):
+    """In a fault-free cc n=5 run node 1 rebroadcasts, in round 3, a faulty
+    entry without a degree to its whole group. Nodes 2-5 share one record,
+    which the entry reaches once, through node 2: the listener that the
+    per-recipient path names too."""
+
+    class Degreeless(ProtocolNode):
+        def emit(self, rnd):
+            send = super().emit(rnd)
+            if (rnd, self.index) == (3, 1):
+                return FaultEntry(1, 4, FAULTY, None), self._group_peers[0]
+            return send
+
+    monkeypatch.setattr(cliquesim.engine, "ProtocolNode", Degreeless)
+    engine = RoundEngine(CC5, NoneAdversary())
+    while engine.round < 3:
+        engine.step()
+    assert partition(engine) == [[1], [2, 3, 4, 5]]
+    with pytest.raises(ProtocolViolation, match="^node 2 got a faulty rebroadcast"):
+        engine.step()
+    assert_same_ending(CC5, NoneAdversary(), NoneAdversary())
+
+
+def spied_hears(monkeypatch) -> tuple[list[int], list[int]]:
+    """Per group-send entry `hear` call, how many listeners it got, which
+    is how many cohorts it updated; and the count of `receive` calls."""
+    widths, received = [], [0]
+    hear, receive = ProtocolNode.hear, ProtocolNode.receive
+
+    def counting_hear(rnd, msg, listeners):
+        if isinstance(msg, FaultEntry) and len(listeners) > 0:
+            widths.append(len({id(node._cohort) for node in listeners}))
+        return hear(rnd, msg, listeners)
+
+    def counting_receive(self, rnd, inbox):
+        received[0] += 1
+        return receive(self, rnd, inbox)
+
+    monkeypatch.setattr(ProtocolNode, "hear", staticmethod(counting_hear))
+    monkeypatch.setattr(ProtocolNode, "receive", counting_receive)
+    return widths, received
+
+
+def test_cohorts_stay_few_in_cc_under_the_worst_adversary(monkeypatch):
+    """cc n=256, f=128: node 2's partial round-1 copy splits the listeners
+    into two cohorts at close, and nothing splits them again, so each entry
+    updates at most two records and the survivors end holding at most two
+    views. (A result still holds one view per node: each orders its own
+    entry apart.)"""
+    widths, received = spied_hears(monkeypatch)
+    engine = RoundEngine(SimConfig(n=256, degrees=(64,) * 256), WorstCaseAdversary(128))
+    engine.run()
+    assert widths and max(widths) <= 2
+    assert received == [0]
+    survivors = [node for node in engine.nodes if node.index not in engine.crashed_round]
+    assert len({id(node._cohort.view) for node in survivors}) <= 2
+
+
+def test_cohorts_stay_few_in_ncc_under_the_worst_adversary(monkeypatch):
+    """ncc strict n=128, f=4: each group holds at most two cohorts after
+    phase 1."""
+    widths, received = spied_hears(monkeypatch)
+    config = SimConfig(n=128, degrees=(32,) * 128, model="ncc", strict=True)
+    engine = RoundEngine(config, WorstCaseAdversary(4))
+    while engine.round <= engine._phase1_len:
+        engine.step()
+    for live in engine._group_live:
+        assert len({id(node._cohort) for node in live}) <= 2
+    engine.run()
+    assert widths and max(widths) <= 2
+    assert received == [0]
