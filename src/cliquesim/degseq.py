@@ -7,8 +7,9 @@ number of nodes are accepted and simply reported unrealizable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from typing import Iterable
 
 __all__ = [
@@ -28,19 +29,23 @@ class DegreeSequence:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ids = [i for i, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be distinct")
         for i, d in self.entries:
+            if not _is_int(i):
+                raise ValueError(f"node id {i!r} must be an integer")
+            if not _is_int(d):
+                raise ValueError(f"degree {d!r} of node {i} must be an integer")
             if i < 1:
                 raise ValueError(f"node id {i} must be >= 1")
             if d < 0:
                 raise ValueError(f"degree {d} of node {i} must be >= 0")
+        ids = [i for i, _ in self.entries]
+        if len(set(ids)) != len(ids):
+            raise ValueError("node ids must be distinct")
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[int]) -> "DegreeSequence":
         """Build a sequence with implicit node ids 1..n."""
-        return cls(tuple((i + 1, int(d)) for i, d in enumerate(degrees)))
+        return cls(tuple(enumerate(degrees, 1)))
 
     @classmethod
     def coerce(cls, seq: "DegreeSequence | Iterable[int]") -> "DegreeSequence":
@@ -73,12 +78,13 @@ class RealizedGraph:
     def __post_init__(self) -> None:
         known = set(self.node_ids)
         for u, v in self.edges:
+            if u < v and u in known and v in known:
+                continue
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (u < v):
                 raise ValueError(f"edge ({u}, {v}) must be stored as (min, max)")
-            if u not in known or v not in known:
-                raise ValueError(f"edge ({u}, {v}) references unknown node")
+            raise ValueError(f"edge ({u}, {v}) references unknown node")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
 
@@ -138,29 +144,75 @@ def havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
     Deterministic: each step peels the maximum-degree node, degree ties
     broken by ascending node id, and connects it to the next-largest
     remaining nodes under the same ordering.
+
+    The residual demands are kept as runs `[demand, ids ascending]`, one per
+    distinct demand, largest first: laid end to end they are that ordering.
+    A peel takes the head id v of the first run and walks the runs until its
+    d partners are covered. It emits each run's edges from slices of its
+    ids split at v, lowers every run it took wholly by one in place, and
+    splits the run it took in part into the taken head, one lower, and the
+    rest. The rest joins the run above and the head the run below when
+    their demands meet, so the runs stay one per demand. The edges come out
+    in the order of the one-edge-at-a-time peel.
     """
     seq = DegreeSequence.coerce(seq)
-    # (-residual demand, id): a plain sort puts the largest demand first and
-    # breaks ties by ascending id.
-    residual = [(-d, i) for i, d in seq.entries]
+    by_demand: dict[int, list[int]] = {}
+    for i, d in seq.entries:
+        by_demand.setdefault(d, []).append(i)
+    runs = [[d, sorted(by_demand[d])] for d in sorted(by_demand, reverse=True)]
+    left = len(seq)  # ids in the runs
     edges: list[tuple[int, int]] = []
-    while residual:
-        residual.sort()
-        neg_d, v = residual.pop(0)
-        d = -neg_d
+    while runs:
+        d, ws = runs[0]
         if d == 0:
             break  # all remaining demands are zero
-        if d > len(residual):
+        v = ws.pop(0)  # v leaves the runs, so no pair is linked twice
+        left -= 1
+        if d > left:
             return RealizationOutcome.unrealizable()
-        # v has left `residual`, so no pair is linked twice.
-        for k in range(d):
-            neg_dk, w = residual[k]
-            if neg_dk == 0:  # w's demand is already met
+        if not ws:
+            del runs[0]
+        r = 0
+        while d:
+            run = runs[r]
+            x, ws = run
+            if x == 0:  # a partner whose demand is already met
                 return RealizationOutcome.unrealizable()
-            residual[k] = (neg_dk + 1, w)
-            edges.append((v, w) if v < w else (w, v))
+            whole = len(ws) <= d
+            taken = ws if whole else ws[:d]
+            k = bisect_left(taken, v)
+            edges += zip(islice(taken, k), repeat(v))
+            edges += zip(repeat(v), islice(taken, k, None))
+            d -= len(taken)
+            if whole:
+                run[0] = x - 1
+                r += 1
+                if not d and r < len(runs) and runs[r][0] == x - 1:
+                    _merge(ws, runs.pop(r)[1])
+                continue
+            del ws[: len(taken)]  # the rest keeps demand x
+            if r and runs[r - 1][0] == x:
+                _merge(runs[r - 1][1], runs.pop(r)[1])
+            else:
+                r += 1
+            if r < len(runs) and runs[r][0] == x - 1:
+                _merge(runs[r][1], taken)
+            else:
+                runs.insert(r, [x - 1, taken])
     graph = RealizedGraph(node_ids=seq.node_ids, edges=edges)
     return RealizationOutcome(graph=graph)
+
+
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: Python counts bools as ints, and JSON's
+    `true` and `false` parse as them."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _merge(ids: list[int], more: list[int]) -> None:
+    """Merge the ascending ids `more` into the ascending list `ids`."""
+    ids += more
+    ids.sort()
 
 
 def verify_degrees(graph: RealizedGraph, seq: DegreeSequence | Iterable[int]) -> bool:

@@ -175,9 +175,9 @@ class Cohort:
         if own_at == len(view):  # nothing accepted since phase 1
             mine[index] = own
             return mine
-        tail = [(s, mine.pop(s)) for s in list(islice(view, own_at, None))]
+        tail = [(s, mine.pop(s)) for s in islice(reversed(view), len(view) - own_at)]
         mine[index] = own
-        mine.update(tail)
+        mine.update(reversed(tail))
         return mine
 
     def split(self, index: int) -> Cohort:
@@ -425,7 +425,7 @@ class ProtocolNode:
         self._group = layout.group_of(index)
         self._group_peers = list(layout.member_lists)
         own = self._group_peers[self._group - 1].copy()
-        own.remove(index)
+        del own[(index - 1) % layout.group_size]  # index's place in its group
         self._group_peers[self._group - 1] = own
         self._announce = Announce(index, degree)
 

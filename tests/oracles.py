@@ -7,7 +7,10 @@ it cross-validates. It needs numpy, which the `test` extra installs.
 `reference_erdos_gallai` and `reference_havel_hakimi` are the direct
 forms of the `degseq` kernels, kept as the references the faster kernels
 are compared against: the first sums every prefix and min term afresh for
-each k, the second collects its edges in a growing set.
+each k; the second re-sorts the residual demands before each peel and
+takes one step per edge, where the kernel moves whole runs of equal demand.
+It freezes its edges in the order it makes them, as the kernel does, so the
+tests can also compare the order in which the two graphs' edges iterate.
 
 `reference_verify_exhaustive` is the verifier's crash-schedule explorer
 without its memo: it runs every effective crash log through
@@ -103,10 +106,10 @@ def reference_erdos_gallai(seq: DegreeSequence | Iterable[int]) -> bool:
 
 def reference_havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
     """Havel–Hakimi with the peel order and tie-breaking of
-    `degseq.havel_hakimi`, its edges added to a set."""
+    `degseq.havel_hakimi`, one edge at a time."""
     seq = DegreeSequence.coerce(seq)
     residual = [(-d, i) for i, d in seq.entries]
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     while residual:
         residual.sort()
         neg_d, v = residual.pop(0)
@@ -120,7 +123,7 @@ def reference_havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOu
             if neg_dk == 0:
                 return RealizationOutcome.unrealizable()
             residual[k] = (neg_dk + 1, w)
-            edges.add((v, w) if v < w else (w, v))
+            edges.append((v, w) if v < w else (w, v))
     graph = RealizedGraph(node_ids=seq.node_ids, edges=frozenset(edges))
     return RealizationOutcome(graph=graph)
 

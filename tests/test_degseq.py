@@ -82,6 +82,30 @@ class TestHavelHakimi:
         assert outcome.realizable
         assert outcome.graph.degree_of(4) == 0
 
+    @pytest.mark.parametrize(
+        "degrees, edges",
+        [
+            pytest.param([1, 1], [(1, 2)], id="exact-take"),
+            pytest.param([1, 1, 1], None, id="rest-stays"),
+            pytest.param([1, 1, 2, 2], [(1, 3), (2, 4), (3, 4)], id="rest-merges-up"),
+            pytest.param([0, 1, 1], [(2, 3)], id="exact-take-meets-run-below"),
+            pytest.param([0, 1, 1, 1], None, id="head-merges-down"),
+            pytest.param([0, 1], None, id="zero-partner"),
+            pytest.param([1], None, id="demand-above-nodes-left"),
+        ],
+    )
+    def test_each_peel_branch(self, degrees, edges):
+        """The smallest demands, by exhaustive search over n <= 6, that take
+        each branch of the run kernel's peel."""
+        outcome = havel_hakimi(degrees)
+        reference = reference_havel_hakimi(degrees)
+        assert outcome == reference
+        if edges is None:
+            assert not outcome.realizable
+        else:
+            assert outcome.graph.sorted_edges() == edges
+            assert list(outcome.graph.edges) == list(reference.graph.edges)
+
 
 class TestBruteForce:
     def test_single_isolated_node(self):
@@ -142,6 +166,37 @@ class TestTypeInvariants:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             RealizedGraph(node_ids=(1, 2), edges=frozenset({(1, 3)}))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((1, 1.9), (2, 1.2)), "degree 1.9 of node 1 must be an integer"),
+            (((1.0, 1), (2, 1)), "node id 1.0 must be an integer"),
+            (((1, 1.0), (2, 1.0)), "degree 1.0 of node 1 must be an integer"),
+            (((True, 1), (2, 1)), "node id True must be an integer"),
+            (((1, 1), (2, False)), "degree False of node 2 must be an integer"),
+        ],
+    )
+    def test_non_integer_id_or_degree_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DegreeSequence(entries)
+
+    def test_non_integer_degrees_not_truncated(self):
+        with pytest.raises(ValueError, match="degree 1.9 of node 1"):
+            havel_hakimi([1.9, 1.2])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((3, 3), "self-loop at node 3"),
+            ((3, 1), r"edge \(3, 1\) must be stored as \(min, max\)"),
+            ((1, 4), r"edge \(1, 4\) references unknown node"),
+            ((0, 2), r"edge \(0, 2\) references unknown node"),
+        ],
+    )
+    def test_bad_edge_after_a_valid_one_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            RealizedGraph(node_ids=(1, 2, 3), edges=[(1, 2), bad])
 
     def test_edge_list_checked_in_order_then_frozen(self):
         graph = RealizedGraph(node_ids=(1, 2, 3), edges=[(1, 2), (2, 3)])
@@ -234,10 +289,40 @@ def test_kernels_match_their_references(seed):
     verdicts = []
     for seq in random_sequences(seed, 300):
         outcome = havel_hakimi(seq)
-        assert outcome == reference_havel_hakimi(seq), seq
+        reference = reference_havel_hakimi(seq)
+        assert outcome == reference, seq
+        if outcome.realizable:
+            assert list(outcome.graph.edges) == list(reference.graph.edges), seq
         assert erdos_gallai(seq) == reference_erdos_gallai(seq) == outcome.realizable
         verdicts.append(outcome.realizable)
     assert 50 < sum(verdicts) < 250  # both verdicts are well covered
+
+
+@st.composite
+def tied_sequences(draw):
+    """Up to 24 nodes with shuffled sparse ids and their demands drawn from
+    at most three levels in [0, n + 2]: heavy ties, zero demands and
+    demands above n."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    sparse_id = st.integers(min_value=1, max_value=4 * n + 1)
+    ids = draw(st.lists(sparse_id, min_size=n, max_size=n, unique=True))
+    level = st.integers(min_value=0, max_value=n + 2)
+    levels = draw(st.lists(level, min_size=1, max_size=3))
+    degrees = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    return DegreeSequence(tuple(zip(ids, degrees)))
+
+
+@settings(max_examples=300)
+@given(tied_sequences())
+def test_kernel_matches_reference_on_tied_demands(seq):
+    """The run kernel gives the one-edge-at-a-time reference's outcome, with
+    its edges in the same order, and Erdős–Gallai's verdict."""
+    outcome = havel_hakimi(seq)
+    reference = reference_havel_hakimi(seq)
+    assert outcome == reference
+    assert outcome.realizable == erdos_gallai(seq)
+    if outcome.realizable:
+        assert list(outcome.graph.edges) == list(reference.graph.edges)
 
 
 @pytest.mark.parametrize(
@@ -252,6 +337,8 @@ def test_kernels_match_their_references(seed):
 )
 def test_kernels_match_their_references_at_scale(degrees):
     outcome = havel_hakimi(degrees)
+    reference = reference_havel_hakimi(degrees)
     assert outcome.realizable
-    assert outcome == reference_havel_hakimi(degrees)
+    assert outcome == reference
+    assert list(outcome.graph.edges) == list(reference.graph.edges)
     assert erdos_gallai(degrees) == reference_erdos_gallai(degrees)
