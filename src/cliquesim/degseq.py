@@ -7,9 +7,8 @@ number of nodes are accepted and simply reported unrealizable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate
 from typing import Iterable
 
 __all__ = [
@@ -145,74 +144,45 @@ def havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
     broken by ascending node id, and connects it to the next-largest
     remaining nodes under the same ordering.
 
-    The residual demands are kept as runs `[demand, ids ascending]`, one per
-    distinct demand, largest first: laid end to end they are that ordering.
-    A peel takes the head id v of the first run and walks the runs until its
-    d partners are covered. It emits each run's edges from slices of its
-    ids split at v, lowers every run it took wholly by one in place, and
-    splits the run it took in part into the taken head, one lower, and the
-    rest. The rest joins the run above and the head the run below when
-    their demands meet, so the runs stay one per demand. The edges come out
-    in the order of the one-edge-at-a-time peel.
+    Each node is kept as one int key, r - d * n: d is its residual demand
+    and r its rank, the place of its id among the n ids in ascending order.
+    So a plain sort of the keys gives that ordering and compares ints, not
+    tuples. A peel pops the first key and slices off the next d keys as its
+    partners; one list comprehension adds n to each (one less demand) and
+    another emits the edges in the partners' order. The sort after it merges
+    the two sorted parts the peel leaves. The edges hold the id objects of
+    `seq`, looked up by rank, not new ints.
     """
     seq = DegreeSequence.coerce(seq)
-    by_demand: dict[int, list[int]] = {}
-    for i, d in seq.entries:
-        by_demand.setdefault(d, []).append(i)
-    runs = [[d, sorted(by_demand[d])] for d in sorted(by_demand, reverse=True)]
-    left = len(seq)  # ids in the runs
+    order = sorted(seq.entries)  # by id: ids are distinct
+    ids = [i for i, _ in order]
+    n = len(ids)
+    # key % n is the rank and -(key // n) the demand, as 0 <= r < n; a met
+    # demand leaves the key >= 0.
+    residual = sorted(r - d * n for r, (_, d) in enumerate(order))
     edges: list[tuple[int, int]] = []
-    while runs:
-        d, ws = runs[0]
-        if d == 0:
+    while residual:
+        key = residual.pop(0)
+        if key >= 0:
             break  # all remaining demands are zero
-        v = ws.pop(0)  # v leaves the runs, so no pair is linked twice
-        left -= 1
-        if d > left:
+        d, r = -(key // n), key % n
+        if d > len(residual):
             return RealizationOutcome.unrealizable()
-        if not ws:
-            del runs[0]
-        r = 0
-        while d:
-            run = runs[r]
-            x, ws = run
-            if x == 0:  # a partner whose demand is already met
-                return RealizationOutcome.unrealizable()
-            whole = len(ws) <= d
-            taken = ws if whole else ws[:d]
-            k = bisect_left(taken, v)
-            edges += zip(islice(taken, k), repeat(v))
-            edges += zip(repeat(v), islice(taken, k, None))
-            d -= len(taken)
-            if whole:
-                run[0] = x - 1
-                r += 1
-                if not d and r < len(runs) and runs[r][0] == x - 1:
-                    _merge(ws, runs.pop(r)[1])
-                continue
-            del ws[: len(taken)]  # the rest keeps demand x
-            if r and runs[r - 1][0] == x:
-                _merge(runs[r - 1][1], runs.pop(r)[1])
-            else:
-                r += 1
-            if r < len(runs) and runs[r][0] == x - 1:
-                _merge(runs[r][1], taken)
-            else:
-                runs.insert(r, [x - 1, taken])
+        # r has left `residual`, so no pair is linked twice.
+        taken = residual[:d]
+        if taken[-1] >= 0:  # a partner's demand is met (the last has the least)
+            return RealizationOutcome.unrealizable()
+        residual[:d] = [k + n for k in taken]
+        v = ids[r]
+        edges += [(v, ids[s]) if r < s else (ids[s], v) for s in [k % n for k in taken]]
+        residual.sort()
     graph = RealizedGraph(node_ids=seq.node_ids, edges=edges)
     return RealizationOutcome(graph=graph)
 
 
 def _is_int(value: object) -> bool:
-    """An int that is not a bool: Python counts bools as ints, and JSON's
-    `true` and `false` parse as them."""
+    """An int that is not a bool: Python counts bools as ints."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _merge(ids: list[int], more: list[int]) -> None:
-    """Merge the ascending ids `more` into the ascending list `ids`."""
-    ids += more
-    ids.sort()
 
 
 def verify_degrees(graph: RealizedGraph, seq: DegreeSequence | Iterable[int]) -> bool:

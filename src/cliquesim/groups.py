@@ -42,6 +42,10 @@ class GroupLayout:
         """1-based group id of a node index."""
         return (index - 1) // self.group_size + 1
 
+    def place_in_group(self, index: int) -> int:
+        """0-based position of a node index in its group's member list."""
+        return (index - 1) % self.group_size
+
     def members(self, group: int) -> list[int]:
         """A new list of the group's indexes, in order."""
         lo = (group - 1) * self.group_size + 1

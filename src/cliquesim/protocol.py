@@ -425,7 +425,7 @@ class ProtocolNode:
         self._group = layout.group_of(index)
         self._group_peers = list(layout.member_lists)
         own = self._group_peers[self._group - 1].copy()
-        del own[(index - 1) % layout.group_size]  # index's place in its group
+        del own[layout.place_in_group(index)]
         self._group_peers[self._group - 1] = own
         self._announce = Announce(index, degree)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .adversary import CrashEvent, CrashPlan, ScriptedAdversary
-from .degseq import _is_int
 from .engine import ExecutionResult, SimConfig, run_simulation
 from .harness import verdict
 from .protocol import AllOkay, Announce, FaultEntry
@@ -222,6 +221,12 @@ def _parse(lineno: int, line: str) -> dict:
     if not isinstance(record, dict):
         raise TraceError("every record must be a JSON object")
     return record
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: `true` and `false` parse as Python bools, which are
+    ints too, and are not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_round_record(record: dict) -> bool:

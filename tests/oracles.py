@@ -8,7 +8,8 @@ it cross-validates. It needs numpy, which the `test` extra installs.
 forms of the `degseq` kernels, kept as the references the faster kernels
 are compared against: the first sums every prefix and min term afresh for
 each k; the second re-sorts the residual demands before each peel and
-takes one step per edge, where the kernel moves whole runs of equal demand.
+takes one step per edge, where the kernel sorts one int key per node and
+takes each peel's partners as a list slice.
 It freezes its edges in the order it makes them, as the kernel does, so the
 tests can also compare the order in which the two graphs' edges iterate.
 

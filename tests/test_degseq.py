@@ -83,28 +83,32 @@ class TestHavelHakimi:
         assert outcome.graph.degree_of(4) == 0
 
     @pytest.mark.parametrize(
-        "degrees, edges",
+        "entries, edges",
         [
-            pytest.param([1, 1], [(1, 2)], id="exact-take"),
-            pytest.param([1, 1, 1], None, id="rest-stays"),
-            pytest.param([1, 1, 2, 2], [(1, 3), (2, 4), (3, 4)], id="rest-merges-up"),
-            pytest.param([0, 1, 1], [(2, 3)], id="exact-take-meets-run-below"),
-            pytest.param([0, 1, 1, 1], None, id="head-merges-down"),
+            pytest.param([1, 1], [(1, 2)], id="one-peel"),
+            pytest.param([1, 1, 2, 2], [(3, 4), (1, 3), (2, 4)], id="partners-below-and-above"),
+            pytest.param([0, 1, 1], [(2, 3)], id="rest-already-met"),
             pytest.param([0, 1], None, id="zero-partner"),
             pytest.param([1], None, id="demand-above-nodes-left"),
+            pytest.param(
+                DegreeSequence(((7, 1), (2**40, 2), (2**41, 1))),
+                [(7, 2**40), (2**40, 2**41)],
+                id="sparse-ids",
+            ),
         ],
     )
-    def test_each_peel_branch(self, degrees, edges):
-        """The smallest demands, by exhaustive search over n <= 6, that take
-        each branch of the run kernel's peel."""
-        outcome = havel_hakimi(degrees)
-        reference = reference_havel_hakimi(degrees)
-        assert outcome == reference
+    def test_each_peel_exit(self, entries, edges):
+        """The smallest demands that reach each way out of a peel, and sparse
+        ids far above n. The edges hold the sequence's own id objects."""
+        seq = DegreeSequence.coerce(entries)
+        outcome = havel_hakimi(seq)
+        assert outcome == reference_havel_hakimi(seq)
         if edges is None:
             assert not outcome.realizable
         else:
-            assert outcome.graph.sorted_edges() == edges
-            assert list(outcome.graph.edges) == list(reference.graph.edges)
+            assert list(outcome.graph.edges) == list(frozenset(edges))
+            own = {id(i) for i in seq.node_ids}
+            assert all(id(u) in own and id(v) in own for u, v in outcome.graph.edges)
 
 
 class TestBruteForce:
@@ -315,7 +319,7 @@ def tied_sequences(draw):
 @settings(max_examples=300)
 @given(tied_sequences())
 def test_kernel_matches_reference_on_tied_demands(seq):
-    """The run kernel gives the one-edge-at-a-time reference's outcome, with
+    """The kernel gives the one-edge-at-a-time reference's outcome, with
     its edges in the same order, and Erdős–Gallai's verdict."""
     outcome = havel_hakimi(seq)
     reference = reference_havel_hakimi(seq)

@@ -45,7 +45,7 @@ class TestGroupLayout:
             seen.extend(members)
         assert seen == list(range(1, n + 1))
         for i in range(1, n + 1):
-            assert i in layout.members(layout.group_of(i))
+            assert layout.members(layout.group_of(i))[layout.place_in_group(i)] == i
 
     def test_log2_ceil_floors_at_one(self):
         assert log2_ceil(1) == 1
