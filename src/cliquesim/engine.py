@@ -152,7 +152,8 @@ class Metrics:
 @dataclass
 class NodeOutcome:
     """Final per-node record. Its realization verdict is a function of the
-    view alone; `harness.verdict` computes it."""
+    view alone; `harness.verdict` computes it. The members of one `Cohort`
+    record at the run's end share one view dict: read it only."""
 
     index: int
     state: str

@@ -24,15 +24,15 @@ and hands each member its cohort through `end_phase1`.
 After phase 1 almost every listener of a group is in the same state, so
 listeners share state in the manner of counter abstraction (Pnueli, Xu &
 Zuck, CAV 2002): the members of one `Cohort` record share its view, list,
-entry window and timer source, and differ only by index. A node's view
-puts its own entry last among its phase-1 entries; the record keeps those
-in index order and says how many there are, so each member reads its own
-ordered view off it. A node leaves its cohort for a record of its own
+entry window and timer source, and differ only by index. A member's view is
+its record's view dict, whose phase-1 entries are in index order; the
+members of a record still held at the run's end share that dict in the
+result. A node leaves its cohort for a record of its own
 (`ProtocolNode.detach`) when it activates or gets mail (a crasher's partial
 delivery, a partial termination signal), the events that reach one member
-and not the rest; a crashed node keeps its view and list as they stood and
-holds no record (`ProtocolNode.freeze`). A node holds nothing else that
-another node reads or writes.
+and not the rest; a crashed node keeps its own record's view and list as
+they stood and leaves that record memberless (`ProtocolNode.freeze`). A
+node holds nothing else that another node reads or writes.
 
 Nodes are stepped by the round engine: `emit(round)` produces this round's
 one send (and applies send-side transitions), `receive(round, inbox)`
@@ -72,7 +72,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
 from .groups import GroupLayout
@@ -137,21 +136,17 @@ class Cohort:
     share one record, and each entry sent to their group updates it once.
 
     `members` are the live nodes that hold it, by index, in order. `view`
-    holds their views in one order: the first `own_at` entries, from phase
-    1, in index order, then each entry accepted since, in the order
-    accepted. A member's own view moves its own entry, one of the phase-1
-    ones, last among them, where `close` put it (`view_of`); so the view
-    and `own_at` name each member's ordered view, which `ProtocolNode.key`
-    reads through them. `flist`, the entry window and its count are every
-    member's. `(heard, sender)` is the round and sender of the last entry
-    heard, or the round after phase 1 and node 1, which gives each member i
-    its activation round: None below the sender, else
+    is every member's view, the one dict each of them reads: its phase-1
+    entries in index order, then each entry accepted since, in the order
+    accepted. `flist`, the entry window and its count are every member's.
+    `(heard, sender)` is the round and sender of the last entry heard, or
+    the round after phase 1 and node 1, which gives each member i its
+    activation round: None below the sender, else
     `heard + gap * (i - sender)`.
     """
 
     members: list[int]
     view: dict[int, int]
-    own_at: int
     flist: dict[int, int | None]
     heard: int
     sender: int = 1
@@ -163,22 +158,9 @@ class Cohort:
         `members` if given."""
         return Cohort(
             list(self.members) if members is None else members,
-            dict(self.view), self.own_at, dict(self.flist),
+            dict(self.view), dict(self.flist),
             self.heard, self.sender, self.window, self.window_count,
         )
-
-    def view_of(self, index: int) -> dict[int, int]:
-        """Member `index`'s view, as a new dict."""
-        view, own_at = self.view, self.own_at
-        mine = view.copy()
-        own = mine.pop(index)
-        if own_at == len(view):  # nothing accepted since phase 1
-            mine[index] = own
-            return mine
-        tail = [(s, mine.pop(s)) for s in islice(reversed(view), len(view) - own_at)]
-        mine[index] = own
-        mine.update(reversed(tail))
-        return mine
 
     def split(self, index: int) -> Cohort:
         """Member `index`'s own copy of this record, which it leaves."""
@@ -318,14 +300,14 @@ class Phase1Tally:
                         view, flist = _patched(shared_view, shared_list, patch, degree)
                     else:
                         view, flist = shared_view, shared_list
-                    cohort = cohorts[patch] = Cohort([], view, len(view), flist, after)
+                    cohort = cohorts[patch] = Cohort([], view, flist, after)
                     records[group - 1].append(cohort)
             else:
                 view, flist = _patched(shared_view, shared_list, patch, degree)
                 flist.pop(own, None)
                 view[own] = node.degree
                 view = dict(sorted(view.items()))
-                cohort = Cohort([], view, len(view), flist, after)
+                cohort = Cohort([], view, flist, after)
                 records[group - 1].append(cohort)
             cohort.members.append(own)
             held.append(cohort)
@@ -384,10 +366,10 @@ class ProtocolNode:
     `Cohort` record, which it shares with the listeners of its group in the
     same state; `detach` gives it a record of its own, as activating and
     mail do, and `freeze` keeps them as they stand at a crash. Read them
-    only: `view` is a new dict for a node that holds a record. `next_emit`
-    is the node's own timer while phase 1 runs and once it is active or has
-    exited, and None after a crash; while it listens after phase 1 it is the
-    activation round its record gives it.
+    only: they are the record's own dicts, which its other members read
+    too. `next_emit` is the node's own timer while phase 1 runs and once it
+    is active or has exited, and None after a crash; while it listens after
+    phase 1 it is the activation round its record gives it.
     """
 
     def __init__(
@@ -433,7 +415,7 @@ class ProtocolNode:
     def view(self) -> dict[int, int]:
         cohort = self._cohort
         if cohort is not None:
-            return cohort.view_of(self.index)
+            return cohort.view
         return {} if self._frozen is None else self._frozen[0]
 
     @property
@@ -469,14 +451,17 @@ class ProtocolNode:
             self._cohort = cohort.split(self.index)
 
     def freeze(self) -> None:
-        """Stop this node's timer, keep its view and list as they stand and
-        leave its record, which its cohort may go on changing: a crashed
-        node is never stepped again, and its view is read at the run's end."""
+        """Stop this node's timer and keep its view and list as they stand:
+        a crashed node is never stepped again, and its view is read at the
+        run's end. It first leaves a shared record, which its cohort may go
+        on changing, for a copy of its own; that record then loses its one
+        member, so no later round reaches it."""
         self._timer = None
+        self.detach()
         cohort = self._cohort
         if cohort is not None:
-            self._frozen = cohort.view_of(self.index), dict(cohort.flist)
-            cohort.members.remove(self.index)
+            self._frozen = cohort.view, cohort.flist
+            cohort.members.clear()
             self._cohort = None
 
     def fork(self, cohorts: dict[int, Cohort] | None = None) -> ProtocolNode:
@@ -498,29 +483,26 @@ class ProtocolNode:
 
     def key(self, crashed: bool = False) -> tuple:
         """What the rest of a run reads of this node, as plain values for
-        `RoundEngine.key`. A live node gives its state, its ordered view (as
-        its record's view and `own_at`, which name it) and list, its timer,
-        its exit round, its entry window and count, its subject and sends
-        done, its signal flag and how many signals are pending (a suffix of
-        its visit order, so the count names them). A crashed node is never
-        stepped again, so it gives only what the run's check reads: its exit
-        round, its signal flag and, if it exited, its view. The index,
-        degree, layout, mutations and what they fix are left out: every node
-        of a run has them from its config; so is which nodes share a record."""
+        `RoundEngine.key`. A live node gives its state, its view and list,
+        its timer (`next_emit`), its exit round, its entry window and count,
+        its subject and sends done, its signal flag and how many signals are
+        pending (a suffix of its visit order, so the count names them). A
+        crashed node is never stepped again, so it gives only what the run's
+        check reads: its exit round, its signal flag and, if it exited, its
+        view. The index, degree, layout, mutations and what they fix are
+        left out: every node of a run has them from its config; so is which
+        nodes share a record."""
         if crashed:
             exited = self.exit_round is not None
             return self.exit_round, self.allokay_broadcast, self.view if exited else None
-        cohort, timer = self._cohort, self._timer
+        cohort = self._cohort
         if cohort is None:  # phase 1 is open
-            view = own_at = flist = window = count = None
+            view = flist = window = count = None
         else:
-            view, own_at, flist = cohort.view, cohort.own_at, cohort.flist
+            view, flist = cohort.view, cohort.flist
             window, count = cohort.window, cohort.window_count
-            if self.state is NodeState.LISTENING:
-                i, sender = self.index, cohort.sender
-                timer = None if i < sender else cohort.heard + self.gap * (i - sender)
         return (
-            self.state._value_, view, own_at, flist, timer, self.exit_round,
+            self.state._value_, view, flist, self.next_emit, self.exit_round,
             window, count, self.current_subject, self.sends_done,
             self.allokay_broadcast, len(self._allokay_pending),
         )

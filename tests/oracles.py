@@ -136,8 +136,9 @@ def phase1_classification(
     live at its end, each copy it received in rounds 1..2g: a subject heard
     twice or more goes into the view, once into the list with its degree,
     never into the list as a smite. Returns each such node's (view, list),
-    the view holding its own degree too, and each subject's first witness:
-    the lowest such node, not the subject, that heard it twice."""
+    each in index order, the view holding its own degree too, and each
+    subject's first witness: the lowest such node, not the subject, that
+    heard it twice."""
     config = result.config
     n = config.n
     g = GroupLayout.for_clique(n).group_count if config.model == "ncc" else 1
@@ -160,6 +161,7 @@ def phase1_classification(
         view, flist = {}, {}
         for s in range(1, n + 1):
             if s == j:
+                view[j] = config.degrees[j - 1]
                 continue
             copies = heard[j].get(s, 0)
             if copies >= 2:
@@ -167,7 +169,6 @@ def phase1_classification(
                 witness.setdefault(s, j)
             else:
                 flist[s] = degree[s] if copies else None
-        view[j] = config.degrees[j - 1]
         classified[j] = (view, flist)
     return classified, witness
 

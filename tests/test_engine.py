@@ -192,16 +192,17 @@ def test_agreement_and_validity_under_arbitrary_crash_plans(data):
 def test_views_keep_index_order_when_mail_completes_a_peer():
     """Node 3 crashes in round 2 reaching only nodes 1 and 4, so they hear it
     once from the shared round-1 broadcast and once by mail: it still lands
-    in their views in index order, their own index last. Agreement issues
-    print views in this order."""
+    in their views in index order, their own index among the rest. Nodes 2
+    and 5 heard it once and accept it later, after their phase-1 entries.
+    Agreement issues print views in this order."""
     config = SimConfig(n=5, degrees=(1, 2, 2, 1, 2))
     plan = CrashPlan((CrashEvent(2, 3, (1, 4)),))
     result = run_simulation(config, ScriptedAdversary(plan))
     assert [list(o.view) for o in result.nodes] == [
-        [2, 3, 4, 5, 1],
-        [1, 4, 5, 2, 3],
+        [1, 2, 3, 4, 5],
+        [1, 2, 4, 5, 3],
         [],
-        [1, 2, 3, 5, 4],
+        [1, 2, 3, 4, 5],
         [1, 2, 4, 5, 3],
     ]
     assert check_execution(result) == []
@@ -216,7 +217,7 @@ def test_failing_views_are_reported_node_by_node():
     nodes[3] = dataclasses.replace(nodes[3], view={1: 1, 2: 1, 3: 1, 4: 9})
     assert check_execution(result) == [
         "agreement: view disagreement between nodes 1 and 2: "
-        "{2: 1, 3: 1, 4: 1, 1: 1} vs {1: 1, 2: 1, 3: 1}",
+        "{1: 1, 2: 1, 3: 1, 4: 1} vs {1: 1, 2: 1, 3: 1}",
         "agreement: verdict disagreement among exited nodes [1, 2, 3, 4]",
         "validity: node 2 has |D'|=3 < n-crashed=4",
         "validity: node 2 is missing degrees of non-crashed nodes [4]",

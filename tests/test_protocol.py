@@ -262,7 +262,7 @@ class TestResolveOrder:
     def listener(self, flist):
         # The list is out of index order, as heard-once updates leave it.
         node = cc_node(9, 1, 9)
-        node.end_phase1(Cohort([9], {1: 1, 9: 1}, 2, flist, node.phase1_len + 1))
+        node.end_phase1(Cohort([9], {1: 1, 9: 1}, flist, node.phase1_len + 1))
         return node
 
     def test_faulty_heard_twice_settles_lower_entries_in_list_order(self):

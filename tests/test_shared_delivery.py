@@ -267,6 +267,28 @@ def test_each_split_ends_as_without_sharing(config, events, at, held):
     assert_same_ending(config, ScriptedAdversary(plan), ScriptedAdversary(plan))
 
 
+def test_crashed_listeners_keep_their_views_while_their_cohorts_hear_on():
+    """cc n=5: node 2 crashes in round 1 reaching nodes 1 and 3, so node 3
+    holds a record of its own at close and nodes 4 and 5 share one. Nodes 3
+    and 4 crash in round 3, when node 1 sends its first copy of the faulty
+    entry for node 2, and node 5 accepts the entry from the second copy.
+    The crashed nodes end with their views as they stood at their crash:
+    node 4 leaves the shared record for a copy, and no entry reaches node
+    3's own record once it crashed."""
+    plan = CrashPlan((CrashEvent(1, 2, (1, 3)), CrashEvent(3, 3, ()), CrashEvent(3, 4, ())))
+    engine = RoundEngine(CC5, ScriptedAdversary(plan))
+    while engine.round < 3:
+        engine.step()
+    assert partition(engine) == [[1], [3], [4, 5]]
+    engine.step()
+    at_crash = {i: dict(engine.nodes[i - 1].view) for i in (3, 4)}
+    result = engine.run()
+    assert {o.index: o.view for o in result.nodes if o.index in at_crash} == at_crash
+    assert all(2 not in view for view in at_crash.values())
+    assert [o.view.get(2) for o in result.survivors()] == [2, 2]
+    assert_same_ending(CC5, ScriptedAdversary(plan), ScriptedAdversary(plan))
+
+
 def test_ncc_splits_end_as_without_sharing():
     """ncc n=9 (groups 1-4, 5-8 and 9): node 6 crashes in round 2 reaching
     nodes 1 and 2 of group 1, and node 1 crashes in its first active round
@@ -323,15 +345,15 @@ def test_cohorts_stay_few_in_cc_under_the_worst_adversary(monkeypatch):
     """cc n=256, f=128: node 2's partial round-1 copy splits the listeners
     into two cohorts at close, and nothing splits them again, so each entry
     updates at most two records and the survivors end holding at most two
-    views. (A result still holds one view per node: each orders its own
-    entry apart.)"""
+    views. The result hands each member its record's view, uncopied."""
     widths, received = spied_hears(monkeypatch)
     engine = RoundEngine(SimConfig(n=256, degrees=(64,) * 256), WorstCaseAdversary(128))
-    engine.run()
+    result = engine.run()
     assert widths and max(widths) <= 2
     assert received == [0]
     survivors = [node for node in engine.nodes if node.index not in engine.crashed_round]
     assert len({id(node._cohort.view) for node in survivors}) <= 2
+    assert len({id(o.view) for o in result.survivors()}) <= 2
 
 
 def test_cohorts_stay_few_in_ncc_under_the_worst_adversary(monkeypatch):
