@@ -245,7 +245,7 @@ def _sweep_row(
     exited = result.exited()
     if not agreement_ok:
         shown = "disagree"
-    elif exited and verdict(exited[0]).realizable:
+    elif exited and erdos_gallai(exited[0].view.values()):
         shown = "realizable"
     else:
         shown = "unrealizable"

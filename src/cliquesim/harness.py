@@ -4,8 +4,16 @@
 all terminated nodes agree on the degree view and the realization verdict,
 the view is large enough given the crash count, only crashed nodes' degrees
 may be missing, every survivor's degree is everywhere, and the message
-total respects the broadcast accounting bound. `verdict` is the one place
-a node's realization verdict is computed, cached per sorted view.
+total respects the broadcast accounting bound. `verdict` builds a node's
+realization verdict, a Havel–Hakimi graph, cached per sorted view. The
+agreement check compares verdicts without building one: two Havel–Hakimi
+verdicts agree exactly when both views are unrealizable, or both are
+realizable and agree on every nonzero demand. On a realizable input the
+peel never takes a zero-demand node, so the edges depend only on the
+nonzero demands; and a realized graph gives each node its demand, so its
+edges fix them. Havel–Hakimi realizes a view exactly when Erdős–Gallai
+accepts it, so `_verdict_key` is that test and the nonzero `(id, degree)`
+pairs: one O(n log n) pass per distinct view.
 
 `verify_exhaustive` covers every crash plan (up to f crashers, each with a
 crash round up to the horizon and a delivery mask over its n-1 peers)
@@ -46,7 +54,7 @@ from math import comb
 from typing import Iterator
 
 from .adversary import CrashEvent, CrashPlan, ScriptedAdversary
-from .degseq import DegreeSequence, RealizationOutcome, havel_hakimi
+from .degseq import DegreeSequence, RealizationOutcome, erdos_gallai, havel_hakimi
 from .engine import (
     AdversaryError,
     ConfigError,
@@ -107,13 +115,9 @@ def check_execution(result: ExecutionResult) -> list[str]:
             f"agreement: view disagreement between nodes {ref.index} "
             f"and {o.index}: {ref.view} vs {o.view}"
         )
-    # One verdict per distinct view. Two verdicts agree when both are
-    # unrealizable or both realize the same edge set.
-    verdicts = set()
-    for view in views:
-        graph = _realize(tuple(sorted(view.items()))).graph
-        verdicts.add(None if graph is None else graph.edges)
-    if len(verdicts) > 1:
+    # One verdict key per distinct view: equal keys are equal Havel–Hakimi
+    # verdicts, with no graph built (see the module docstring).
+    if len({_verdict_key(tuple(sorted(view.items()))) for view in views}) > 1:
         issues.append(
             f"agreement: verdict disagreement among exited nodes "
             f"{[o.index for o in exited]}"
@@ -170,6 +174,16 @@ def _realize(view: tuple[tuple[int, int], ...]) -> RealizationOutcome:
     """Havel-Hakimi on a sorted degree view; cached, a few views at a time,
     because the same views recur across a run's nodes and across runs."""
     return havel_hakimi(DegreeSequence(view))
+
+
+@lru_cache(maxsize=16)
+def _verdict_key(view: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...] | None:
+    """What a sorted degree view's Havel–Hakimi verdict depends on: None
+    when Erdős–Gallai rejects it, else its pairs with a nonzero degree.
+    Cached as `_realize` is."""
+    if not erdos_gallai(DegreeSequence(view)):
+        return None
+    return tuple(pair for pair in view if pair[1])
 
 
 def run_plan(

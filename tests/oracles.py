@@ -13,6 +13,11 @@ takes each peel's partners as a list slice.
 It freezes its edges in the order it makes them, as the kernel does, so the
 tests can also compare the order in which the two graphs' edges iterate.
 
+`reference_verdicts_agree` is the agreement test on two views' realization
+verdicts that `harness.check_execution` made before it compared verdict
+keys: both unrealizable, or both realized by the same `havel_hakimi` edge
+set.
+
 `reference_verify_exhaustive` is the verifier's crash-schedule explorer
 without its memo: it runs every effective crash log through
 `harness.run_plan`, resuming each child from its parent's fork, so a spy on
@@ -32,7 +37,7 @@ from typing import Iterable
 
 from cliquesim import harness
 from cliquesim.adversary import CrashPlan
-from cliquesim.degseq import DegreeSequence, RealizationOutcome, RealizedGraph
+from cliquesim.degseq import DegreeSequence, RealizationOutcome, RealizedGraph, havel_hakimi
 from cliquesim.engine import ExecutionResult, SimConfig
 from cliquesim.groups import GroupLayout
 from cliquesim.harness import VerifyReport, _Brancher, _children, _plan_count
@@ -127,6 +132,14 @@ def reference_havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOu
             edges.append((v, w) if v < w else (w, v))
     graph = RealizedGraph(node_ids=seq.node_ids, edges=frozenset(edges))
     return RealizationOutcome(graph=graph)
+
+
+def reference_verdicts_agree(a: dict[int, int], b: dict[int, int]) -> bool:
+    """Whether degree views `a` and `b` get the same Havel–Hakimi verdict:
+    both unrealizable, or both realized with the same edge set."""
+    graphs = [havel_hakimi(DegreeSequence(tuple(sorted(v.items())))).graph for v in (a, b)]
+    edges = [None if g is None else g.edges for g in graphs]
+    return edges[0] == edges[1]
 
 
 def phase1_classification(

@@ -3,6 +3,7 @@ crash golden values, determinism, and the watchdog."""
 
 import copy
 import dataclasses
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from cliquesim.protocol import (
     ProtocolViolation,
 )
 from cliquesim.trace import round_records
+from oracles import reference_verdicts_agree
 
 
 def fault_free_messages(n):
@@ -242,12 +244,104 @@ def test_messages_over_the_bound_are_reported():
 
 def test_verdict_cache_is_bounded():
     """A long sweep realizes one view per row; only the last few stay
-    cached."""
+    cached, as realizations and as verdict keys."""
     harness._realize.cache_clear()
+    harness._verdict_key.cache_clear()
     for d in range(40):
         view = {1: d, 2: d, 3: 0}
         assert verdict(NodeOutcome(1, "exited", None, 3, view)).realizable == (d < 2)
+        key = harness._verdict_key(tuple(sorted(view.items())))
+        assert key == (((1, d), (2, d)) if d == 1 else () if d == 0 else None)
     assert harness._realize.cache_info().currsize == 16
+    assert harness._verdict_key.cache_info().currsize == 16
+
+
+def _with_view(degrees, node, view):
+    """A fault-free run of `degrees` with node `node`'s final view replaced."""
+    result = run_simulation(SimConfig(n=len(degrees), degrees=degrees), NoneAdversary())
+    result.nodes[node - 1] = dataclasses.replace(result.nodes[node - 1], view=view)
+    return result
+
+
+def test_views_differing_by_a_zero_demand_agree_on_the_verdict():
+    """Both views realize the one edge (1, 2): the view check reports
+    them, the verdict check does not."""
+    assert check_execution(_with_view((1, 1, 0, 0), 2, {1: 1, 2: 1, 3: 0})) == [
+        "agreement: view disagreement between nodes 1 and 2: "
+        "{1: 1, 2: 1, 3: 0, 4: 0} vs {1: 1, 2: 1, 3: 0}",
+        "validity: node 2 has |D'|=3 < n-crashed=4",
+        "validity: node 2 is missing degrees of non-crashed nodes [4]",
+        "validity: node 2 holds None for surviving node 4, expected 0",
+    ]
+
+
+def test_two_unrealizable_views_agree_on_the_verdict():
+    """Both degree sums are odd: two views, one verdict."""
+    assert check_execution(_with_view((1, 1, 1, 0), 2, {1: 1, 2: 1, 3: 1, 4: 2})) == [
+        "agreement: view disagreement between nodes 1 and 2: "
+        "{1: 1, 2: 1, 3: 1, 4: 0} vs {1: 1, 2: 1, 3: 1, 4: 2}",
+        "validity: node 2 holds 2 for surviving node 4, expected 0",
+    ]
+
+
+def test_realizable_and_unrealizable_views_disagree_on_the_verdict():
+    assert check_execution(_with_view((1, 1, 0, 0), 2, {1: 1, 2: 1, 3: 1, 4: 0})) == [
+        "agreement: view disagreement between nodes 1 and 2: "
+        "{1: 1, 2: 1, 3: 0, 4: 0} vs {1: 1, 2: 1, 3: 1, 4: 0}",
+        "agreement: verdict disagreement among exited nodes [1, 2, 3, 4]",
+        "validity: node 2 holds 1 for surviving node 3, expected 0",
+    ]
+
+
+def _key_of(view):
+    return harness._verdict_key(tuple(sorted(view.items())))
+
+
+def test_verdict_key_classes_match_havel_hakimi_on_every_small_view():
+    """Every view over ids in {1..4} with degrees in [0, 4], 1,296 in all,
+    falls into the same 55 classes under the key as under the edge-set
+    comparison of their Havel–Hakimi graphs."""
+    views = [
+        dict(zip(ids, degrees))
+        for k in range(5)
+        for ids in combinations(range(1, 5), k)
+        for degrees in product(range(5), repeat=k)
+    ]
+    assert len(views) == 1296
+    by_key: dict = {}
+    reference: list[list[int]] = []  # classes, each a list of view indices
+    for i, view in enumerate(views):
+        by_key.setdefault(_key_of(view), []).append(i)
+        for members in reference:
+            if reference_verdicts_agree(views[members[0]], view):
+                members.append(i)
+                break
+        else:
+            reference.append([i])
+    assert len(reference) == 55
+    assert sorted(by_key.values()) == sorted(reference)
+
+
+_ids = st.integers(min_value=1, max_value=40)
+_demands = st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.dictionaries(_ids, _demands, max_size=12),
+    b=st.dictionaries(_ids, _demands, max_size=12),
+    zeros=st.lists(_ids, max_size=6),
+    derived=st.booleans(),
+)
+def test_verdict_key_agrees_with_havel_hakimi_on_drawn_views(a, b, zeros, derived):
+    """Views with sparse ids, zero demands and demands above n, up to 12
+    entries: equal keys exactly when the Havel–Hakimi verdicts agree. A
+    derived `b` is `a`'s nonzero demands and some zero demands, which
+    agrees whenever `a` is realizable."""
+    if derived:
+        b = {i: d for i, d in a.items() if d}
+        b.update((i, 0) for i in zeros[: 12 - len(b)] if i not in b)
+    assert (_key_of(a) == _key_of(b)) == reference_verdicts_agree(a, b)
 
 
 def test_large_cc_run_under_worst_adversary():
@@ -257,6 +351,20 @@ def test_large_cc_run_under_worst_adversary():
     result = run_simulation(config, WorstCaseAdversary(512))
     assert len(result.metrics.per_round_counts) == 1541
     assert result.metrics.messages_sent == 2_619_392
+    assert check_execution(result) == []
+
+
+def test_large_cc_check_builds_no_graph(monkeypatch):
+    """The verdict check on the benchmark's cc run compares verdict keys:
+    it calls no Havel–Hakimi, cached or not."""
+
+    def tripwire(seq):
+        raise AssertionError("check_execution called havel_hakimi")
+
+    config = SimConfig(n=1024, degrees=(256,) * 1024)
+    result = run_simulation(config, WorstCaseAdversary(512))
+    harness._realize.cache_clear()
+    monkeypatch.setattr(harness, "havel_hakimi", tripwire)
     assert check_execution(result) == []
 
 
