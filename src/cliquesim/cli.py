@@ -171,24 +171,30 @@ def _summary_lines(result, issues) -> list[str]:
     for rnd, node, delivered in result.crashes:
         shown = ",".join(str(j) for j in delivered) or "-"
         lines.append(f"crash round={rnd} node={node} delivered={shown}")
-    # Each distinct verdict is formatted once; None is a node that never exited.
+    # The members of a cohort record share one view dict and exit together,
+    # so each distinct dict is sorted, formatted and judged once, and each
+    # distinct verdict is formatted once; None is a node that never exited.
     verdicts: dict = {None: "none"}
+    by_dict: dict[int, str] = {}
     for o in result.nodes:
         if o.crashed_round is not None:
             lines.append(f"node {o.index}: crashed (round {o.crashed_round})")
             continue
-        view = " ".join(f"{i}:{d}" for i, d in sorted(o.view.items()))
-        outcome = verdict(o)
-        shown = verdicts.get(outcome)
-        if shown is None:
-            if outcome.graph is None:
-                shown = "unrealizable"
-            else:
-                shown = "edges " + " ".join(
-                    f"{u}-{v}" for u, v in outcome.graph.sorted_edges()
-                )
-            verdicts[outcome] = shown
-        lines.append(f"node {o.index}: exit round={o.exit_round} D'=[{view}] {shown}")
+        text = by_dict.get(id(o.view))
+        if text is None:
+            view = " ".join(f"{i}:{d}" for i, d in sorted(o.view.items()))
+            outcome = verdict(o)
+            shown = verdicts.get(outcome)
+            if shown is None:
+                if outcome.graph is None:
+                    shown = "unrealizable"
+                else:
+                    shown = "edges " + " ".join(
+                        f"{u}-{v}" for u, v in outcome.graph.sorted_edges()
+                    )
+                verdicts[outcome] = shown
+            text = by_dict[id(o.view)] = f"D'=[{view}] {shown}"
+        lines.append(f"node {o.index}: exit round={o.exit_round} {text}")
     lines.append("checks=ok" if not issues else "checks=FAILED")
     lines.extend(f"  issue: {msg}" for msg in issues)
     return lines

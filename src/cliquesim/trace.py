@@ -7,9 +7,12 @@ separators, so identical executions produce byte-identical traces and a
 replayed run can be compared line by line. Only this module knows the
 record format; it writes any result's round log.
 
-The end record repeats each node's verdict and view, and most nodes of a
-run share them, so the writer encodes each distinct verdict and view once
-and reuses the text. Replay parses the header and the round records only:
+The writer builds each line as text from shared fragments, not through a
+record dict per send or per node. A round line encodes each recipient list
+(the engine shares peer lists) and each distinct message once; the end
+record encodes each distinct view dict, and each distinct verdict and view,
+once. `round_records` stays the plain, structured form of the round
+records. Replay parses the header and the round records only:
 it compares the recorded end line with the one it rebuilds, byte for byte,
 and parses it only to name what is wrong when the two differ.
 """
@@ -89,8 +92,47 @@ def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
         "adversary": adversary_desc,
     }
     lines = [_dumps(header)]
-    lines.extend(_dumps(r) for r in round_records(result))
+    lines.extend(_round_lines(result))
     lines.append(_end_line(result))
+    return lines
+
+
+def _round_lines(result: ExecutionResult) -> list[str]:
+    """`round_records`, each as `_dumps` writes it, joined from fragments.
+
+    A send's text is its message's, encoded once per distinct message (the
+    three kinds differ in length, so no two kinds compare equal), then its
+    `"to"`, encoded once per list object: the round log keeps every list
+    alive, so no two of them share an id while the writer runs.
+    """
+    heads: dict = {}
+    recipients: dict[int, str] = {}
+    states: dict[str, str] = {}
+    lines = []
+    for rnd, log in enumerate(result.round_log, start=1):
+        sends = []
+        for _, (msg, to) in sorted(log.sends.items()):
+            head = heads.get(msg)
+            if head is None:
+                # The record with no recipients ends '[]}': keep its '"to":'.
+                head = heads[msg] = _dumps(_send_record(msg, []))[:-3]
+            to_json = recipients.get(id(to))
+            if to_json is None:
+                to_json = recipients[id(to)] = _dumps(to)
+            sends.append(f"{head}{to_json}}}")
+        crashes = ",".join(
+            f'{{"delivered":{_dumps(d)},"node":{i}}}' for i, d in log.crashes
+        )
+        transitions = []
+        for i, to in log.transitions:
+            state = states.get(to)
+            if state is None:
+                state = states[to] = _dumps(to)
+            transitions.append(f'{{"node":{i},"to":{state}}}')
+        lines.append(
+            f'{{"crashes":[{crashes}],"record":"round","round":{rnd},'
+            f'"sends":[{",".join(sends)}],"transitions":[{",".join(transitions)}]}}'
+        )
     return lines
 
 
@@ -98,9 +140,11 @@ def _end_line(result: ExecutionResult) -> str:
     """The end record, byte for byte as `_dumps` writes it.
 
     Each node record repeats the node's verdict and view, and most nodes of
-    a run share them: at ncc n=128 they are most of the trace. So each
-    distinct (exited, view) pair is encoded once, and the line is joined
-    once from those fragments, with the keys in sorted order.
+    a run share them: at ncc n=128 they are most of the trace. The members
+    of a cohort record share one view dict and exit together, so each
+    distinct dict is sorted once; each distinct (exited, view) pair is
+    encoded once; and the line is joined once from those fragments, with
+    the keys in sorted order.
     """
     metrics = result.metrics
     parts = [
@@ -110,19 +154,26 @@ def _end_line(result: ExecutionResult) -> str:
         ',"nodes":[',
     ]
     shown: dict[tuple, tuple[str, str]] = {}
+    by_dict: dict[int, tuple[str, str]] = {}
     opening = '{"crashed_round":'
     for o in result.nodes:
-        view = tuple(sorted(o.view.items()))
-        key = (o.exit_round is not None, view)
-        if key not in shown:
-            outcome = verdict(o)
-            record = None
-            if outcome is not None:
-                record = {"realizable": outcome.realizable}
-                if outcome.realizable:
-                    record["edges"] = outcome.graph.sorted_edges()
-            shown[key] = (_dumps(record), _dumps({str(k): v for k, v in view}))
-        verdict_json, view_json = shown[key]
+        fragments = by_dict.get(id(o.view))
+        if fragments is None:
+            exited = o.exit_round is not None
+            view = tuple(sorted(o.view.items()))
+            fragments = shown.get((exited, view))
+            if fragments is None:
+                outcome = verdict(o)
+                record = None
+                if outcome is not None:
+                    record = {"realizable": outcome.realizable}
+                    if outcome.realizable:
+                        record["edges"] = outcome.graph.sorted_edges()
+                fragments = shown[exited, view] = (
+                    _dumps(record), _dumps({str(k): v for k, v in view})
+                )
+            by_dict[id(o.view)] = fragments
+        verdict_json, view_json = fragments
         parts += [
             opening, _dumps(o.crashed_round),
             ',"exit_round":', _dumps(o.exit_round),

@@ -27,11 +27,18 @@ report.
 `phase1_classification` recounts a finished run's phase 1 copy by copy from
 its round log, independently of how the engine and `Phase1Tally` share
 counts between receivers.
+
+`plain_round_lines`, `plain_end` and `plain_summary_lines` are the trace's
+round and end records and `simulate`'s summary built one record or line per
+send and per node, with nothing shared: the forms that `trace.trace_lines`
+and `cli._summary_lines`, which encode each shared part once, must match.
+`dumps` is the trace's record encoding.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from itertools import combinations
 from typing import Iterable
 
@@ -40,7 +47,8 @@ from cliquesim.adversary import CrashPlan
 from cliquesim.degseq import DegreeSequence, RealizationOutcome, RealizedGraph, havel_hakimi
 from cliquesim.engine import ExecutionResult, SimConfig
 from cliquesim.groups import GroupLayout
-from cliquesim.harness import VerifyReport, _Brancher, _children, _plan_count
+from cliquesim.harness import VerifyReport, _Brancher, _children, _plan_count, verdict
+from cliquesim.trace import round_records
 
 BRUTE_FORCE_MAX_NODES = 8
 
@@ -226,3 +234,79 @@ def _reference_run(config, f, horizon, events, factor, start, report):
         report.violations.append((events, issues))
         report.violating_plans += plans
     return _children(n, events, factor, free, spare, adversary.forks)
+
+
+def dumps(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def plain_round_lines(result: ExecutionResult) -> list[str]:
+    """The round records, one dict per send, each encoded on its own."""
+    return [dumps(record) for record in round_records(result)]
+
+
+def plain_end(result: ExecutionResult) -> dict:
+    """The end record built as one dict per node, each with its own verdict
+    and view."""
+    nodes = []
+    for o in result.nodes:
+        outcome = verdict(o)
+        shown = None
+        if outcome is not None:
+            shown = {"realizable": outcome.realizable}
+            if outcome.realizable:
+                shown["edges"] = [list(e) for e in outcome.graph.sorted_edges()]
+        nodes.append(
+            {
+                "node": o.index,
+                "state": o.state,
+                "crashed_round": o.crashed_round,
+                "exit_round": o.exit_round,
+                "view": {str(k): v for k, v in sorted(o.view.items())},
+                "verdict": shown,
+            }
+        )
+    return {
+        "record": "end",
+        "rounds": result.metrics.rounds_to_termination,
+        "messages": result.metrics.messages_sent,
+        "allokay_broadcasters": result.metrics.allokay_broadcasters,
+        "dropped_messages": result.metrics.dropped_messages,
+        "nodes": nodes,
+    }
+
+
+def plain_summary_lines(result: ExecutionResult, issues: list[str]) -> list[str]:
+    """`simulate`'s summary, each node's view and verdict formatted anew."""
+    m = result.metrics
+    lines = [
+        f"model={result.config.model} n={result.config.n} "
+        f"degrees={','.join(str(d) for d in result.config.degrees)}",
+        f"rounds={m.rounds_to_termination} messages={m.messages_sent} "
+        f"crashes={len(result.crashes)} allokay_broadcasters={m.allokay_broadcasters}",
+    ]
+    if result.config.model == "ncc":
+        lines.append(
+            f"max_send_per_round={m.max_send_per_round} "
+            f"max_recv_per_round={m.max_recv_per_round} "
+            f"dropped_messages={m.dropped_messages}"
+        )
+    for rnd, node, delivered in result.crashes:
+        shown = ",".join(str(j) for j in delivered) or "-"
+        lines.append(f"crash round={rnd} node={node} delivered={shown}")
+    for o in result.nodes:
+        if o.crashed_round is not None:
+            lines.append(f"node {o.index}: crashed (round {o.crashed_round})")
+            continue
+        view = " ".join(f"{i}:{d}" for i, d in sorted(o.view.items()))
+        outcome = verdict(o)
+        if outcome is None:
+            shown = "none"
+        elif outcome.graph is None:
+            shown = "unrealizable"
+        else:
+            shown = "edges " + " ".join(f"{u}-{v}" for u, v in outcome.graph.sorted_edges())
+        lines.append(f"node {o.index}: exit round={o.exit_round} D'=[{view}] {shown}")
+    lines.append("checks=ok" if not issues else "checks=FAILED")
+    lines.extend(f"  issue: {msg}" for msg in issues)
+    return lines

@@ -16,60 +16,30 @@ from cliquesim.adversary import (
     ScriptedAdversary,
     WorstCaseAdversary,
 )
-from cliquesim.cli import main, random_graphic_degrees
+from cliquesim.cli import _summary_lines, main, random_graphic_degrees
 from cliquesim.engine import SimConfig, run_simulation
-from cliquesim.harness import verdict
+from cliquesim.harness import check_execution
+from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS, ProtocolNode
 from cliquesim.trace import (
     TraceError,
     read_trace,
     replay_trace,
+    round_records,
     trace_lines,
     write_trace,
 )
+from oracles import dumps, plain_end, plain_round_lines, plain_summary_lines
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_scripted_n4.jsonl"
-
-
-def dumps(record) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def oracle_end(result) -> dict:
-    """The end record built as one dict per node, each with its own verdict
-    and view: the plain form the writer's shared fragments must match."""
-    nodes = []
-    for o in result.nodes:
-        outcome = verdict(o)
-        shown = None
-        if outcome is not None:
-            shown = {"realizable": outcome.realizable}
-            if outcome.realizable:
-                shown["edges"] = [list(e) for e in outcome.graph.sorted_edges()]
-        nodes.append(
-            {
-                "node": o.index,
-                "state": o.state,
-                "crashed_round": o.crashed_round,
-                "exit_round": o.exit_round,
-                "view": {str(k): v for k, v in sorted(o.view.items())},
-                "verdict": shown,
-            }
-        )
-    return {
-        "record": "end",
-        "rounds": result.metrics.rounds_to_termination,
-        "messages": result.metrics.messages_sent,
-        "allokay_broadcasters": result.metrics.allokay_broadcasters,
-        "dropped_messages": result.metrics.dropped_messages,
-        "nodes": nodes,
-    }
 
 
 def end_kinds(nodes) -> set[str]:
     """Which kinds of node record an end record holds."""
     kinds = set()
     exited_views = [o["view"] for o in nodes if o["verdict"] is not None]
+    if any(view != exited_views[0] for view in exited_views):
+        kinds.add("disagreement")
     for o in nodes:
         if o["verdict"] is None:
             kinds.add("never exited")
@@ -78,6 +48,33 @@ def end_kinds(nodes) -> set[str]:
         else:
             kinds.add("realizable" if o["verdict"]["realizable"] else "unrealizable")
     return kinds
+
+
+def round_kinds(records) -> set[str]:
+    """Which kinds of send, crash and round a run's round records hold."""
+    kinds = set()
+    for record in records:
+        sends = {s["from"]: s for s in record["sends"]}
+        if not (sends or record["crashes"] or record["transitions"]):
+            kinds.add("empty round")
+        for s in sends.values():
+            if s["kind"] == "fault":
+                kinds.add("fault" if s["degree"] is not None else "smite")
+            else:
+                kinds.add(s["kind"])
+        for c in record["crashes"]:
+            if 0 < len(c["delivered"]) < len(sends[c["node"]]["to"]):
+                kinds.add("partial delivery")
+    return kinds
+
+
+class Copier(ProtocolNode):
+    """Sends each round's recipients as a list of its own, never a shared
+    peer list."""
+
+    def emit(self, rnd):
+        send = super().emit(rnd)
+        return send and (send[0], list(send[1]))
 
 
 def run_traced(config, adversary, desc):
@@ -128,11 +125,14 @@ class TestSerialization:
         lines = trace_lines(result, "scripted:u2-round1-to-u3")
         assert "\n".join(lines) + "\n" == GOLDEN.read_text()
 
-    def test_end_record_matches_the_plain_encoding(self):
+    def test_end_record_matches_the_plain_encoding(self, monkeypatch):
         """cc and ncc, worst and seeded random crashes, realizable and
-        unrealizable degrees: the end line equals the oracle's encoding,
-        and the grid holds each kind of node the writer shares text for."""
+        unrealizable degrees, a node class whose recipient lists are never
+        shared, and a rule mutation whose survivors disagree: every round
+        line, the end line and the summary equal their plain encodings, and the grid holds each kind of send, crash,
+        round and node the writers share text for."""
         seen = set()
+        grid = []
         for model in ("cc", "ncc"):
             for n in (2, 3, 7, 16, 40):
                 realizable = random_graphic_degrees(n, random.Random(n))
@@ -144,12 +144,31 @@ class TestSerialization:
                         RandomAdversary(n, n // 2, 0.3),
                         RandomAdversary(n + 1, n - 1, 0.5),
                     ):
-                        result = run_simulation(config, adversary)
-                        end = oracle_end(result)
-                        line = trace_lines(result, "grid")[-1]
-                        assert line == dumps(end), (model, n, degrees, adversary)
-                        seen |= end_kinds(end["nodes"])
-        assert seen == {"realizable", "unrealizable", "never exited", "own view"}
+                        grid.append((config, adversary, ProtocolNode))
+        config = SimConfig(n=16, degrees=(3,) * 16, model="ncc", seed=5)
+        grid.append((config, RandomAdversary(5, 5, 0.4), Copier))
+        # A rule mutation whose survivors disagree, so the summary shows
+        # two views and its issues.
+        config = SimConfig(
+            n=7, degrees=(2,) * 7, seed=5, mutations=frozenset({MUTATE_BELOW_FOLD_DISCARDS})
+        )
+        grid.append((config, RandomAdversary(5, 3, 0.5), ProtocolNode))
+        for config, adversary, node_class in grid:
+            monkeypatch.setattr("cliquesim.engine.ProtocolNode", node_class)
+            result = run_simulation(config, adversary)
+            case = (config, adversary, node_class)
+            lines = trace_lines(result, "grid")
+            assert lines[1:-1] == plain_round_lines(result), case
+            end = plain_end(result)
+            assert lines[-1] == dumps(end), case
+            issues = check_execution(result)
+            assert _summary_lines(result, issues) == plain_summary_lines(result, issues), case
+            seen |= end_kinds(end["nodes"]) | round_kinds(round_records(result))
+        assert seen == {
+            "realizable", "unrealizable", "never exited", "own view",
+            "announce", "fault", "smite", "allokay",
+            "partial delivery", "empty round", "disagreement",
+        }
 
 
 class TestReplay:
@@ -365,13 +384,17 @@ class TestCollector:
 
 def test_large_ncc_trace_is_pinned(tmp_path, capsys):
     """An ncc n=128 trace, whose end record repeats one verdict and view for
-    most nodes, hashes to the value the benchmark pins and replays."""
+    most nodes, hashes to the value the benchmark pins and replays. Its
+    summary, which prints no seed, is pinned too."""
     path = tmp_path / "run.jsonl"
+    out = tmp_path / "summary.txt"
     args = ["simulate", "--n", "128", "--model", "ncc", "--strict"]
     args += ["--adversary", "worst", "--f", "4", "--degree-uniform", "64"]
-    assert main([*args, "--seed", "0", "--trace", str(path)]) == 0
+    assert main([*args, "--seed", "0", "--trace", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "f69172673ecd5196f4c952600595ccd9195f7f643f41a031a1567185651fc86e"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e017443f60435bebeaddc32640221924c38507edef5dacd5421b7797475d872e"
     capsys.readouterr()
     assert main(["replay", "--trace", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "identical"
