@@ -33,7 +33,7 @@ from .engine import (
     SimulationError,
     run_simulation,
 )
-from .harness import check_execution, verdict, verify_exhaustive
+from .harness import check_execution, verify_exhaustive, view_texts
 from .protocol import ProtocolViolation
 from .trace import TraceError, read_trace, replay_trace, write_trace
 
@@ -171,33 +171,25 @@ def _summary_lines(result, issues) -> list[str]:
     for rnd, node, delivered in result.crashes:
         shown = ",".join(str(j) for j in delivered) or "-"
         lines.append(f"crash round={rnd} node={node} delivered={shown}")
-    # The members of a cohort record share one view dict and exit together,
-    # so each distinct dict is sorted, formatted and judged once, and each
-    # distinct verdict is formatted once; None is a node that never exited.
-    verdicts: dict = {None: "none"}
-    by_dict: dict[int, str] = {}
+    texts = iter(view_texts(result.survivors(), _view_text))
     for o in result.nodes:
         if o.crashed_round is not None:
             lines.append(f"node {o.index}: crashed (round {o.crashed_round})")
-            continue
-        text = by_dict.get(id(o.view))
-        if text is None:
-            view = " ".join(f"{i}:{d}" for i, d in sorted(o.view.items()))
-            outcome = verdict(o)
-            shown = verdicts.get(outcome)
-            if shown is None:
-                if outcome.graph is None:
-                    shown = "unrealizable"
-                else:
-                    shown = "edges " + " ".join(
-                        f"{u}-{v}" for u, v in outcome.graph.sorted_edges()
-                    )
-                verdicts[outcome] = shown
-            text = by_dict[id(o.view)] = f"D'=[{view}] {shown}"
-        lines.append(f"node {o.index}: exit round={o.exit_round} {text}")
+        else:
+            lines.append(f"node {o.index}: exit round={o.exit_round} {next(texts)}")
     lines.append("checks=ok" if not issues else "checks=FAILED")
     lines.extend(f"  issue: {msg}" for msg in issues)
     return lines
+
+
+def _view_text(outcome, view) -> str:
+    if outcome is None:
+        shown = "none"
+    elif outcome.graph is None:
+        shown = "unrealizable"
+    else:
+        shown = "edges " + " ".join(f"{u}-{v}" for u, v in outcome.graph.sorted_edges())
+    return f"D'=[{' '.join(f'{i}:{d}' for i, d in view)}] {shown}"
 
 
 def cmd_sweep(args) -> int:

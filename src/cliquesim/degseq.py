@@ -181,7 +181,8 @@ def havel_hakimi(seq: DegreeSequence | Iterable[int]) -> RealizationOutcome:
 
 
 def _is_int(value: object) -> bool:
-    """An int that is not a bool: Python counts bools as ints."""
+    """An int that is not a bool: Python counts bools as ints, and JSON's
+    `true` and `false` parse as bools."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -211,7 +211,7 @@ class RoundEngine:
             self.layout = GroupLayout.for_clique(config.n)
             self.capacity = config.capacity_c * self.layout.group_size
         else:
-            self.layout = GroupLayout(config.n, config.n, 1)
+            self.layout = GroupLayout(config.n, config.n)
             self.capacity = None
         self.tally = Phase1Tally(self.layout)
         self.nodes = nodes = [

@@ -5,7 +5,7 @@ Groups are contiguous blocks of the sorted index order. In the
 node-capacitated model (`GroupLayout.for_clique`) they have at most
 ceil(log2 n) members each, giving G = ceil(n / ceil(log2 n)) groups. The
 uncapacitated model runs the same schedules with one group of n
-(`GroupLayout(n, n, 1)`) and no capacity limit: with G == 1 every schedule
+(`GroupLayout(n, n)`) and no capacity limit: with G == 1 every schedule
 is an all-to-all broadcast.
 """
 
@@ -27,16 +27,19 @@ def log2_ceil(n: int) -> int:
 
 @dataclass(frozen=True)
 class GroupLayout:
-    """Partition of node indexes 1..n into G contiguous groups."""
+    """Partition of node indexes 1..n into G contiguous groups of
+    `group_size`, the last one possibly smaller."""
 
     n: int
     group_size: int
-    group_count: int
 
     @classmethod
     def for_clique(cls, n: int) -> "GroupLayout":
-        size = log2_ceil(n)
-        return cls(n=n, group_size=size, group_count=math.ceil(n / size))
+        return cls(n, log2_ceil(n))
+
+    @cached_property
+    def group_count(self) -> int:
+        return math.ceil(self.n / self.group_size)
 
     def group_of(self, index: int) -> int:
         """1-based group id of a node index."""

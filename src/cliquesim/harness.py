@@ -5,13 +5,16 @@ all terminated nodes agree on the degree view and the realization verdict,
 the view is large enough given the crash count, only crashed nodes' degrees
 may be missing, every survivor's degree is everywhere, and the message
 total respects the broadcast accounting bound. `verdict` builds a node's
-realization verdict, a Havel–Hakimi graph, cached per sorted view. The
-agreement check compares verdicts without building one: two Havel–Hakimi
-verdicts agree exactly when both views are unrealizable, or both are
-realizable and agree on every nonzero demand. On a realizable input the
-peel never takes a zero-demand node, so the edges depend only on the
-nonzero demands; and a realized graph gives each node its demand, so its
-edges fix them. Havel–Hakimi realizes a view exactly when Erdős–Gallai
+realization verdict, a Havel–Hakimi graph, cached per sorted view;
+`view_texts` renders it with the view once per distinct (exited, sorted
+view) pair of a run, for the trace's end record and `simulate`'s summary.
+
+The agreement check compares verdicts without building one: two
+Havel–Hakimi verdicts agree exactly when both views are unrealizable, or
+both are realizable and agree on every nonzero demand. On a realizable
+input the peel never takes a zero-demand node, so the edges depend only on
+the nonzero demands; and a realized graph gives each node its demand, so
+its edges fix them. Havel–Hakimi realizes a view exactly when Erdős–Gallai
 accepts it, so `_verdict_key` is that test and the nonzero `(id, degree)`
 pairs: one O(n log n) pass per distinct view.
 
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product, repeat, starmap
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .adversary import CrashEvent, CrashPlan, ScriptedAdversary
 from .degseq import DegreeSequence, RealizationOutcome, erdos_gallai, havel_hakimi
@@ -73,6 +76,7 @@ __all__ = [
     "message_bound",
     "run_plan",
     "verdict",
+    "view_texts",
     "VerifyReport",
     "verify_exhaustive",
 ]
@@ -167,6 +171,28 @@ def verdict(node: NodeOutcome) -> RealizationOutcome | None:
     if node.exit_round is None:
         return None
     return _realize(tuple(sorted(node.view.items())))
+
+
+def view_texts(
+    nodes: list[NodeOutcome],
+    render: Callable[[RealizationOutcome | None, tuple[tuple[int, int], ...]], str],
+) -> list[str]:
+    """One text per node: `render(verdict, sorted view)` of the node.
+
+    Most nodes of a run share their text: the members of a cohort record
+    share one view dict and exit together. So each distinct dict is sorted
+    once, and `render` is called once per distinct (exited, sorted view)
+    pair.
+    """
+    by_pair: dict[tuple, str] = {}
+    by_dict: dict[int, str] = {}
+    for o in nodes:
+        if id(o.view) not in by_dict:
+            key = o.exit_round is not None, tuple(sorted(o.view.items()))
+            if key not in by_pair:
+                by_pair[key] = render(verdict(o), key[1])
+            by_dict[id(o.view)] = by_pair[key]
+    return [by_dict[id(o.view)] for o in nodes]
 
 
 @lru_cache(maxsize=16)

@@ -357,7 +357,7 @@ class ProtocolNode:
     The node follows its layout's staggered group schedules, sending to one
     group per round, which multiplies the two-round phases and the 3-round
     failover gap by the group count. The uncapacitated model runs the same
-    schedules with one group of n (`GroupLayout(n, n, 1)`), so every send
+    schedules with one group of n (`GroupLayout(n, n)`), so every send
     is a full broadcast.
 
     `view` maps each accepted subject to its degree. `flist`, the list of
@@ -433,16 +433,6 @@ class ProtocolNode:
         if self.index < cohort.sender:
             return None
         return cohort.heard + self.gap * (self.index - cohort.sender)
-
-    @next_emit.setter
-    def next_emit(self, rnd: int) -> None:
-        """Set the timer; a listener's record then dates it as if the node
-        had heard itself in round `rnd`."""
-        cohort = self._cohort
-        if cohort is None or self.state is not NodeState.LISTENING:
-            self._timer = rnd
-        else:
-            cohort.heard, cohort.sender = rnd, self.index
 
     def detach(self) -> None:
         """Give this node a record of its own if it shares one."""

@@ -10,11 +10,13 @@ record format; it writes any result's round log.
 The writer builds each line as text from shared fragments, not through a
 record dict per send or per node. A round line encodes each recipient list
 (the engine shares peer lists) and each distinct message once; the end
-record encodes each distinct view dict, and each distinct verdict and view,
-once. `round_records` stays the plain, structured form of the round
-records. Replay parses the header and the round records only:
-it compares the recorded end line with the one it rebuilds, byte for byte,
-and parses it only to name what is wrong when the two differ.
+record takes each node's verdict and view from `harness.view_texts`, which
+encodes each distinct pair once. `round_records` stays the plain,
+structured form of the round records. The header is written and read back
+through one key list, `HEADER_KEYS`. Replay parses the header and the
+round records only: it compares the recorded end line with the one it
+rebuilds, byte for byte, and parses it only to name what is wrong when the
+two differ.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .adversary import CrashEvent, CrashPlan, ScriptedAdversary
+from .degseq import _is_int
 from .engine import ExecutionResult, SimConfig, run_simulation
-from .harness import verdict
+from .harness import view_texts
 from .protocol import AllOkay, Announce, FaultEntry
 
 __all__ = [
@@ -41,7 +44,9 @@ __all__ = [
 ]
 
 TRACE_VERSION = 1
+# Every `SimConfig` field but the test-only mutations, then the adversary.
 HEADER_KEYS = ("n", "degrees", "model", "capacity_c", "strict", "seed", "adversary")
+_CONFIG_KEYS = HEADER_KEYS[:-1]
 
 
 class TraceError(ValueError):
@@ -79,18 +84,8 @@ def round_records(result: ExecutionResult) -> list[dict]:
 
 
 def trace_lines(result: ExecutionResult, adversary_desc: str) -> list[str]:
-    config = result.config
-    header = {
-        "record": "header",
-        "version": TRACE_VERSION,
-        "n": config.n,
-        "degrees": list(config.degrees),
-        "model": config.model,
-        "capacity_c": config.capacity_c,
-        "strict": config.strict,
-        "seed": config.seed,
-        "adversary": adversary_desc,
-    }
+    header = {k: getattr(result.config, k) for k in _CONFIG_KEYS}
+    header.update(record="header", version=TRACE_VERSION, adversary=adversary_desc)
     lines = [_dumps(header)]
     lines.extend(_round_lines(result))
     lines.append(_end_line(result))
@@ -137,54 +132,36 @@ def _round_lines(result: ExecutionResult) -> list[str]:
 
 
 def _end_line(result: ExecutionResult) -> str:
-    """The end record, byte for byte as `_dumps` writes it.
-
-    Each node record repeats the node's verdict and view, and most nodes of
-    a run share them: at ncc n=128 they are most of the trace. The members
-    of a cohort record share one view dict and exit together, so each
-    distinct dict is sorted once; each distinct (exited, view) pair is
-    encoded once; and the line is joined once from those fragments, with
-    the keys in sorted order.
-    """
-    metrics = result.metrics
+    """The end record, byte for byte as `_dumps` writes it, joined once from
+    fragments with the keys in sorted order. Each node record ends with its
+    verdict and view, which most nodes of a run share: at ncc n=128 they
+    are most of the trace. `view_texts` encodes each shared ending once,
+    and each is copied only by the final join."""
+    m = result.metrics
     parts = [
-        '{"allokay_broadcasters":', _dumps(metrics.allokay_broadcasters),
-        ',"dropped_messages":', _dumps(metrics.dropped_messages),
-        ',"messages":', _dumps(metrics.messages_sent),
-        ',"nodes":[',
+        f'{{"allokay_broadcasters":{m.allokay_broadcasters},'
+        f'"dropped_messages":{m.dropped_messages},"messages":{m.messages_sent},"nodes":['
     ]
-    shown: dict[tuple, tuple[str, str]] = {}
-    by_dict: dict[int, tuple[str, str]] = {}
-    opening = '{"crashed_round":'
-    for o in result.nodes:
-        fragments = by_dict.get(id(o.view))
-        if fragments is None:
-            exited = o.exit_round is not None
-            view = tuple(sorted(o.view.items()))
-            fragments = shown.get((exited, view))
-            if fragments is None:
-                outcome = verdict(o)
-                record = None
-                if outcome is not None:
-                    record = {"realizable": outcome.realizable}
-                    if outcome.realizable:
-                        record["edges"] = outcome.graph.sorted_edges()
-                fragments = shown[exited, view] = (
-                    _dumps(record), _dumps({str(k): v for k, v in view})
-                )
-            by_dict[id(o.view)] = fragments
-        verdict_json, view_json = fragments
+    for o, ending in zip(result.nodes, view_texts(result.nodes, _verdict_and_view)):
         parts += [
-            opening, _dumps(o.crashed_round),
-            ',"exit_round":', _dumps(o.exit_round),
-            ',"node":', _dumps(o.index),
-            ',"state":', _dumps(o.state),
-            ',"verdict":', verdict_json,
-            ',"view":', view_json, "}",
+            f'{{"crashed_round":{_dumps(o.crashed_round)},"exit_round":{_dumps(o.exit_round)},'
+            f'"node":{o.index},"state":{_dumps(o.state)}',
+            ending,
+            ",",
         ]
-        opening = ',{"crashed_round":'
-    parts += ['],"record":"end","rounds":', _dumps(metrics.rounds_to_termination), "}"]
+    # A run has at least one node: its last comma closes the list.
+    parts[-1] = f'],"record":"end","rounds":{m.rounds_to_termination}}}'
     return "".join(parts)
+
+
+def _verdict_and_view(outcome, view) -> str:
+    """A node record's last two fields and its closing brace."""
+    record = None
+    if outcome is not None:
+        record = {"realizable": outcome.realizable}
+        if outcome.realizable:
+            record["edges"] = outcome.graph.sorted_edges()
+    return f',"verdict":{_dumps(record)},"view":{_dumps({str(k): v for k, v in view})}}}'
 
 
 def write_trace(path: str | Path, result: ExecutionResult, adversary_desc: str) -> None:
@@ -212,14 +189,7 @@ class ParsedTrace:
             raise TraceError("trace header: adversary must be a string")
         if h["model"] not in ("cc", "ncc"):
             raise TraceError('trace header: model must be "cc" or "ncc"')
-        return SimConfig(
-            n=h["n"],
-            degrees=tuple(degrees),
-            model=h["model"],
-            capacity_c=h["capacity_c"],
-            strict=h["strict"],
-            seed=h["seed"],
-        )
+        return SimConfig(**{k: h[k] for k in _CONFIG_KEYS} | {"degrees": tuple(degrees)})
 
     def crash_plan(self) -> CrashPlan:
         events = []
@@ -272,12 +242,6 @@ def _parse(lineno: int, line: str) -> dict:
     if not isinstance(record, dict):
         raise TraceError("every record must be a JSON object")
     return record
-
-
-def _is_int(value: object) -> bool:
-    """A JSON integer: `true` and `false` parse as Python bools, which are
-    ints too, and are not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_round_record(record: dict) -> bool:

@@ -26,7 +26,7 @@ from cliquesim.engine import (
     SimConfig,
     run_simulation,
 )
-from cliquesim.harness import check_execution, message_bound, verdict
+from cliquesim.harness import check_execution, message_bound, verdict, view_texts
 from cliquesim.protocol import (
     SMITE,
     AllOkay,
@@ -254,6 +254,32 @@ def test_verdict_cache_is_bounded():
         assert key == (((1, d), (2, d)) if d == 1 else () if d == 0 else None)
     assert harness._realize.cache_info().currsize == 16
     assert harness._verdict_key.cache_info().currsize == 16
+
+
+def test_view_texts_renders_each_pair_of_exit_and_view_once():
+    """Nodes that share a view dict share its text; equal views in two
+    dicts share one render call, unless one node exited and the other did
+    not; and a view another node does not hold gets its own."""
+    shared = {2: 1, 1: 1}
+    nodes = [
+        NodeOutcome(1, "exited", None, 3, shared),
+        NodeOutcome(2, "exited", None, 3, shared),
+        NodeOutcome(3, "exited", None, 4, {1: 1, 2: 1}),
+        NodeOutcome(4, "listening", None, None, {1: 1, 2: 1}),
+        NodeOutcome(5, "exited", None, 4, {1: 2, 2: 2}),
+    ]
+    calls = []
+
+    def render(outcome, view):
+        calls.append(view)
+        return f"{'none' if outcome is None else outcome.realizable} {view}"
+
+    one = "((1, 1), (2, 1))"
+    assert view_texts(nodes, render) == [
+        f"True {one}", f"True {one}", f"True {one}", f"none {one}",
+        "False ((1, 2), (2, 2))",
+    ]
+    assert len(calls) == 3
 
 
 def _with_view(degrees, node, view):
@@ -614,7 +640,7 @@ class TestInvariantChecks:
             def end_phase1(self, cohort):
                 super().end_phase1(cohort)
                 self.detach()
-                self.next_emit = self.phase1_len + 1
+                self._cohort.heard, self._cohort.sender = self.phase1_len + 1, self.index
 
         # Node 4 is never heard, so every list holds a smite entry for it
         # and the eager nodes 1-3 all go active right after phase 1.
@@ -922,7 +948,7 @@ class TestInvariantChecks:
                 super().end_phase1(cohort)
                 if self.index == shouter:
                     self.detach()
-                    self.next_emit = 3
+                    self._cohort.heard, self._cohort.sender = 3, self.index
 
             def emit(self, rnd):
                 if self.index == shouter and rnd == 3:
@@ -950,7 +976,7 @@ class TestInvariantChecks:
                 super().end_phase1(cohort)
                 if self.index in (1, 9):
                     self.detach()
-                    self.next_emit = 7
+                    self._cohort.heard, self._cohort.sender = 7, self.index
 
             def emit(self, rnd):
                 if self.index in (1, 9) and rnd == 7:

@@ -416,7 +416,7 @@ ENGINE_KEYED = {
     "outboxes": lambda e: setattr(e, "outboxes", {}),
     "_moved": lambda e: e._moved.update({1: "exit"}),
     "_due": lambda e: e._due.pop(),
-    "nodes": lambda e: setattr(e.nodes[0], "next_emit", 99),
+    "nodes": lambda e: setattr(e.nodes[0], "_timer", 99),
     "tally": lambda e: e.tally.count[0].__setitem__(1, 1),
     "_unsettled": lambda e: e._unsettled.discard(1),
 }

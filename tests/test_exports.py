@@ -1,7 +1,8 @@
 """Every name a module exports resolves, every name a module imports is
-used, every private name a module defines is read in it, every name the
-benchmark's tracer wraps exists, and the benchmark's traced self-check
-passes on each workload."""
+used, every private name a module defines is read in it, no function or
+class name is defined in two modules, every name the benchmark's tracer
+wraps exists, and the benchmark's traced self-check passes on each
+workload."""
 
 import ast
 import importlib
@@ -86,6 +87,18 @@ def test_no_orphaned_private_names(path):
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
     assert private - read == set()
+
+
+def test_no_name_is_defined_in_two_modules():
+    """No top-level function or class name is defined in two modules: a
+    rule kept twice drifts apart, so one module imports the other's."""
+    homes: dict[str, list[str]] = {}
+    src = Path(__file__).resolve().parents[1] / "src" / "cliquesim"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                homes.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

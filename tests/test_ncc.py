@@ -47,6 +47,16 @@ class TestGroupLayout:
         for i in range(1, n + 1):
             assert layout.members(layout.group_of(i))[layout.place_in_group(i)] == i
 
+    @pytest.mark.parametrize("n", range(1, 71))
+    def test_member_lists_hold_each_node_once(self, n):
+        """The ncc layout and the cc layout (one group of n) each list every
+        node in exactly one group: the group count follows from n and the
+        group size."""
+        for layout in (GroupLayout.for_clique(n), GroupLayout(n, n)):
+            assert len(layout.member_lists) == layout.group_count
+            listed = [i for members in layout.member_lists for i in members]
+            assert listed == list(range(1, n + 1)), layout
+
     def test_log2_ceil_floors_at_one(self):
         assert log2_ceil(1) == 1
         assert log2_ceil(2) == 1
@@ -251,7 +261,7 @@ class TestModelEquivalence:
         plan = CrashPlan((CrashEvent(1, 2, (3,)), CrashEvent(4, 1, (4,))))
         cc = run_simulation(SimConfig(n=n, degrees=degrees), ScriptedAdversary(plan))
         monkeypatch.setattr(
-            GroupLayout, "for_clique", staticmethod(lambda n: GroupLayout(n, n, 1))
+            GroupLayout, "for_clique", staticmethod(lambda n: GroupLayout(n, n))
         )
         ncc = run_simulation(
             SimConfig(n=n, degrees=degrees, model="ncc"), ScriptedAdversary(plan)

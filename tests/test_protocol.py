@@ -26,7 +26,7 @@ from cliquesim.protocol import (
 
 def cc_node(index, degree, n):
     """A node of the uncapacitated model: one group of n."""
-    return ProtocolNode(index, degree, GroupLayout(n, n, 1))
+    return ProtocolNode(index, degree, GroupLayout(n, n))
 
 
 def make_classified_node(index, n, degree=1, heard=None):
@@ -68,7 +68,7 @@ class TestPhase1Classification:
         assert node.view[1] == 9
 
     def test_conflicting_degrees_are_a_violation(self):
-        tally = Phase1Tally(GroupLayout(3, 3, 1))
+        tally = Phase1Tally(GroupLayout(3, 3))
         tally.add_mail(1, [Announce(2, 5)])
         message = "node 1 heard degree 6 from node 2, which announced 5 before"
         with pytest.raises(ProtocolViolation, match=message):

@@ -1,5 +1,6 @@
 """Trace serialization, golden-trace stability, and replay fidelity."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -21,6 +22,7 @@ from cliquesim.engine import SimConfig, run_simulation
 from cliquesim.harness import check_execution
 from cliquesim.protocol import MUTATE_BELOW_FOLD_DISCARDS, ProtocolNode
 from cliquesim.trace import (
+    HEADER_KEYS,
     TraceError,
     read_trace,
     replay_trace,
@@ -115,6 +117,20 @@ class TestSerialization:
         parsed = read_trace(path)
         assert parsed.header["n"] == 3
         assert parsed.config() == config
+
+    def test_header_keys_are_the_config_fields_and_the_adversary(self):
+        """The one key list the header is written and read back through."""
+        names = [f.name for f in dataclasses.fields(SimConfig) if f.name != "mutations"]
+        assert HEADER_KEYS == (*names, "adversary")
+
+    def test_every_config_field_reads_back_from_the_header(self, tmp_path):
+        config = SimConfig(
+            n=9, degrees=(2,) * 9, model="ncc", capacity_c=2, strict=True, seed=7
+        )
+        result = run_simulation(config, NoneAdversary())
+        path = tmp_path / "run.jsonl"
+        write_trace(path, result, "none")
+        assert read_trace(path).config() == config
 
     def test_checked_in_golden_trace(self, tmp_path):
         """Regenerating the golden scenario must reproduce the checked-in
