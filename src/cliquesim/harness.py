@@ -44,6 +44,19 @@ through `run_plan` and stores its finished subtree, relative to its weight
 and message count; a later log with that key replays it. `runs` still
 counts every log covered. A violation is reported as its effective crash
 log, itself a plan that reproduces the failure.
+
+Some children need no step at all. The engine drops a copy whose
+recipient has crashed, so a child whose crashers also deliver to nodes
+dead by the end of their round (crashed before it, or in it) reaches the
+state of its canonical sibling: the same crashers with those recipients
+left out. Only its message count, higher by the dropped copies, and its
+round log differ, and the key leaves both out. This is the removal of
+equivalent transitions before they are explored (Godefroid,
+*Partial-Order Methods for the Verification of Concurrent Systems*, LNCS
+1032, 1996). The canonical sibling comes first and keeps the key and
+message count its crash round reached; a later sibling looks its state up
+in the memo under that key, with the count shifted by its extra copies,
+and takes no fork. Where that gives no entry it is stepped as any child.
 """
 
 from __future__ import annotations
@@ -261,8 +274,10 @@ class VerifyReport:
         return min(self.violations) if self.violations else None
 
 
-# (crash log, crasher factor, the parent's fork at its branch round's adversary call)
-_Child = tuple[tuple[CrashEvent, ...], int, RoundEngine]
+# (crash log, crasher factor, the parent's fork at its branch round's adversary
+# call, its canonical sibling's (key, messages) once covered, its copies to
+# dead nodes: 0 when it is its own canonical sibling)
+_Child = tuple[tuple[CrashEvent, ...], int, RoundEngine, list[tuple[bytes, int]], int]
 
 _NO_RUN = float("-inf")  # the maximum over no run
 
@@ -346,7 +361,14 @@ def _children(n, events, factor, free, spare, forks) -> Iterator[_Child]:
     of up to `spare` free nodes, each delivering to every subset of the
     recipients it actually had that round (none when it was silent), as
     the round's fork holds its sends. Each round of `forks`, in order,
-    gives children that resume from its fork, dropped once they are made."""
+    gives children that resume from its fork, dropped once they are made.
+
+    Siblings with the same crashers share a slot for the (key, messages)
+    of their canonical sibling, the one that leaves out every recipient
+    dead by the end of the round; each child carries its count of copies
+    to such nodes. Subsets come in size order and `product` varies the
+    first crasher slowest, so a canonical sibling comes before the others."""
+    dead = {e.node for e in events}
     for rnd in list(forks):
         start = forks.pop(rnd)
         choices = {}
@@ -363,9 +385,13 @@ def _children(n, events, factor, free, spare, forks) -> Iterator[_Child]:
                 weight = factor
                 for v in crashers:
                     weight *= choices[v][1]
+                gone = dead.union(crashers)
+                slots: dict[tuple, list] = {}  # canonical deliveries -> slot
                 for delivered in product(*(choices[v][0] for v in crashers)):
                     crashes = tuple(map(CrashEvent, repeat(rnd), crashers, delivered))
-                    yield events + crashes, weight, start
+                    live = tuple(tuple(j for j in d if j not in gone) for d in delivered)
+                    extra = sum(map(len, delivered)) - sum(map(len, live))
+                    yield events + crashes, weight, start, slots.setdefault(live, []), extra
 
 
 class _Explorer:
@@ -425,18 +451,37 @@ class _Explorer:
             tree.violating_plans = plans
         return tree, _children(n, events, factor, free, spare, adversary.forks)
 
-    def cover(self, events: tuple[CrashEvent, ...], factor: int, start: RoundEngine) -> _Subtree:
+    def cover(
+        self,
+        events: tuple[CrashEvent, ...],
+        factor: int,
+        start: RoundEngine,
+        sibling: list[tuple[bytes, int]],
+        extra: int,
+    ) -> _Subtree:
         """Cover child log `events` and every log that extends it. Its
         crash round is stepped from `start`, its parent's fork; a memo
         entry for the state reached then replays the rest, else the run
         steps on through `run_plan`, its children are covered in turn, and
         the finished subtree becomes the state's entry.
 
+        A canonical child (`extra` 0) puts the key and message count its
+        crash round reached in `sibling`. A child with `extra` copies to
+        dead nodes reaches that state with `extra` more messages, so when
+        `sibling` holds them it looks that key up without a fork or a step;
+        it is stepped when its sibling raised, when the entry is missing or
+        refused, or when a pool worker covered its sibling apart from it.
+
         Message counts are left out of the key, so an entry is refused
         where this log's count would push one of its runs over the message
         bound, and none is made for a subtree with a `messages:` issue.
         With `stop_on_first` the search ends at the first violating run,
         so no subtree holding one finishes and none is replayed."""
+        if extra and sibling:
+            key, messages = sibling[0]
+            tree = self.replayed(key, messages + extra, factor, events)
+            if tree is not None:
+                return tree
         adversary = self.brancher(events)
         engine = start.fork(adversary)
         try:
@@ -445,15 +490,28 @@ class _Explorer:
             # `run_plan` steps the crash round again and reports its error.
             return self.explore(events, factor, start.fork(adversary))
         key, messages = engine.key(), engine.metrics.messages_sent
-        entry = self.memo.get(key)
-        if entry is not None and messages + entry.excess <= 0:
-            return entry.placed(factor, messages, events)
+        if not extra:
+            sibling.append((key, messages))
+        tree = self.replayed(key, messages, factor, events)
+        if tree is not None:
+            return tree
         tree = self.explore(events, factor, engine)
         if not self.stopped(tree) and not any(
             issue.startswith("messages:") for _, issues in tree.violations for issue in issues
         ):
             self.memo[key] = tree.entry(factor, messages, len(events))
         return tree
+
+    def replayed(
+        self, key: bytes, messages: int, factor: int, events: tuple[CrashEvent, ...]
+    ) -> _Subtree | None:
+        """The memo entry for `key` placed as the subtree of log `events`,
+        which reached that state with `messages` sent; None when there is
+        none, or when that count would push one of its runs over the bound."""
+        entry = self.memo.get(key)
+        if entry is not None and messages + entry.excess <= 0:
+            return entry.placed(factor, messages, events)
+        return None
 
     def explore(
         self, events: tuple[CrashEvent, ...], factor: int, engine: RoundEngine

@@ -21,8 +21,15 @@ set.
 `reference_verify_exhaustive` is the verifier's crash-schedule explorer
 without its memo: it runs every effective crash log through
 `harness.run_plan`, resuming each child from its parent's fork, so a spy on
-`run_plan` sees one call per log. `verify_exhaustive` must give the same
-report.
+`run_plan` sees one call per log. It takes each child's log, weight and
+fork from `harness._children` and drops the canonical-sibling slot and
+dead-copy count that come with them, so a child whose crashers deliver to
+dead nodes is stepped in full as well, never looked up under its
+sibling's state. `verify_exhaustive` must give the same report.
+
+`reference_children` walks the same logs and yields each child log with
+the canonical-sibling slot and dead-copy count `_children` gives it, for
+the tests that step those children one by one.
 
 `phase1_classification` recounts a finished run's phase 1 copy by copy from
 its round log, independently of how the engine and `Phase1Tally` share
@@ -208,9 +215,22 @@ def reference_verify_exhaustive(
         if child is None:
             stack.pop()
         else:
-            stack.append(_reference_run(config, f, horizon, *child, report))
+            events, factor, start, _, _ = child  # every child is stepped
+            stack.append(_reference_run(config, f, horizon, events, factor, start, report))
     report.violations.sort()
     return report
+
+
+def reference_children(
+    config: SimConfig, f: int, horizon: int, events=(), factor=1, start=None
+):
+    """Every child log below `events`, depth first, as `harness._children`
+    yields it, each before the logs below it; the reference explorer runs
+    each log to make its children."""
+    scratch = VerifyReport(plans_total=0, executions_run=0)
+    for child in _reference_run(config, f, horizon, events, factor, start, scratch):
+        yield child
+        yield from reference_children(config, f, horizon, *child[:3])
 
 
 def _reference_run(config, f, horizon, events, factor, start, report):

@@ -39,7 +39,7 @@ from cliquesim.adversary import (
     PlanSpace,
     ScriptedAdversary,
 )
-from cliquesim.engine import AdversaryError, RoundEngine, SimConfig
+from cliquesim.engine import AdversaryError, RoundEngine, SimConfig, SimulationError
 from cliquesim.harness import run_plan, verify_exhaustive
 from cliquesim.protocol import (
     MUTATE_BELOW_FOLD_DISCARDS,
@@ -47,9 +47,10 @@ from cliquesim.protocol import (
     Cohort,
     NodeState,
     ProtocolNode,
+    ProtocolViolation,
 )
 
-from oracles import reference_verify_exhaustive
+from oracles import reference_children, reference_verify_exhaustive
 
 HORIZON = 14
 MUTATIONS = (None, MUTATE_BELOW_FOLD_DISCARDS, MUTATE_NO_HEARD_ONCE_UPDATE)
@@ -134,6 +135,17 @@ def explored(config: SimConfig, f: int, monkeypatch, horizon: int = HORIZON):
 def round_cap(config: SimConfig, f: int) -> int:
     """The engine's watchdog: no run with up to f crashes lasts longer."""
     return RoundEngine(config, NoneAdversary(f)).round_cap
+
+
+def cap_rounds(monkeypatch, cap: int) -> None:
+    """Cut the engine's round cap to `cap` rounds."""
+    set_adversary = RoundEngine._set_adversary
+
+    def capped(engine, adversary):
+        set_adversary(engine, adversary)
+        engine.round_cap = cap
+
+    monkeypatch.setattr(RoundEngine, "_set_adversary", capped)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -221,19 +233,15 @@ def test_a_run_that_trips_the_round_cap_branches_only_at_logged_rounds(
 ):
     """With the round cap cut to 6, runs that last longer raise before
     round 7's sends, so round 7 never reaches the adversary call and no
-    fork is kept for it: no child branches there."""
-    set_adversary = RoundEngine._set_adversary
-
-    def capped(engine, adversary):
-        set_adversary(engine, adversary)
-        engine.round_cap = 6
-
-    monkeypatch.setattr(RoundEngine, "_set_adversary", capped)
+    fork is kept for it: no child branches there. A child whose canonical
+    sibling raised is stepped, as the reference steps it."""
+    cap_rounds(monkeypatch, 6)
     config = SimConfig(n=3, degrees=(1, 1, 2))
     report = verify_exhaustive(config, f=2, horizon=HORIZON)
     assert report.executions_run == 9577
     assert (report.runs, len(report.violations)) == (544, 372)
     assert report.violations[0][1][0].startswith("RoundLimitExceeded: ")
+    assert report == reference_verify_exhaustive(config, 2, HORIZON)
 
 
 def test_children_do_not_re_emit_their_branch_round(monkeypatch):
@@ -241,7 +249,9 @@ def test_children_do_not_re_emit_their_branch_round(monkeypatch):
     branch round, whose sends are made. Forked before them instead, the
     3,530 children at cc n=4, f<=2 re-emitted 7,340 sends: 17,479 calls.
     Without the memo, which steps on only from distinct states, the same
-    3,531 logs made 10,139 calls."""
+    3,531 logs made 10,139 calls; with it, 3,881 while every child stepped
+    its crash round. The 1,640 children that differ from a canonical
+    sibling only by copies to dead nodes step nothing, so 2,969 remain."""
     calls = []
     emit = ProtocolNode.emit
 
@@ -253,7 +263,7 @@ def test_children_do_not_re_emit_their_branch_round(monkeypatch):
     config = SimConfig(n=4, degrees=(1, 2, 2, 1))
     report = verify_exhaustive(config, f=2, horizon=HORIZON)
     assert report.ok and report.runs == 3531
-    assert len(calls) == 3881
+    assert len(calls) == 2969
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS[1:])
@@ -335,6 +345,100 @@ def test_distinct_states_are_stepped_once(monkeypatch):
     config = SimConfig(n=4, degrees=(1, 2, 2, 1))
     report, runs = spied(lambda: verify_exhaustive(config, f=2, horizon=HORIZON), monkeypatch)
     assert (report.runs, len(runs)) == (3531, 1048)
+
+
+def test_children_with_copies_to_dead_nodes_take_no_fork(monkeypatch):
+    """A child forks its parent's branch-round engine under its own
+    adversary to step its crash round; the forks a run keeps for its
+    children are made under none. At cc n=4, f<=2, 1,640 of the 3,530
+    children differ from a canonical sibling only by copies to dead nodes
+    and replay its state's entry: 1,890 children fork, and the verify call
+    steps 6,385 rounds, 1,640 fewer than when every child stepped."""
+    forks, steps = [], []
+    fork, step = RoundEngine.fork, RoundEngine.step
+
+    def counted_fork(engine, adversary):
+        forks.append(adversary is not None)
+        return fork(engine, adversary)
+
+    def counted_step(engine):
+        steps.append(engine.round)
+        return step(engine)
+
+    monkeypatch.setattr(RoundEngine, "fork", counted_fork)
+    monkeypatch.setattr(RoundEngine, "step", counted_step)
+    config = SimConfig(n=4, degrees=(1, 2, 2, 1))
+    report = verify_exhaustive(config, f=2, horizon=HORIZON)
+    assert report.ok and report.runs == 3531
+    assert (sum(forks), len(steps)) == (1890, 6385)
+
+
+def stepped(start: RoundEngine, events: tuple) -> tuple:
+    """The crash round of child log `events` stepped from `start`: its
+    state's key and message count, or None and the error it raised."""
+    engine = start.fork(ScriptedAdversary(CrashPlan(events)))
+    try:
+        engine.step()
+    except (ProtocolViolation, SimulationError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return engine.key(), engine.metrics.messages_sent
+
+
+def n4(**options) -> SimConfig:
+    return SimConfig(n=4, degrees=(1, 2, 2, 1), **options)
+
+
+@pytest.mark.parametrize(
+    "config, horizon, cap, redundant, raised",
+    [
+        pytest.param(n4(), HORIZON, None, 1640, 0, id="cc"),
+        *(
+            pytest.param(n4(mutations=frozenset({m})), HORIZON, None, 1640, 0, id=f"cc-{m}")
+            for m in MUTATIONS[1:]
+        ),
+        pytest.param(n4(model="ncc", strict=True), 40, None, 450, 0, id="ncc-strict"),
+        pytest.param(SimConfig(n=3, degrees=(1, 1, 2)), HORIZON, 6, 224, 15, id="n3-capped"),
+    ],
+)
+def test_copies_to_dead_nodes_change_only_the_message_count(
+    config, horizon, cap, redundant, raised, monkeypatch
+):
+    """The memo aside: every child with up to 2 crashes whose crashers
+    deliver to nodes dead by the end of its round, stepped from its
+    parent's fork, reaches the key its canonical sibling (those recipients
+    left out) reaches with exactly the dropped copies more sent, or raises
+    the sibling's error. `_children` gives such a child that count and its
+    sibling's slot, and gives the sibling first. With the round cap cut to
+    6, a crash round stepped at round 6 raises before round 7's sends."""
+    if cap:
+        cap_rounds(monkeypatch, cap)
+    slots, found, errors = {}, 0, 0
+    for events, _, start, sibling, extra in reference_children(config, 2, horizon):
+        dead = {e.node for e in events}
+        canonical = tuple(
+            e._replace(recipients=tuple(j for j in e.recipients if j not in dead))
+            if e.round == start.round
+            else e
+            for e in events
+        )
+        dropped = sum(len(e.recipients) for e in events) - sum(
+            len(e.recipients) for e in canonical
+        )
+        assert extra == dropped, events
+        if not dropped:
+            slots[events] = sibling
+            continue
+        found += 1
+        assert sibling is slots[canonical], events
+        key, outcome = stepped(start, events)
+        sibling_key, sibling_outcome = stepped(start, canonical)
+        assert key == sibling_key, events
+        if key is None:
+            errors += 1
+            assert outcome == sibling_outcome, events
+        else:
+            assert outcome == sibling_outcome + dropped, events
+    assert (found, errors) == (redundant, raised)
 
 
 @pytest.mark.parametrize("tighter", [3, 6])
